@@ -66,6 +66,19 @@ def _reject_unknown(data: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _read(where: str, parse):
+    """parse(), with a missing or malformed value reported as a ConfigError
+    naming the field ``where``."""
+    try:
+        return parse()
+    except ConfigError:
+        raise
+    except KeyError:
+        raise ConfigError(f"{where} is missing") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} is malformed: {exc}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     raw: dict
@@ -107,7 +120,7 @@ class ExperimentConfig:
         cutoff = data["cutoff"]
         if not isinstance(cutoff, int) or not 1 <= cutoff <= 16:
             raise ConfigError("config.cutoff must be an integer in [1, 16]")
-        lattice_cutoff = float(data["lattice_cutoff"])
+        lattice_cutoff = _read("config.lattice_cutoff", lambda: float(data["lattice_cutoff"]))
         if lattice_cutoff <= 0:
             raise ConfigError("config.lattice_cutoff must be positive")
         if not isinstance(data["generators"], list) or not data["generators"]:
@@ -134,29 +147,36 @@ class ExperimentConfig:
 
         sol = data["solver"]
         _reject_unknown(sol, _SOLVER_KEYS, "config.solver")
-        t0, t1 = float(sol["t0"]), float(sol["t1"])
-        tol = float(sol.get("tol", 1e-8))
+        t0 = _read("config.solver.t0", lambda: float(sol["t0"]))
+        t1 = _read("config.solver.t1", lambda: float(sol["t1"]))
+        tol = _read("config.solver.tol", lambda: float(sol.get("tol", 1e-8)))
         if not (t1 > t0 and tol > 0):
             raise ConfigError("config.solver needs t1 > t0 and tol > 0")
-        sample_ratio = float(sol.get("sample_ratio", 1.1))
-        step_growth = float(sol.get("step_growth", 0.08))
+        sample_ratio = _read("config.solver.sample_ratio",
+                             lambda: float(sol.get("sample_ratio", 1.1)))
+        step_growth = _read("config.solver.step_growth",
+                            lambda: float(sol.get("step_growth", 0.08)))
         u0_spec = sol.get("u0", "expansion" if ftype == "manufactured" else "zero")
 
         verif = data.get("verification", {})
         _reject_unknown(verif, _VERIF_KEYS, "config.verification")
-        orders = [int(n) for n in verif.get("orders", [])]
+        orders = _read("config.verification.orders",
+                       lambda: [int(n) for n in verif.get("orders", [])])
         if any(n < 0 for n in orders):
             raise ConfigError("config.verification.orders must be nonnegative")
-        gevrey = [GevreyIndex(float(a), float(s)) for a, s in verif.get("gevrey", [[0.0, 0.0]])]
+        gevrey = _read("config.verification.gevrey", lambda: [
+            GevreyIndex(float(a), float(s)) for a, s in verif.get("gevrey", [[0.0, 0.0]])])
         window = verif.get("window")
-        window = (t0, t1) if window is None else (float(window[0]), float(window[1]))
-        order_tolerance = float(verif.get("order_tolerance", 0.1))
+        window = (t0, t1) if window is None else _read(
+            "config.verification.window", lambda: (float(window[0]), float(window[1])))
+        order_tolerance = _read("config.verification.order_tolerance",
+                                lambda: float(verif.get("order_tolerance", 0.1)))
         falsify = verif.get("falsify")
         if falsify is not None:
             _reject_unknown(falsify, _FALSIFY_KEYS, "config.verification.falsify")
-            if int(falsify.get("n", 0)) < 1:
+            if _read("config.verification.falsify.n", lambda: int(falsify.get("n", 0))) < 1:
                 raise ConfigError("config.verification.falsify.n must be >= 1")
-        seed = int(data.get("seed", 0))
+        seed = _read("config.seed", lambda: int(data.get("seed", 0)))
         return cls(data, system, cutoff, lattice_cutoff, data["generators"], ftype,
                    [(t["exponent"], t["field"]) for t in terms],
                    t0, t1, tol, sample_ratio, step_growth, u0_spec,

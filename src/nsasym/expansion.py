@@ -206,14 +206,14 @@ def recursion_residual(coeffs: Expansion, force: Expansion, n: int) -> float:
         if src.value >= lat.cutoff:
             continue
         for term in sys.vee(src, lat.cutoff):
-            if _matches(sys, term.exponent, target):
+            if sys.same(term.exponent, target):
                 piece = term.coeff * coeffs.field(p)
                 scale = max(scale, piece.l2())
                 lhs = lhs + piece
     for i in range(1, n):
         for j in range(1, n):
             w = sys.wedge(lat.exponent(i), lat.exponent(j))
-            if _matches(sys, w.gamma, target):
+            if sys.same(w.gamma, target):
                 piece = w.d * bilinear_form(coeffs.field(i), coeffs.field(j))
                 scale = max(scale, piece.l2())
                 lhs = lhs + piece
@@ -221,9 +221,3 @@ def recursion_residual(coeffs: Expansion, force: Expansion, n: int) -> float:
     # relative to the largest constituent, so exact cancellations score ~0
     scale = max(scale, phi.l2(), 1e-300)
     return (lhs - phi).l2() / scale
-
-
-def _matches(sys, a: Exponent, b: Exponent) -> bool:
-    if sys.discrete:
-        return a.pair == b.pair
-    return abs(a.value - b.value) <= 1e-9

@@ -7,9 +7,8 @@ entry records its provenance (generator, wedge of two earlier entries, or
 k-th vee image of an earlier entry) so the recursion engine can enumerate
 exactly the interactions landing on a given entry without re-searching.
 
-Non-product systems deduplicate by value with a 1e-9 absolute tolerance;
-product systems compare exact rational pairs, for which true collisions
-cannot occur when the mixing weight is irrational.
+Whether two exponents are the same entry is decided by the system's one
+identity rule, ``DecaySystem.same``; every lookup here goes through it.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .systems import DecaySystem, Exponent, ProductSystem
+from .systems import VALUE_TOL, DecaySystem, Exponent, ProductSystem
 
 __all__ = [
     "LatticeEntry",
@@ -30,7 +29,6 @@ __all__ = [
     "enumerate_pair_components",
 ]
 
-VALUE_TOL = 1e-9
 MAX_ENTRIES = 10 ** 6
 
 
@@ -68,22 +66,12 @@ class ExponentLattice:
         return self.entries[n - 1].exponent
 
     def index_of(self, exponent) -> Optional[int]:
-        """1-based position of an exponent, or None.
-
-        Matches by exact pair for pair-carrying exponents, by value within
-        1e-9 otherwise; never by floating comparison of pair-indexed entries.
-        """
-        if isinstance(exponent, Exponent) and exponent.pair is not None:
-            for n, e in enumerate(self.entries, 1):
-                if e.exponent.pair == exponent.pair:
-                    return n
-            return None
-        value = exponent.value if isinstance(exponent, Exponent) else float(exponent)
-        vals = self.values()
-        i = bisect_left(vals, value - VALUE_TOL)
-        if i < len(vals) and abs(vals[i] - value) <= VALUE_TOL:
-            return i + 1
-        return None
+        """1-based position of the entry the system calls the same as
+        ``exponent`` (an Exponent or a plain value), or None."""
+        if not isinstance(exponent, Exponent):
+            exponent = Exponent(float(exponent))
+        i = _find(self.system, self.values(), [e.exponent for e in self.entries], exponent)
+        return None if i is None else i + 1
 
     def wedge_pairs(self, n: int) -> list[tuple[int, int]]:
         """Ordered index pairs (i, j) with lambda_i wedge lambda_j = lambda_n."""
@@ -107,24 +95,32 @@ class ExponentLattice:
         return {"cutoff": self.cutoff, "system": self.system.to_json(), "entries": entries}
 
 
-class _WorkingSet:
-    """Sorted collection of exponents with system-appropriate deduplication."""
+def _find(sys: DecaySystem, values: Sequence[float], items: Sequence[Exponent],
+          exp: Exponent) -> Optional[int]:
+    """0-based position of the first item the system calls the same as exp.
 
-    def __init__(self, by_pair: bool):
-        self.by_pair = by_pair
+    ``values`` are the sorted values of ``items``; only the +-VALUE_TOL
+    window around exp.value is searched.
+    """
+    i = bisect_left(values, exp.value - VALUE_TOL)
+    while i < len(values) and values[i] <= exp.value + VALUE_TOL:
+        if sys.same(items[i], exp):
+            return i
+        i += 1
+    return None
+
+
+class _WorkingSet:
+    """Sorted collection of exponents, deduplicated by the system's rule."""
+
+    def __init__(self, sys: DecaySystem):
+        self.sys = sys
         self.values: list[float] = []
         self.items: list[Exponent] = []
-        self.pairs: set = set()
 
     def add(self, exp: Exponent) -> bool:
-        if self.by_pair:
-            if exp.pair in self.pairs:
-                return False
-            self.pairs.add(exp.pair)
-        else:
-            i = bisect_left(self.values, exp.value - VALUE_TOL)
-            if i < len(self.values) and abs(self.values[i] - exp.value) <= VALUE_TOL:
-                return False
+        if _find(self.sys, self.values, self.items, exp) is not None:
+            return False
         j = bisect_left(self.values, exp.value)
         self.values.insert(j, exp.value)
         self.items.insert(j, exp)
@@ -147,7 +143,7 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
     if any(g.value > cutoff + VALUE_TOL for g in gens):
         raise ClosureError("every generator must lie within the cutoff")
 
-    work = _WorkingSet(by_pair=sys.discrete)
+    work = _WorkingSet(sys)
     for g in gens:
         work.add(g)
 
@@ -174,37 +170,40 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
                 f"closure exceeded {MAX_ENTRIES} entries below cutoff {cutoff:g}; "
                 "the exponent set appears to accumulate")
 
-    exponents = list(work.items)
-    gen_keys = {_key(sys, g) for g in gens}
-    entries = []
-    for n, exp in enumerate(exponents, 1):
-        origins: list[tuple] = []
-        if _key(sys, exp) in gen_keys:
-            origins.append(("generator",))
-        for i, a in enumerate(exponents[: n - 1], 1):
-            for j, b in enumerate(exponents[: n - 1], 1):
-                if abs(a.value + b.value - exp.value) > 0.5:  # cheap reject
-                    continue
-                if _same(sys, sys.wedge(a, b).gamma, exp):
-                    origins.append(("wedge", i, j))
-        for p, src in enumerate(exponents[: n - 1], 1):
-            if src.value >= cutoff:
-                continue
-            for k, term in enumerate(sys.vee(src, cutoff), 1):
-                if _same(sys, term.exponent, exp):
-                    origins.append(("vee", p, k))
-        entries.append(LatticeEntry(exp, tuple(origins)))
-    return ExponentLattice(sys, float(cutoff), tuple(entries))
+    return ExponentLattice(sys, float(cutoff), _with_provenance(sys, work, gens, cutoff))
 
 
-def _key(sys: DecaySystem, exp: Exponent):
-    return exp.pair if sys.discrete else round(exp.value / VALUE_TOL)
+def _with_provenance(sys: DecaySystem, work: _WorkingSet, gens: Sequence[Exponent],
+                     cutoff: float) -> tuple[LatticeEntry, ...]:
+    """Tag every entry with its origins in one forward pass.
 
-
-def _same(sys: DecaySystem, a: Exponent, b: Exponent) -> bool:
-    if sys.discrete:
-        return a.pair == b.pair
-    return abs(a.value - b.value) <= VALUE_TOL
+    Each generator, each ordered wedge pair (i, j) and each k-th vee image
+    of an entry p is looked up once and recorded on the entry it lands on,
+    provided that entry comes after its sources.  Generators come first,
+    then wedge pairs in (i, j) order, then vee routes in (p, k) order.
+    """
+    exps, vals = work.items, work.values
+    origins: list[list[tuple]] = [[] for _ in exps]
+    for g in gens:
+        tags = origins[_find(sys, vals, exps, g)]
+        if not tags:
+            tags.append(("generator",))
+    reach = vals[-1] + VALUE_TOL  # no larger wedge can be the same as an entry
+    for i, a in enumerate(exps):
+        for j, b in enumerate(exps):
+            if a.value + b.value > reach:
+                break  # values are sorted; later b only grow
+            n = _find(sys, vals, exps, sys.wedge(a, b).gamma)
+            if n is not None and n > max(i, j):
+                origins[n].append(("wedge", i + 1, j + 1))
+    for p, src in enumerate(exps):
+        if src.value >= cutoff:
+            continue
+        for k, term in enumerate(sys.vee(src, cutoff), 1):
+            n = _find(sys, vals, exps, term.exponent)
+            if n is not None and n > p:
+                origins[n].append(("vee", p + 1, k))
+    return tuple(LatticeEntry(exp, tuple(tags)) for exp, tags in zip(exps, origins))
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,9 @@ from .spectral import (
     VOLUME,
     GevreyIndex,
     SpectralField,
-    _convolve_advection,
     _grid,
+    bilinear_form,
     gevrey_norm,
-    leray_project,
 )
 from .systems import CheckResult, Exponent
 
@@ -248,7 +247,8 @@ class _Integrator:
         self.n_rhs += 1
         f = self.force_eval(t)
         if self.nonlinear:
-            buu = leray_project(_convolve_advection(u_arr, u_arr, self.K), self.K).coeffs
+            u = SpectralField(self.K, u_arr)
+            buu = bilinear_form(u, u).coeffs
             self.last_b = buu  # clean copy for the energy-orthogonality monitor
             return f - buu
         return f + self.xi

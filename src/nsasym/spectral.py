@@ -363,14 +363,6 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
 
 
 def _convolve_advection(U: np.ndarray, V: np.ndarray, cutoff: int) -> np.ndarray:
-    if _adv_kernel is not None:
-        out = np.zeros_like(V)
-        _adv_kernel(U, V, out, cutoff)
-        return out
-    return _convolve_advection_numpy(U, V, cutoff)
-
-
-def _convolve_advection_numpy(U: np.ndarray, V: np.ndarray, cutoff: int) -> np.ndarray:
     K = cutoff
     kvec, _, _ = _grid(K)
     out = np.zeros_like(V)
@@ -382,44 +374,6 @@ def _convolve_advection_numpy(U: np.ndarray, V: np.ndarray, cutoff: int) -> np.n
         dot = kvec[src] @ up
         out[dst] += (1j * dot)[..., None] * V[src]
     return out
-
-
-def _build_adv_kernel():
-    # optional compiled inner loop; the numpy path stays the reference
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    @numba.njit(cache=True, fastmath=False)
-    def kernel(U, V, out, K):
-        W = 2 * K + 1
-        for a1 in range(W):
-            for a2 in range(W):
-                for a3 in range(W):
-                    u0 = U[a1, a2, a3, 0]
-                    u1 = U[a1, a2, a3, 1]
-                    u2 = U[a1, a2, a3, 2]
-                    if u0 == 0 and u1 == 0 and u2 == 0:
-                        continue
-                    for b1 in range(max(0, K - a1), min(W - 1, 3 * K - a1) + 1):
-                        q1 = b1 - K
-                        c1 = a1 + q1
-                        for b2 in range(max(0, K - a2), min(W - 1, 3 * K - a2) + 1):
-                            q2 = b2 - K
-                            c2 = a2 + q2
-                            for b3 in range(max(0, K - a3), min(W - 1, 3 * K - a3) + 1):
-                                q3 = b3 - K
-                                c3 = a3 + q3
-                                dot = 1j * (u0 * q1 + u1 * q2 + u2 * q3)
-                                out[c1, c2, c3, 0] += dot * V[b1, b2, b3, 0]
-                                out[c1, c2, c3, 1] += dot * V[b1, b2, b3, 1]
-                                out[c1, c2, c3, 2] += dot * V[b1, b2, b3, 2]
-
-    return kernel
-
-
-_adv_kernel = _build_adv_kernel()
 
 
 def trilinear_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 PAIR_VALUE_TOL = 1e-12
+VALUE_TOL = 1e-9  # continuum exponents closer than this are the same exponent
 
 
 class DomainError(ValueError):
@@ -73,8 +74,7 @@ class Exponent:
     """A positive decay exponent, optionally carrying an exact rational pair.
 
     Pairs identify product-system functions (t^g+1)^(-a) (t^(1-g)+1)^(-b);
-    identity decisions for those systems go through the pair, never through
-    the floating value.
+    whether two exponents are the same is decided by ``DecaySystem.same``.
     """
 
     value: float
@@ -83,15 +83,6 @@ class Exponent:
     def __post_init__(self):
         if not self.value > 0:
             raise ValueError(f"exponent must be positive, got {self.value}")
-
-    @staticmethod
-    def of(value: float) -> "Exponent":
-        return Exponent(float(value))
-
-    def same(self, other: "Exponent", tol: float = 1e-9) -> bool:
-        if self.pair is not None and other.pair is not None:
-            return self.pair == other.pair
-        return abs(self.value - other.value) <= tol
 
 
 @dataclass(frozen=True)
@@ -130,10 +121,6 @@ class DecaySystem(ABC):
         """Derivative-expansion terms with exponent <= cutoff, increasing."""
 
     @abstractmethod
-    def background_rate(self, lam: Exponent, t: float) -> float:
-        """Continuum comparison rate phi_lambda(t) for this system."""
-
-    @abstractmethod
     def order_abscissa(self, t: float) -> float:
         """Growing quantity x(t) such that psi-scale decay orders are slopes
         of -log(decay) against log(x); equals t for power-law-like kinds."""
@@ -143,6 +130,13 @@ class DecaySystem(ABC):
         ...
 
     # -- shared behaviour ----------------------------------------------------
+
+    def same(self, a: Exponent, b: Exponent) -> bool:
+        """The one exponent-identity rule: exact pairs for discrete systems,
+        values within VALUE_TOL for every other system."""
+        if self.discrete:
+            return a.pair == b.pair
+        return abs(a.value - b.value) <= VALUE_TOL
 
     def wedge(self, lam: Exponent, mu: Exponent) -> WedgeResult:
         """Product rule psi_lam * psi_mu = d * psi_gamma; d = 1 throughout."""
@@ -198,9 +192,6 @@ class PowerSystem(DecaySystem):
             return [VeeTerm(Exponent(lam.value + 1.0), -lam.value)]
         return []
 
-    def background_rate(self, lam, t):
-        return self.eval(lam, t)
-
     def order_abscissa(self, t):
         return t
 
@@ -239,12 +230,6 @@ class SqrtShiftSystem(DecaySystem):
             terms.append(VeeTerm(Exponent(lam.value + 1.0 + k), -lam.value / 2.0))
             k += 1
         return terms
-
-    def background_rate(self, lam, t):
-        # (sqrt(t)+1)^-lam sits between t^-(lam/2) and (4t)^-(lam/2): the
-        # equivalent member of the power background family carries lam/2
-        self.check_domain(t)
-        return t ** (-lam.value / 2.0)
 
     def order_abscissa(self, t):
         return math.sqrt(t) + 1.0
@@ -371,8 +356,6 @@ class IteratedLogSystem(DecaySystem):
         if self.q1[-1] <= 0:
             raise SystemSpecError("leading Q1 coefficient must be positive")
         self.q1_degree = len(self.q1) - 1
-        # equivalence constant of Lemma-style comparison with the L_m family
-        self.background_const = self.lead_coeff * (self.beta * self.q1_degree) ** self.lead_index[0]
         self._t_min = self._compute_t_min()
 
     # -- plumbing -------------------------------------------------------------
@@ -449,12 +432,6 @@ class IteratedLogSystem(DecaySystem):
         self._check_vee_cutoff(lam, cutoff)
         return []
 
-    def background_rate(self, lam, t):
-        self.check_domain(t)
-        L = _iterated_log_vector(self.m, math.log(t))
-        mono = math.prod(x ** a for x, a in zip(L, self.lead_index))
-        return (self.background_const * mono) ** (-lam.value)
-
     def order_abscissa(self, t):
         return self.omega(t)
 
@@ -519,10 +496,6 @@ class _TrigLogSystem(DecaySystem):
     def vee(self, lam, cutoff):
         self._check_vee_cutoff(lam, cutoff)
         return []
-
-    def background_rate(self, lam, t):
-        self.check_domain(t)
-        return iterated_log(self.m, t) ** (-lam.value)
 
     def order_abscissa(self, t):
         return 1.0 / self.trig(1.0 / iterated_log(self.m, t))
@@ -619,9 +592,6 @@ class ProductSystem(DecaySystem):
         base = p ** (-a) * q ** (-b)
         return -base * (a * g * t ** (g - 1.0) / p + b * (1.0 - g) * t ** (-g) / q)
 
-    def wedge(self, lam, mu):
-        return WedgeResult(self.exponent_sum(lam, mu), 1.0)
-
     def exponent_sum(self, lam, mu):
         (a1, b1) = self._require_pair(lam)
         (a2, b2) = self._require_pair(mu)
@@ -657,10 +627,6 @@ class ProductSystem(DecaySystem):
         terms = [VeeTerm(self.exponent_from_pair(*pair), c) for pair, c in found.items()]
         terms.sort(key=lambda term: term.exponent.value)
         return terms
-
-    def background_rate(self, lam, t):
-        self.check_domain(t)
-        return t ** (-lam.value)
 
     def order_abscissa(self, t):
         return t
@@ -778,7 +744,7 @@ def verify_system_conditions(sys: DecaySystem, sample_lams: Sequence[Exponent],
             sym = sys.wedge(mu, lam)
             checks.append(CheckResult(
                 f"wedge[{lam.value:g},{mu.value:g}]",
-                rel <= 1e-10 and sym.gamma.same(w.gamma) and sym.d == w.d,
+                rel <= 1e-10 and sys.same(sym.gamma, w.gamma) and sym.d == w.d,
                 {"max_rel_err": rel, "gamma": w.gamma.value, "d": w.d}))
 
     # vee expansion against a finite-difference derivative

@@ -110,6 +110,32 @@ class TestCommandLine:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, value", [
+        (("solver", "t0"), None),
+        (("verification", "window"), [20]),
+        (("verification", "gevrey"), [0.5]),
+        (("solver", "tol"), "abc"),
+        (("lattice_cutoff",), "x"),
+    ], ids=["t0_missing", "window_short", "gevrey_flat", "tol_text", "lattice_cutoff_text"])
+    def test_malformed_field_exit_two(self, path, value, tmp_path, capsys):
+        data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
+        *parents, key = path
+        section = data
+        for name in parents:
+            section = section[name]
+        if value is None:
+            del section[key]
+        else:
+            section[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["verify", "--config", str(bad), "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:")
+        assert ".".join(path) in lines[0]
+
     def test_criterion2_config_passes(self, tmp_path, capsys):
         rc = main(["verify", "--config", str(CONFIG_DIR / "criterion2_first_orders.json"),
                    "--out", str(tmp_path)])

@@ -32,6 +32,18 @@ def sqrt_vee_values(cutoff):
     return inner
 
 
+def provenance_lattices():
+    """A continuum power lattice, two sqrt_shift lattices and a product
+    lattice, whose identity rule compares exact pairs."""
+    product = ProductSystem(GAMMA)
+    return [
+        closure(PowerSystem(), [1.0, 1.3], 4.2),
+        closure(SqrtShiftSystem(), [1.0], 5.5),
+        closure(SqrtShiftSystem(), [1.0, 1.5], 7.0),
+        closure(product, [product.exponent_from_pair(1, 1), product.exponent_from_pair(1, 2)], 5.0),
+    ]
+
+
 class TestClosure:
     def test_power_single_generator(self):
         lat = closure(PowerSystem(), [1.0], 3.5)
@@ -108,27 +120,25 @@ class TestProvenance:
         assert not lat.entries[1].is_generator()
 
     def test_wedge_pairs_match_rescan(self):
-        sys = PowerSystem()
-        lat = closure(sys, [1.0, 1.3], 4.2)
-        vals = lat.values()
-        for n in range(1, len(lat) + 1):
-            expect = [(i + 1, j + 1) for i in range(len(vals)) for j in range(len(vals))
-                      if abs(vals[i] + vals[j] - vals[n - 1]) <= 1e-9]
-            assert sorted(lat.wedge_pairs(n)) == sorted(expect)
+        for lat in provenance_lattices():
+            vals = lat.values()
+            for n in range(1, len(lat) + 1):
+                expect = [(i + 1, j + 1) for i in range(len(vals)) for j in range(len(vals))
+                          if abs(vals[i] + vals[j] - vals[n - 1]) <= 1e-9]
+                assert sorted(lat.wedge_pairs(n)) == sorted(expect)
 
     def test_vee_sources_match_rescan(self):
-        sys = SqrtShiftSystem()
-        lat = closure(sys, [1.0], 5.5)
-        vals = lat.values()
-        for n in range(1, len(lat) + 1):
-            expect = []
-            for p, v in enumerate(vals, 1):
-                if v >= lat.cutoff:
-                    continue
-                for k, term in enumerate(sys.vee(Exponent(v), lat.cutoff), 1):
-                    if abs(term.exponent.value - vals[n - 1]) <= 1e-9:
-                        expect.append((p, k))
-            assert sorted(lat.vee_sources(n)) == sorted(expect)
+        for lat in provenance_lattices():
+            vals = lat.values()
+            for n in range(1, len(lat) + 1):
+                expect = []
+                for p, v in enumerate(vals, 1):
+                    if v >= lat.cutoff:
+                        continue
+                    for k, term in enumerate(lat.system.vee(lat.exponent(p), lat.cutoff), 1):
+                        if abs(term.exponent.value - vals[n - 1]) <= 1e-9:
+                            expect.append((p, k))
+                assert sorted(lat.vee_sources(n)) == sorted(expect)
 
     def test_closure_invariant(self):
         # every wedge and vee image below the cutoff must be present

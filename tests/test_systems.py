@@ -127,11 +127,13 @@ class TestWedge:
         assert w.d == 1.0
 
     def test_commutative(self):
+        product = ProductSystem(GAMMA)
         for sys, a, b in [
             (PowerSystem(), Exponent(0.7), Exponent(1.9)),
             (SqrtShiftSystem(), Exponent(1.0), Exponent(2.0)),
+            (product, product.exponent_from_pair(2, 3), product.exponent_from_pair(1, 1)),
         ]:
-            assert sys.wedge(a, b).gamma.same(sys.wedge(b, a).gamma)
+            assert sys.same(sys.wedge(a, b).gamma, sys.wedge(b, a).gamma)
 
     def test_pointwise_identity(self):
         # with d = 1 the product identity holds exactly pointwise
@@ -191,34 +193,6 @@ class TestVee:
         resid = abs(sys.psi_prime(lam, t) - acc)
         omitted = sys.vee(lam, cutoff + 3.0)[len(terms)]
         assert resid <= 10.0 * abs(omitted.coeff) * sys.eval(omitted.exponent, t)
-
-
-class TestBackground:
-    def test_product_uses_pure_power(self):
-        sys = ProductSystem(GAMMA)
-        lam = sys.exponent_from_pair(2, 2)  # value = 2
-        assert lam.value == pytest.approx(2.0)
-        assert sys.background_rate(lam, 100.0) == pytest.approx(1e-4, rel=1e-12)
-
-    def test_power_background_is_eval(self):
-        sys = PowerSystem()
-        for t in (1.0, 30.0, 1e5):
-            assert sys.background_rate(Exponent(1.7), t) == sys.eval(Exponent(1.7), t)
-
-    def test_sqrt_ratio_bounds(self):
-        sys = SqrtShiftSystem()
-        lam = Exponent(2.0)
-        for t in np.geomspace(1.0, 1e8, 25):
-            ratio = sys.eval(lam, t) / sys.background_rate(lam, t)
-            assert 0.25 - 1e-12 <= ratio <= 1.0 + 1e-12
-
-    def test_log_background_constant_tends_to_one(self):
-        sys = IteratedLogSystem(m=1, q0=[((2,), 5.0)], q1=[0.0, 3.0], beta=2.0)
-        lam = Exponent(1.0)
-        ratios = [sys.eval(lam, t) / sys.background_rate(lam, t)
-                  for t in (1e4, 1e8, 1e16, 1e40)]
-        assert abs(ratios[-1] - 1.0) < 0.05
-        assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
 
 
 class TestExponentPairs:
