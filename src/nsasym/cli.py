@@ -26,16 +26,17 @@ import numpy as np
 
 from .expansion import (
     Expansion,
+    ExpansionError,
     compute_coefficients,
     compute_coefficients_discrete,
     evaluate_expansion,
     normalize_force,
 )
-from .lattice import ExponentLattice, closure
-from .solver import ForceSpec, SimulationTrace, energy_budget, integrate_nse
-from .spectral import GevreyIndex, SpectralField, random_solenoidal_field
-from .systems import DecaySystem, system_from_json
-from .verify import fit_decay_order, manufacture_force, remainder_series
+from .lattice import ClosureError, ExponentLattice, closure
+from .solver import ForceSpec, SimulationTrace, SolverError, energy_budget, integrate_nse
+from .spectral import GevreyIndex, SpectralField, SpectralRangeError, random_solenoidal_field
+from .systems import DecaySystem, DomainError, system_from_json
+from .verify import FitError, fit_decay_order, manufacture_force, remainder_series
 
 __all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult",
            "run_experiment", "emit_report", "main"]
@@ -61,6 +62,8 @@ _RANDOM_KEYS = {"amplitude", "radius", "order"}
 
 
 def _reject_unknown(data: dict, allowed: set, where: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -75,7 +78,7 @@ def _read(where: str, parse):
         raise
     except KeyError:
         raise ConfigError(f"{where} is missing") from None
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where} is malformed: {exc}") from None
 
 
@@ -125,6 +128,8 @@ class ExperimentConfig:
             raise ConfigError("config.lattice_cutoff must be positive")
         if not isinstance(data["generators"], list) or not data["generators"]:
             raise ConfigError("config.generators must be a nonempty list")
+        for i, spec in enumerate(data["generators"]):
+            _read(f"config.generators[{i}]", lambda: _exponent_spec(system, spec))
 
         force = data["force"]
         _reject_unknown(force, _FORCE_KEYS, "config.force")
@@ -138,6 +143,8 @@ class ExperimentConfig:
             _reject_unknown(term, _TERM_KEYS, f"config.force.terms[{i}]")
             if "exponent" not in term or "field" not in term:
                 raise ConfigError(f"config.force.terms[{i}] needs 'exponent' and 'field'")
+            _read(f"config.force.terms[{i}].exponent",
+                  lambda: _exponent_spec(system, term["exponent"]))
             fld = term["field"]
             if isinstance(fld, dict):
                 _reject_unknown(fld, _FIELD_KEYS, f"config.force.terms[{i}].field")
@@ -327,7 +334,8 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
         frac = float(cfg.falsify.get("max_order_fraction", 0.7))
         expected = _next_nonzero_exponent(reference, n)
         if expected is None:
-            raise ConfigError(f"falsify: no nonzero coefficient beyond n = {n}")
+            raise ConfigError(f"config.verification.falsify.n = {n}: "
+                              "no nonzero coefficient beyond it")
         fields = list(reference.fields)
         fields[n - 1] = (1.0 + rel) * fields[n - 1]
         perturbed = Expansion(reference.lattice, tuple(fields), reference.gevrey)
@@ -405,14 +413,33 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# Failures of the computation itself (not of the config, not of a check):
+# runaway or malformed closure, a thin fit window, a start time outside the
+# system's domain, blow-up or step exhaustion, a short expansion, overflow.
+_LIBRARY_ERRORS = (ClosureError, FitError, DomainError, SolverError, ExpansionError,
+                   SpectralRangeError)
+
+
 def main(argv=None) -> int:
+    """Exit 0 when every check passes, 1 when a check fails, 2 on a config
+    error and 3 when the library fails (_LIBRARY_ERRORS)."""
     args = _parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return _command(args, cfg)
+    except ConfigError as exc:  # found only once the run starts, e.g. falsify.n
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except _LIBRARY_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
+
+def _command(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.command == "lattice":
         sys_ = cfg.system
         gens = [_exponent_spec(sys_, g) for g in cfg.generators]

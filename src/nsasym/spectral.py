@@ -14,9 +14,13 @@ Gevrey-Sobolev norm |u|_{alpha,sigma} is the L^2(Omega) norm of
 A^alpha e^{sigma A^(1/2)} u over Omega = (-pi, pi)^3.  The (2*pi)^(3/2)
 Parseval factor is included so |u|_{0,0} equals the plain L^2 norm.
 
-The advective bilinear form B(u, v) = P((u . grad) v) is evaluated by
-exact truncated convolution (no transform, no aliasing): the resulting
-finite-dimensional system is the exact Galerkin reduction.
+The advective bilinear form B(u, v) = P((u . grad) v) is evaluated with
+real FFTs on a grid zero-padded to N >= 3K + 1 points per axis.  At that
+size no alias of the degree-2K product reaches |k|_inf <= K, so the result
+is the exact truncated convolution, not a dealiased approximation, and the
+finite-dimensional system is the exact Galerkin reduction.  Modes outside
+supp(u) + supp(v) are zeroed, so transform rounding never fills modes the
+convolution cannot reach.
 """
 
 from __future__ import annotations
@@ -97,6 +101,22 @@ def _grid(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ksq = np.sum(kvec * kvec, axis=-1)
         got = (kvec, ksq, np.sqrt(ksq))
         _GRIDS[cutoff] = got
+    return got
+
+
+# Cached per-cutoff padding: grid size N (3K + 1 rounded up to even), the
+# padded-grid index of each k in -K..K for the two full axes, and the
+# indices 0..K of the half axis that rfftn keeps.
+_PADS: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+
+
+def _pad(cutoff: int) -> tuple[int, np.ndarray, np.ndarray]:
+    got = _PADS.get(cutoff)
+    if got is None:
+        n = 3 * cutoff + 1
+        n += n % 2
+        got = (n, np.arange(-cutoff, cutoff + 1) % n, np.arange(cutoff + 1))
+        _PADS[cutoff] = got
     return got
 
 
@@ -349,12 +369,16 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
 
 
 def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Advective form B(u, v) = P((u . grad) v) by exact truncated convolution.
+    """Advective form B(u, v) = P((u . grad) v), the exact Galerkin nonlinearity.
 
-    For every retained k the convolution  sum_{p+q=k} i (u_hat(p) . q) v_hat(q)
-    is accumulated directly (fixed mode order, fully deterministic), then
-    Leray-projected.  No padding or dealiasing is involved: the sum is the
-    exact Galerkin nonlinearity at this cutoff.
+    u and grad v = i k (x) v_hat are evaluated on a zero-padded N^3 grid,
+    N >= 3K + 1, multiplied pointwise and transformed back.  The product has
+    degree at most 2K per axis, so no alias lands inside |k|_inf <= K and the
+    cropped result equals the truncated convolution
+    sum_{p+q=k} i (u_hat(p) . q) v_hat(q) up to rounding.  Modes outside the
+    set sum supp(u) + supp(v), which the convolution cannot reach, are set to
+    exactly zero, so sparse states stay sparse.  The result is then
+    Leray-projected.
     """
     if u.cutoff != v.cutoff:
         raise CutoffMismatchError(f"cutoffs {u.cutoff} != {v.cutoff}")
@@ -362,17 +386,44 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     return leray_project(out, u.cutoff)
 
 
+def _support_sum(U: np.ndarray, V: np.ndarray, cutoff: int) -> np.ndarray:
+    """Boolean (W, W, W) mask of supp(U) + supp(V) within |k|_inf <= K.
+
+    The two support indicators are convolved cyclically on the padded grid;
+    as for the advection product, no wrapped sum lands inside the cube.
+    """
+    n, full, _ = _pad(cutoff)
+    axes = (0, 1, 2)
+    cube = np.ix_(full, full, full)
+
+    def spectrum(C):
+        ind = np.zeros((n, n, n))
+        ind[cube] = np.any(C != 0, axis=-1)
+        return np.fft.rfftn(ind, axes=axes)
+
+    su = spectrum(U)
+    sv = su if V is U else spectrum(V)
+    count = np.fft.irfftn(su * sv, s=(n, n, n), axes=axes)
+    return count[cube] > 0.5
+
+
 def _convolve_advection(U: np.ndarray, V: np.ndarray, cutoff: int) -> np.ndarray:
     K = cutoff
+    n, full, half = _pad(K)
     kvec, _, _ = _grid(K)
-    out = np.zeros_like(V)
-    active = np.argwhere(np.any(U != 0, axis=-1))
-    for a1, a2, a3 in active:
-        up = U[a1, a2, a3]
-        src = tuple(slice(max(0, K - a), min(2 * K, 3 * K - a) + 1) for a in (a1, a2, a3))
-        dst = tuple(slice(a + s.start - K, a + s.stop - K) for a, s in zip((a1, a2, a3), src))
-        dot = kvec[src] @ up
-        out[dst] += (1j * dot)[..., None] * V[src]
+    upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: the rfft half
+    box = (slice(None),) + np.ix_(full, full, half)      # the same modes, padded
+    # component-major half spectra: u_j, then d_j v_c = i k_j v_c at row 3 + 3j + c
+    u_hat = np.moveaxis(U[upper], -1, 0)
+    grad_hat = 1j * np.moveaxis(kvec[upper], -1, 0)[:, None] * np.moveaxis(V[upper], -1, 0)
+    spec = np.zeros((12, n, n, n // 2 + 1), dtype=np.complex128)
+    spec[box] = np.concatenate([u_hat, grad_hat.reshape((9,) + u_hat.shape[1:])])
+    phys = np.fft.irfftn(spec, s=(n, n, n), axes=(1, 2, 3), norm="forward")
+    adv = np.einsum("jxyz,jcxyz->cxyz", phys[:3], phys[3:].reshape((3, 3, n, n, n)))
+    out = np.empty_like(V)
+    out[upper] = np.moveaxis(np.fft.rfftn(adv, axes=(1, 2, 3), norm="forward")[box], 0, -1)
+    out[:, :, :K] = np.conj(out[::-1, ::-1, :K:-1])       # u_hat(-k) = conj(u_hat(k))
+    out[~_support_sum(U, V, K)] = 0.0
     return out
 
 

@@ -116,7 +116,11 @@ class TestCommandLine:
         (("verification", "gevrey"), [0.5]),
         (("solver", "tol"), "abc"),
         (("lattice_cutoff",), "x"),
-    ], ids=["t0_missing", "window_short", "gevrey_flat", "tol_text", "lattice_cutoff_text"])
+        (("solver",), 5),
+        (("generators",), ["x"]),
+        (("verification", "falsify"), {"n": 4}),
+    ], ids=["t0_missing", "window_short", "gevrey_flat", "tol_text", "lattice_cutoff_text",
+            "solver_not_object", "generator_text", "falsify_past_last_term"])
     def test_malformed_field_exit_two(self, path, value, tmp_path, capsys):
         data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
         *parents, key = path
@@ -135,6 +139,25 @@ class TestCommandLine:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
         assert ".".join(path) in lines[0]
+
+    @pytest.mark.parametrize("path, value, error", [
+        (("generators",), [1.0, 5.0], "ClosureError"),
+        (("verification", "window"), [200.0, 300.0], "FitError"),
+        (("solver", "t0"), 0.5, "DomainError"),
+    ], ids=["generator_above_cutoff", "window_outside_run", "t0_below_t_min"])
+    def test_library_failure_exit_three(self, path, value, error, tmp_path, capsys):
+        data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
+        *parents, key = path
+        section = data
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["verify", "--config", str(bad), "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
 
     def test_criterion2_config_passes(self, tmp_path, capsys):
         rc = main(["verify", "--config", str(CONFIG_DIR / "criterion2_first_orders.json"),

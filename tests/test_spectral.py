@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsasym.spectral import (
     GevreyIndex,
@@ -28,6 +30,32 @@ RNG = np.random.default_rng(20240211)
 def shear_field(cutoff=4, amp=0.5):
     # single conjugate pair +-(1,0,0) with amplitude along y: B(u,u) = 0
     return SpectralField.from_modes(cutoff, {(1, 0, 0): (0.0, amp, 0.0)})
+
+
+def supported_field(cutoff, support, rng):
+    """Random solenoidal field on one of three supports: every mode of the
+    cube ("dense"), the k3 = 0 plane ("planar") or a single conjugate pair
+    ("pair")."""
+    f = random_solenoidal_field(cutoff, rng)
+    if support == "dense":
+        return f
+    if support == "planar":
+        plane = np.zeros_like(f.coeffs)
+        plane[:, :, cutoff] = f.coeffs[:, :, cutoff]
+        return leray_project(plane, cutoff)
+    k = (0, 0, 0)
+    while k == (0, 0, 0):
+        k = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, size=3))
+    amp = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return SpectralField.from_modes(cutoff, {k: amp})
+
+
+def support_sum(u, v):
+    """Brute-force set sum supp(u) + supp(v), cropped to the cube."""
+    K = u.cutoff
+    return {tuple(a + b for a, b in zip(p, q))
+            for (p, _), (q, _) in itertools.product(u.modes(), v.modes())
+            if all(abs(a + b) <= K for a, b in zip(p, q))}
 
 
 class TestLerayProjection:
@@ -158,6 +186,34 @@ class TestBilinearForm:
             scale = max(want.l2(), 1e-30)
             assert (got - want).l2() <= 1e-10 * scale
 
+    @pytest.mark.parametrize("cutoff", [2, 3, 5])
+    @pytest.mark.parametrize("support", ["dense", "planar", "pair"])
+    def test_matches_quadrature_oracle_on_supports(self, cutoff, support):
+        rng = np.random.default_rng([cutoff, len(support)])
+        u = supported_field(cutoff, support, rng)
+        v = supported_field(cutoff, support, rng)
+        for left, right in ((u, v), (u, u)):
+            got = bilinear_form(left, right)
+            want = bilinear_quadrature(left, right, n=3 * cutoff + 1)
+            # a single pair advecting itself gives B = 0: measure against the inputs
+            scale = max(want.l2(), left.l2() * gevrey_norm(right, GevreyIndex(0.5, 0.0)))
+            assert (got - want).l2() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("cutoff", [3, 5])
+    @pytest.mark.parametrize("support", ["planar", "pair", "sparse"])
+    def test_exactly_zero_off_support_sum(self, cutoff, support):
+        rng = np.random.default_rng([cutoff, len(support), 7])
+        if support == "sparse":
+            # a few random pairs scattered through the cube
+            fields = [sum((supported_field(cutoff, "pair", rng) for _ in range(4)),
+                          SpectralField.zero(cutoff)) for _ in range(2)]
+        else:
+            fields = [supported_field(cutoff, support, rng) for _ in range(2)]
+        u, v = fields
+        for left, right in ((u, v), (v, u), (u, u)):
+            # modes() yields every coefficient that is not exactly zero
+            assert {k for k, _ in bilinear_form(left, right).modes()} <= support_sum(left, right)
+
     def test_cutoff_mismatch(self):
         with pytest.raises(CutoffMismatchError):
             bilinear_form(random_solenoidal_field(2, RNG), random_solenoidal_field(3, RNG))
@@ -189,6 +245,34 @@ class TestTrilinearForm:
         v = random_solenoidal_field(2, RNG)
         w = random_solenoidal_field(2, RNG)
         assert trilinear_form(SpectralField.zero(2), v, w) == 0.0
+
+    @pytest.mark.parametrize("cutoff", [8, 12])
+    def test_invariants_at_large_cutoff(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        u, v, w = (random_solenoidal_field(cutoff, rng) for _ in range(3))
+        h1 = [gevrey_norm(f, GevreyIndex(0.5, 0)) for f in (u, v, w)]
+        assert abs(trilinear_form(u, u, u)) <= 1e-12 * h1[0] ** 3
+        a = trilinear_form(u, v, w)
+        b = trilinear_form(u, w, v)
+        assert abs(a + b) <= 1e-12 * max(abs(a), abs(b), 1e-30)
+        bilinear_form(u, v).validate()
+        bilinear_form(u, u).validate()
+
+
+@settings(max_examples=25, deadline=None)
+@given(cutoff=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0))
+def test_bilinear_form_bilinear_and_real(cutoff, seed, a, b):
+    rng = np.random.default_rng(seed)
+    u, v, w = (random_solenoidal_field(cutoff, rng) for _ in range(3))
+    Buv, Bwv, Buw = bilinear_form(u, v), bilinear_form(w, v), bilinear_form(u, w)
+    scale = Buv.l2() + Bwv.l2() + Buw.l2()
+    left = bilinear_form(a * u + b * w, v) - (a * Buv + b * Bwv)
+    right = bilinear_form(u, a * v + b * w) - (a * Buv + b * Buw)
+    assert left.l2() <= 1e-12 * scale and right.l2() <= 1e-12 * scale
+    for f in (Buv, Bwv, Buw):
+        np.testing.assert_array_equal(f.coeffs, np.conj(f.coeffs[::-1, ::-1, ::-1]))
+        f.validate()
 
 
 class TestLowModeProjection:
