@@ -34,7 +34,13 @@ from .expansion import (
 )
 from .lattice import ClosureError, ExponentLattice, closure
 from .solver import ForceSpec, SimulationTrace, SolverError, energy_budget, integrate_nse
-from .spectral import GevreyIndex, SpectralField, SpectralRangeError, random_solenoidal_field
+from .spectral import (
+    GevreyIndex,
+    SpectralField,
+    SpectralRangeError,
+    random_solenoidal_field,
+    wave_vector,
+)
 from .systems import DecaySystem, DomainError, system_from_json
 from .verify import FitError, fit_decay_order, manufacture_force, remainder_series
 
@@ -58,13 +64,18 @@ _SOLVER_KEYS = {"t0", "t1", "tol", "sample_ratio", "step_growth", "u0"}
 _VERIF_KEYS = {"orders", "gevrey", "window", "order_tolerance", "falsify"}
 _FALSIFY_KEYS = {"n", "relative", "max_order_fraction"}
 _FIELD_KEYS = {"modes", "random"}
-_RANDOM_KEYS = {"amplitude", "radius", "order"}
+_MODE_KEYS = {"k", "re", "im"}
+_RANDOM_DEFAULTS = {"amplitude": 0.1, "radius": 0.4, "order": 2.0}
+
+
+def _object(data, where: str) -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object, got {data!r}")
+    return data
 
 
 def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object, got {data!r}")
-    unknown = set(data) - allowed
+    unknown = set(_object(data, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
@@ -90,7 +101,7 @@ class ExperimentConfig:
     lattice_cutoff: float
     generators: list
     force_type: str
-    force_terms: list          # [(exponent spec, field spec)]
+    force_terms: list          # [(exponent spec, checked field spec)]
     t0: float
     t1: float
     tol: float
@@ -116,6 +127,7 @@ class ExperimentConfig:
             if key not in data:
                 raise ConfigError(f"config is missing required key {key!r}")
         _reject_unknown(data["system"], _SYSTEM_KEYS, "config.system")
+        _object(data["system"].get("params", {}), "config.system.params")
         try:
             system = system_from_json(data["system"])
         except Exception as exc:
@@ -139,18 +151,14 @@ class ExperimentConfig:
         terms = force.get("terms")
         if not isinstance(terms, list) or not terms:
             raise ConfigError("config.force.terms must be a nonempty list")
+        fields = []
         for i, term in enumerate(terms):
             _reject_unknown(term, _TERM_KEYS, f"config.force.terms[{i}]")
             if "exponent" not in term or "field" not in term:
                 raise ConfigError(f"config.force.terms[{i}] needs 'exponent' and 'field'")
             _read(f"config.force.terms[{i}].exponent",
                   lambda: _exponent_spec(system, term["exponent"]))
-            fld = term["field"]
-            if isinstance(fld, dict):
-                _reject_unknown(fld, _FIELD_KEYS, f"config.force.terms[{i}].field")
-                if "random" in fld:
-                    _reject_unknown(fld["random"], _RANDOM_KEYS,
-                                    f"config.force.terms[{i}].field.random")
+            fields.append(_field_spec(term["field"], cutoff, f"config.force.terms[{i}].field"))
 
         sol = data["solver"]
         _reject_unknown(sol, _SOLVER_KEYS, "config.solver")
@@ -164,6 +172,8 @@ class ExperimentConfig:
         step_growth = _read("config.solver.step_growth",
                             lambda: float(sol.get("step_growth", 0.08)))
         u0_spec = sol.get("u0", "expansion" if ftype == "manufactured" else "zero")
+        if u0_spec not in ("zero", "expansion"):
+            u0_spec = _field_spec(u0_spec, cutoff, "config.solver.u0")
 
         verif = data.get("verification", {})
         _reject_unknown(verif, _VERIF_KEYS, "config.verification")
@@ -185,7 +195,7 @@ class ExperimentConfig:
                 raise ConfigError("config.verification.falsify.n must be >= 1")
         seed = _read("config.seed", lambda: int(data.get("seed", 0)))
         return cls(data, system, cutoff, lattice_cutoff, data["generators"], ftype,
-                   [(t["exponent"], t["field"]) for t in terms],
+                   [(t["exponent"], f) for t, f in zip(terms, fields)],
                    t0, t1, tol, sample_ratio, step_growth, u0_spec,
                    orders, gevrey, window, order_tolerance, falsify, seed)
 
@@ -204,22 +214,45 @@ def _exponent_spec(sys: DecaySystem, spec):
     return sys.exponent(float(spec))
 
 
-def _field_spec(spec, cutoff: int, rng: np.random.Generator) -> SpectralField:
-    if isinstance(spec, dict) and "random" in spec:
+def _field_spec(spec, cutoff: int, where: str) -> tuple[str, dict]:
+    """Checked field spec at ``where``: ("modes", {k: amplitude}) or
+    ("random", keyword arguments of random_solenoidal_field)."""
+    _reject_unknown(spec, _FIELD_KEYS, where)
+    if len(spec) != 1:
+        raise ConfigError(f"{where} needs exactly one of 'modes' and 'random'")
+    if "random" in spec:
         params = spec["random"]
-        return random_solenoidal_field(
-            cutoff, rng, amplitude=float(params.get("amplitude", 0.1)),
-            radius=float(params.get("radius", 0.4)),
-            order=float(params.get("order", 2.0)))
-    if isinstance(spec, dict) and "modes" in spec:
-        # config-supplied coefficients pass through the projection, so hand
-        # written modes need not be exactly solenoidal
-        modes = {}
-        for m in spec["modes"]:
-            k = tuple(int(x) for x in m["k"])
-            modes[k] = np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float)
-        return SpectralField.from_modes(cutoff, modes)
-    raise ConfigError(f"field spec {spec!r} not understood")
+        _reject_unknown(params, set(_RANDOM_DEFAULTS), f"{where}.random")
+        return "random", {key: _read(f"{where}.random.{key}",
+                                     lambda: float(params.get(key, default)))
+                          for key, default in _RANDOM_DEFAULTS.items()}
+    if not isinstance(spec["modes"], list):
+        raise ConfigError(f"{where}.modes must be a list, got {spec['modes']!r}")
+    modes = {}
+    for j, m in enumerate(spec["modes"]):
+        at = f"{where}.modes[{j}]"
+        _reject_unknown(m, _MODE_KEYS, at)
+        k = _read(f"{at}.k", lambda: wave_vector(m["k"], cutoff))
+        re = _read(f"{at}.re", lambda: _amplitude(m["re"]))
+        im = _read(f"{at}.im", lambda: _amplitude(m["im"]))
+        modes[k] = re + 1j * im
+    return "modes", modes
+
+
+def _amplitude(spec) -> np.ndarray:
+    got = np.array(spec, dtype=float)
+    if got.shape != (3,):
+        raise ValueError(f"needs 3 components, got {spec!r}")
+    return got
+
+
+def _make_field(spec: tuple[str, dict], cutoff: int, rng: np.random.Generator) -> SpectralField:
+    kind, args = spec
+    if kind == "random":
+        return random_solenoidal_field(cutoff, rng, **args)
+    # config-supplied coefficients pass through the projection, so hand
+    # written modes need not be exactly solenoidal
+    return SpectralField.from_modes(cutoff, args)
 
 
 @dataclass
@@ -272,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
     term_exps = [_exponent_spec(sys_, e) for e, _ in cfg.force_terms]
     lat = closure(sys_, gens + term_exps, cfg.lattice_cutoff)
 
-    raw_terms = [(exp, _field_spec(fld, cfg.cutoff, rng))
+    raw_terms = [(exp, _make_field(fld, cfg.cutoff, rng))
                  for exp, (_, fld) in zip(term_exps, cfg.force_terms)]
     compute = compute_coefficients_discrete if sys_.discrete else compute_coefficients
     checks: list[dict] = []
@@ -303,7 +336,7 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
     elif cfg.u0_spec == "expansion":
         u0 = evaluate_expansion(reference, cfg.t0)
     else:
-        u0 = _field_spec(cfg.u0_spec, cfg.cutoff, rng)
+        u0 = _make_field(cfg.u0_spec, cfg.cutoff, rng)
 
     trace = integrate_nse(u0, force, cfg.t0, cfg.t1, cfg.tol,
                           sample_ratio=cfg.sample_ratio, step_growth=cfg.step_growth,

@@ -8,13 +8,19 @@ force expansion, the solution coefficients are produced entry by entry:
     xi_n = A^-1 ( phi_n - chi_n - sum_{wedge(i,j) = n} d B(xi_i, xi_j) )
 
 where chi_n collects c_{p,k} xi_p over all vee routes (p, k) landing on
-entry n.  Wedge and vee route sets come from lattice provenance; the
-residual checker below re-derives them by direct scan so the two paths
-stay independently testable.
+entry n.  Wedge and vee route sets come from lattice provenance, and each
+c_{p,k} from the vee terms the lattice computed for entry p at closure.
+The residual checker below never reads provenance: it keeps every vee
+term of an earlier entry that the system calls the same as lambda_n, and
+for each i < n tries only the j < n whose value lies within 2 VALUE_TOL
+of lambda_n - lambda_i (wedge values add, which closure relies on too),
+deciding each candidate by the system's wedge and identity rule.  The
+two paths therefore stay independently testable.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +32,7 @@ from .spectral import (
     apply_multiplier,
     bilinear_form,
 )
-from .systems import Exponent
+from .systems import VALUE_TOL, Exponent
 
 __all__ = [
     "Expansion",
@@ -120,11 +126,6 @@ def normalize_force(raw: Sequence[tuple], lat: ExponentLattice,
     return Expansion(lat, fields, gevrey)
 
 
-def _vee_coeff(lat: ExponentLattice, p: int, k: int) -> float:
-    terms = lat.system.vee(lat.exponent(p), lat.cutoff)
-    return terms[k - 1].coeff
-
-
 def _wedge_d(lat: ExponentLattice, i: int, j: int) -> float:
     return lat.system.wedge(lat.exponent(i), lat.exponent(j)).d
 
@@ -142,7 +143,7 @@ def _recursion(force: Expansion, N: int) -> Expansion:
                 f"{len(routes)} vee routes land on entry {n}; system too exotic")
         for (p, k) in routes:
             if p <= n - 1:
-                acc = acc - _vee_coeff(lat, p, k) * out[p - 1]
+                acc = acc - lat.vee(p)[k - 1].coeff * out[p - 1]
         for (i, j) in lat.wedge_pairs(n):
             if i <= n - 1 and j <= n - 1:
                 acc = acc - _wedge_d(lat, i, j) * bilinear_form(out[i - 1], out[j - 1])
@@ -192,9 +193,13 @@ def evaluate_expansion(exp: Expansion, t: float, upto: Optional[int] = None) -> 
 def recursion_residual(coeffs: Expansion, force: Expansion, n: int) -> float:
     """Relative defect of A xi_n + chi_n + sum d B(xi_i, xi_j) = phi_n.
 
-    The chi and wedge sums are rebuilt by direct scan over the lattice
-    (independent of the provenance tags used to compute the coefficients),
-    so this doubles as a bookkeeping cross-check.
+    The chi and wedge sums are rebuilt by scanning the lattice and never
+    read the provenance tags used to compute the coefficients, so this
+    doubles as a bookkeeping cross-check.  chi keeps every vee term of an
+    entry p < n that the system calls the same as lambda_n.  For each
+    i < n, the wedge sum tries only the j < n in the value window around
+    lambda_n - lambda_i, in increasing j, and keeps a pair when the
+    system's identity rule accepts its wedge.
     """
     lat = coeffs.lattice
     sys = lat.system
@@ -202,21 +207,23 @@ def recursion_residual(coeffs: Expansion, force: Expansion, n: int) -> float:
     lhs = apply_multiplier(coeffs.field(n), "A_alpha", 1.0)
     scale = lhs.l2()
     for p in range(1, n):
-        src = lat.exponent(p)
-        if src.value >= lat.cutoff:
-            continue
-        for term in sys.vee(src, lat.cutoff):
+        for term in lat.vee(p):
             if sys.same(term.exponent, target):
                 piece = term.coeff * coeffs.field(p)
                 scale = max(scale, piece.l2())
                 lhs = lhs + piece
+    values = lat.values()
+    slack = 2 * VALUE_TOL  # the window only prunes: widened past the rounding of the difference
     for i in range(1, n):
-        for j in range(1, n):
+        rest = target.value - values[i - 1]
+        j = bisect_left(values, rest - slack) + 1
+        while j < n and values[j - 1] <= rest + slack:
             w = sys.wedge(lat.exponent(i), lat.exponent(j))
             if sys.same(w.gamma, target):
                 piece = w.d * bilinear_form(coeffs.field(i), coeffs.field(j))
                 scale = max(scale, piece.l2())
                 lhs = lhs + piece
+            j += 1
     phi = force.field(n)
     # relative to the largest constituent, so exact cancellations score ~0
     scale = max(scale, phi.l2(), 1e-300)

@@ -6,6 +6,8 @@ point is the sorted index set that a solution expansion lives on.  Each
 entry records its provenance (generator, wedge of two earlier entries, or
 k-th vee image of an earlier entry) so the recursion engine can enumerate
 exactly the interactions landing on a given entry without re-searching.
+The vee terms of every entry are computed once, at closure, and kept on
+the lattice for the recursion, the residual audit and manufactured forces.
 
 Whether two exponents are the same entry is decided by the system's one
 identity rule, ``DecaySystem.same``; every lookup here goes through it.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .systems import VALUE_TOL, DecaySystem, Exponent, ProductSystem
+from .systems import VALUE_TOL, DecaySystem, Exponent, ProductSystem, VeeTerm
 
 __all__ = [
     "LatticeEntry",
@@ -54,6 +56,7 @@ class ExponentLattice:
     system: DecaySystem
     cutoff: float
     entries: tuple[LatticeEntry, ...]
+    vee_table: tuple[tuple[VeeTerm, ...], ...]  # sys.vee of each entry, () at/above cutoff
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -64,6 +67,11 @@ class ExponentLattice:
     def exponent(self, n: int) -> Exponent:
         """Exponent of the 1-based entry n."""
         return self.entries[n - 1].exponent
+
+    def vee(self, n: int) -> tuple[VeeTerm, ...]:
+        """Derivative-expansion terms of the 1-based entry n below the cutoff
+        (empty for an entry at or above it), as computed at closure."""
+        return self.vee_table[n - 1]
 
     def index_of(self, exponent) -> Optional[int]:
         """1-based position of the entry the system calls the same as
@@ -134,8 +142,11 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
     Alternates vee passes and wedge passes until a full sweep adds nothing.
     Termination for well-posed systems follows from the minimum spacing of
     reachable exponents; a runaway count (> 10^6) raises ClosureError.
+    The vee terms of every entry are computed once here and kept on the
+    lattice (``ExponentLattice.vee``).
     """
     gens = [sys.exponent(g) for g in generators]
+    cutoff = float(cutoff)
     if not gens:
         raise ClosureError("closure requires at least one generator")
     if cutoff < min(g.value for g in gens):
@@ -170,11 +181,12 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
                 f"closure exceeded {MAX_ENTRIES} entries below cutoff {cutoff:g}; "
                 "the exponent set appears to accumulate")
 
-    return ExponentLattice(sys, float(cutoff), _with_provenance(sys, work, gens, cutoff))
+    vees = tuple(tuple(sys.vee(e, cutoff)) if e.value < cutoff else () for e in work.items)
+    return ExponentLattice(sys, cutoff, _with_provenance(sys, work, gens, vees), vees)
 
 
 def _with_provenance(sys: DecaySystem, work: _WorkingSet, gens: Sequence[Exponent],
-                     cutoff: float) -> tuple[LatticeEntry, ...]:
+                     vees: Sequence[Sequence[VeeTerm]]) -> tuple[LatticeEntry, ...]:
     """Tag every entry with its origins in one forward pass.
 
     Each generator, each ordered wedge pair (i, j) and each k-th vee image
@@ -196,10 +208,8 @@ def _with_provenance(sys: DecaySystem, work: _WorkingSet, gens: Sequence[Exponen
             n = _find(sys, vals, exps, sys.wedge(a, b).gamma)
             if n is not None and n > max(i, j):
                 origins[n].append(("wedge", i + 1, j + 1))
-    for p, src in enumerate(exps):
-        if src.value >= cutoff:
-            continue
-        for k, term in enumerate(sys.vee(src, cutoff), 1):
+    for p, terms in enumerate(vees):
+        for k, term in enumerate(terms, 1):
             n = _find(sys, vals, exps, term.exponent)
             if n is not None and n > p:
                 origins[n].append(("vee", p + 1, k))

@@ -37,6 +37,7 @@ __all__ = [
     "EXP_LIMIT",
     "INVARIANT_TOL",
     "WaveVector",
+    "wave_vector",
     "GevreyIndex",
     "SpectralField",
     "SpectralRangeError",
@@ -60,6 +61,20 @@ EXP_LIMIT = 700.0                  # hard ceiling for any single multiplier expo
 INVARIANT_TOL = 1e-12              # relative tolerance for field invariants
 
 WaveVector = tuple[int, int, int]
+
+
+def wave_vector(k, cutoff: int) -> WaveVector:
+    """k as three ints with |k|_inf <= cutoff, else ValueError.
+
+    A k of another length would index a whole slab of the coefficient
+    array and silently set every mode in it.
+    """
+    got = tuple(int(x) for x in k)
+    if len(got) != 3 or got != tuple(k):
+        raise ValueError(f"wave vector {list(k)} must be 3 integers")
+    if any(abs(x) > cutoff for x in got):
+        raise ValueError(f"mode {got} outside cutoff {cutoff}")
+    return got
 
 
 class SpectralRangeError(ArithmeticError):
@@ -152,19 +167,16 @@ class SpectralField:
         """Build a field from a {k: amplitude} mapping.
 
         With ``conjugate=True`` the mirror coefficient u_hat(-k) is filled
-        in automatically for every k not explicitly listed.
+        in automatically for every k not explicitly listed.  Every k must
+        pass ``wave_vector`` (ValueError otherwise).
         """
         W = 2 * cutoff + 1
         arr = np.zeros((W, W, W, 3), dtype=np.complex128)
-        for k, amp in modes.items():
-            k = tuple(int(x) for x in k)
-            if any(abs(x) > cutoff for x in k):
-                raise ValueError(f"mode {k} outside cutoff {cutoff}")
-            idx = tuple(x + cutoff for x in k)
-            arr[idx] = np.asarray(amp, dtype=np.complex128)
+        keys = [wave_vector(k, cutoff) for k in modes]
+        for k, amp in zip(keys, modes.values()):
+            arr[tuple(x + cutoff for x in k)] = np.asarray(amp, dtype=np.complex128)
         if conjugate:
-            for k in list(modes):
-                k = tuple(int(x) for x in k)
+            for k in keys:
                 mk = tuple(-x + cutoff for x in k)
                 if tuple(x + cutoff for x in k) != mk and not np.any(arr[mk]):
                     arr[mk] = np.conj(arr[tuple(x + cutoff for x in k)])
@@ -247,7 +259,7 @@ class SpectralField:
         W = 2 * cutoff + 1
         arr = np.zeros((W, W, W, 3), dtype=np.complex128)
         for m in data["modes"]:
-            k = tuple(int(x) for x in m["k"])
+            k = wave_vector(m["k"], cutoff)
             if not _lex_positive(k):
                 raise ValueError(f"serialized mode {k} is not lexicographically positive")
             amp = np.array(m["re"], dtype=float) + 1j * np.array(m["im"], dtype=float)
@@ -276,7 +288,7 @@ def leray_project(raw, cutoff: int) -> SpectralField:
     """Project arbitrary coefficients onto the divergence-free subspace.
 
     Accepts either a dense (W, W, W, 3) complex array or a {k: amplitude}
-    mapping.  The k = 0 mode is dropped, each remaining mode is replaced by
+    mapping whose keys pass ``wave_vector``.  The k = 0 mode is dropped, each remaining mode is replaced by
     u_hat(k) - (k . u_hat(k)) k / |k|^2, and the reality condition is
     enforced by symmetrization.
     """
@@ -284,7 +296,8 @@ def leray_project(raw, cutoff: int) -> SpectralField:
     if isinstance(raw, Mapping):
         arr = np.zeros((W, W, W, 3), dtype=np.complex128)
         for k, amp in raw.items():
-            arr[tuple(int(x) + cutoff for x in k)] = np.asarray(amp, dtype=np.complex128)
+            arr[tuple(x + cutoff for x in wave_vector(k, cutoff))] = np.asarray(
+                amp, dtype=np.complex128)
     else:
         arr = np.array(raw, dtype=np.complex128)
         if arr.shape != (W, W, W, 3):

@@ -100,7 +100,7 @@ def manufacture_force(target: Expansion, N: Optional[int] = None) -> ForceSpec:
         xi = target.field(n)
         deposit(lam, apply_multiplier(xi, "A_alpha", 1.0))
         # lattice-resident part of the derivative expansion
-        vee_terms = sys.vee(lam, lat.cutoff) if lam.value < lat.cutoff else []
+        vee_terms = lat.vee(n)
         for term in vee_terms:
             deposit(term.exponent, term.coeff * xi)
         # off-lattice remainder of psi', kept in closed form; only the power

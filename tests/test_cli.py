@@ -119,13 +119,25 @@ class TestCommandLine:
         (("solver",), 5),
         (("generators",), ["x"]),
         (("verification", "falsify"), {"n": 4}),
+        (("force", "terms", 0, "field", "modes", 0, "k"), [1, 0]),
+        (("force", "terms", 0, "field", "modes", 0, "re"), ["a", 0, 0]),
+        (("force", "terms", 0, "field", "modes", 0, "k"), [9, 0, 0]),
+        (("force", "terms", 0, "field", "modes"), 5),
+        (("force", "terms", 0, "field", "random", "amplitude"), "x"),
+        (("system", "params"), [1]),
+        (("solver", "u0"), {"modes": 5}),
     ], ids=["t0_missing", "window_short", "gevrey_flat", "tol_text", "lattice_cutoff_text",
-            "solver_not_object", "generator_text", "falsify_past_last_term"])
+            "solver_not_object", "generator_text", "falsify_past_last_term",
+            "mode_k_two_components", "mode_re_text", "mode_k_above_cutoff", "modes_not_list",
+            "random_amplitude_text", "system_params_list", "u0_modes_not_list"])
     def test_malformed_field_exit_two(self, path, value, tmp_path, capsys):
         data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
         *parents, key = path
         section = data
         for name in parents:
+            if name == "random":  # replace the modes field by a random one
+                section.clear()
+                section[name] = {}
             section = section[name]
         if value is None:
             del section[key]
@@ -138,7 +150,8 @@ class TestCommandLine:
         assert rc == 2
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error:")
-        assert ".".join(path) in lines[0]
+        name = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+        assert "config" + name in lines[0]
 
     @pytest.mark.parametrize("path, value, error", [
         (("generators",), [1.0, 5.0], "ClosureError"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from nsasym.spectral import (
     random_solenoidal_field,
 )
 from nsasym.systems import IteratedLogSystem, PowerSystem, ProductSystem
+
+from test_lattice import provenance_lattices
 
 RNG = np.random.default_rng(42)
 GAMMA = math.sqrt(2.0) / 2.0
@@ -209,6 +212,58 @@ class TestDiscreteRecursion:
         for n, (exp, f) in enumerate(raw, 1):
             assert lat.index_of(exp) == n
             np.testing.assert_array_equal(force.field(n).coeffs, f.coeffs)
+
+
+def generator_force(lat, seed):
+    """Small dense fields on the generators of a lattice."""
+    raw = [(e.exponent, small_field(seed + n)) for n, e in enumerate(lat.entries)
+           if e.is_generator()]
+    return normalize_force(raw, lat)
+
+
+def solve(force):
+    discrete = force.lattice.system.discrete
+    return (compute_coefficients_discrete if discrete else compute_coefficients)(force)
+
+
+class TestResidualAudit:
+    @pytest.mark.parametrize("tag", ["wedge", "vee"])
+    def test_catches_a_dropped_origin(self, tag):
+        # the recursion reads provenance; the audit must not, so a lattice
+        # missing one origin yields coefficients the audit rejects
+        lat = provenance_lattices()[-1]
+        assert lat.system.discrete
+        n = next(n for n, e in enumerate(lat.entries, 1)
+                 if any(o[0] == tag for o in e.origins))
+        entries = list(lat.entries)
+        origins = list(entries[n - 1].origins)
+        origins.remove(next(o for o in origins if o[0] == tag))
+        entries[n - 1] = replace(entries[n - 1], origins=tuple(origins))
+        force = generator_force(replace(lat, entries=tuple(entries)), 110)
+        xi = solve(force)
+        for m in range(1, n):
+            assert recursion_residual(xi, force, m) <= 1e-12
+        assert recursion_residual(xi, force, n) > 1e-6
+
+    def test_wedge_and_vee_calls_bounded(self, monkeypatch):
+        # deterministic cost guard: the audit tries O(wedge pairs) wedges,
+        # not every (i, j), and reads the vee terms computed at closure
+        for lat in provenance_lattices():
+            sys = lat.system
+            calls = {"wedge": 0, "vee": 0}
+            for name in calls:
+                def spy(*args, _name=name, _method=getattr(sys, name)):
+                    calls[_name] += 1
+                    return _method(*args)
+                monkeypatch.setattr(sys, name, spy)
+            force = generator_force(lat, 120)
+            xi = solve(force)
+            calls["wedge"] = 0
+            for n in range(1, len(lat) + 1):
+                assert recursion_residual(xi, force, n) <= 1e-12
+            pairs = sum(len(lat.wedge_pairs(n)) for n in range(1, len(lat) + 1))
+            assert calls["wedge"] <= 2 * pairs + len(lat), sys.kind
+            assert calls["vee"] == 0, sys.kind
 
 
 class TestEvaluate:

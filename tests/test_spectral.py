@@ -85,6 +85,18 @@ class TestLerayProjection:
         assert f.coeffs[3, 3, 3].max() == 0.0
 
 
+@pytest.mark.parametrize("k", [(1, 0), (1, 0, 0, 0), (4, 0, 0), (0.5, 0, 0)],
+                         ids=["two_components", "four_components", "above_cutoff",
+                              "fractional"])
+def test_malformed_wave_vector_rejected(k):
+    # a two-component k used to index, and fill, the whole k3 column
+    amp = (0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        SpectralField.from_modes(3, {k: amp})
+    with pytest.raises(ValueError):
+        leray_project({k: amp}, 3)
+
+
 class TestMultipliers:
     def test_sqrt_stokes_scale(self):
         f = SpectralField.from_modes(2, {(1, 1, 0): (1.0, -1.0, 0.0)})
