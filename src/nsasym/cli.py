@@ -233,6 +233,8 @@ def _field_spec(spec, cutoff: int, where: str) -> tuple[str, dict]:
         at = f"{where}.modes[{j}]"
         _reject_unknown(m, _MODE_KEYS, at)
         k = _read(f"{at}.k", lambda: wave_vector(m["k"], cutoff))
+        if k in modes:
+            raise ConfigError(f"{at}.k = {list(k)} repeats the wave vector of an earlier mode")
         re = _read(f"{at}.re", lambda: _amplitude(m["re"]))
         im = _read(f"{at}.im", lambda: _amplitude(m["im"]))
         modes[k] = re + 1j * im
@@ -295,15 +297,19 @@ def _next_nonzero_exponent(exp: Expansion, N: int) -> Optional[float]:
     return None
 
 
+def _closure(cfg: ExperimentConfig) -> tuple[ExponentLattice, list]:
+    """Closure of the generators and force-term exponents, and the latter."""
+    gens = [_exponent_spec(cfg.system, g) for g in cfg.generators]
+    term_exps = [_exponent_spec(cfg.system, e) for e, _ in cfg.force_terms]
+    return closure(cfg.system, gens + term_exps, cfg.lattice_cutoff), term_exps
+
+
 def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> ExperimentResult:
     """Lattice -> coefficients -> simulate -> verify, no files written."""
     sys_ = cfg.system
     seed = cfg.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-
-    gens = [_exponent_spec(sys_, g) for g in cfg.generators]
-    term_exps = [_exponent_spec(sys_, e) for e, _ in cfg.force_terms]
-    lat = closure(sys_, gens + term_exps, cfg.lattice_cutoff)
+    lat, term_exps = _closure(cfg)
 
     raw_terms = [(exp, _make_field(fld, cfg.cutoff, rng))
                  for exp, (_, fld) in zip(term_exps, cfg.force_terms)]
@@ -392,22 +398,21 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
     return ExperimentResult(cfg, lat, coeffs, reference, force, trace, remainders, checks)
 
 
+def _write_json(path: Path, payload) -> Path:
+    """The one JSON artifact format: indented, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return path
+
+
 def emit_report(result: ExperimentResult, outdir) -> list[Path]:
     """Write report.json, dumps, remainder CSVs and the trace CSV."""
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def dump(name: str, payload) -> None:
-        path = out / name
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-
-    dump("report.json", result.report_json())
-    dump("lattice.json", result.lattice.to_json())
-    dump("coefficients.json", result.coefficients.to_json())
+    written = [_write_json(out / "report.json", result.report_json()),
+               _write_json(out / "lattice.json", result.lattice.to_json()),
+               _write_json(out / "coefficients.json", result.coefficients.to_json())]
     for (N, label), series in result.remainders.items():
         path = out / f"remainder_N{N}_{label}.csv"
         with open(path, "w") as fh:
@@ -418,7 +423,7 @@ def emit_report(result: ExperimentResult, outdir) -> list[Path]:
     trace_path = out / "trace.csv"
     result.trace.to_csv(trace_path)
     written.append(trace_path)
-    dump("states.json", result.trace.states_json())
+    written.append(_write_json(out / "states.json", result.trace.states_json()))
     return written
 
 
@@ -472,45 +477,33 @@ def main(argv=None) -> int:
         return 3
 
 
+def _print_json(payload, out: Optional[str], name: str) -> int:
+    """Print a dump, and write it as ``name`` when an output directory is given."""
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        _write_json(Path(out) / name, payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
+
+
 def _command(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.command == "lattice":
-        sys_ = cfg.system
-        gens = [_exponent_spec(sys_, g) for g in cfg.generators]
-        gens += [_exponent_spec(sys_, e) for e, _ in cfg.force_terms]
-        lat = closure(sys_, gens, cfg.lattice_cutoff)
-        payload = lat.to_json()
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "lattice.json").write_text(text + "\n")
-        print(text)
-        return 0
+        return _print_json(_closure(cfg)[0].to_json(), args.out, "lattice.json")
 
     result = run_experiment(cfg, seed=args.seed)
     if args.command == "coeffs":
-        text = json.dumps(result.coefficients.to_json(), indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "coefficients.json").write_text(text + "\n")
-        print(text)
-        return 0
+        return _print_json(result.coefficients.to_json(), args.out, "coefficients.json")
+    outdir = Path(args.out or "out")
+    outdir.mkdir(parents=True, exist_ok=True)
     if args.command == "simulate":
-        outdir = Path(args.out or "out")
-        outdir.mkdir(parents=True, exist_ok=True)
         result.trace.to_csv(outdir / "trace.csv")
-        with open(outdir / "states.json", "w") as fh:
-            json.dump(result.trace.states_json(), fh, indent=2, sort_keys=True)
+        _write_json(outdir / "states.json", result.trace.states_json())
         print(f"trace written to {outdir}")
         return 0
-
     if args.command == "run":
-        emit_report(result, args.out or "out")
+        emit_report(result, outdir)
     else:  # verify
-        outdir = Path(args.out or "out")
-        outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "report.json", "w") as fh:
-            json.dump(result.report_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(outdir / "report.json", result.report_json())
     for c in result.checks:
         status = "PASS" if c["pass"] else "FAIL"
         print(f"{status} {c['case']}: {c['property']} measured={c['measured']} "

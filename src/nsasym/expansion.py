@@ -10,6 +10,9 @@ force expansion, the solution coefficients are produced entry by entry:
 where chi_n collects c_{p,k} xi_p over all vee routes (p, k) landing on
 entry n.  Wedge and vee route sets come from lattice provenance, and each
 c_{p,k} from the vee terms the lattice computed for entry p at closure.
+``coupling_terms`` yields the pieces of chi_n and the wedge sum: the
+recursion subtracts them from phi_n, and the manufactured force adds them
+to A xi_n, the same relation run forwards.
 The residual checker below never reads provenance: it keeps every vee
 term of an earlier entry that the system calls the same as lambda_n, and
 for each i < n tries only the j < n whose value lies within 2 VALUE_TOL
@@ -40,6 +43,7 @@ __all__ = [
     "normalize_force",
     "compute_coefficients",
     "compute_coefficients_discrete",
+    "coupling_terms",
     "evaluate_expansion",
     "recursion_residual",
 ]
@@ -126,8 +130,22 @@ def normalize_force(raw: Sequence[tuple], lat: ExponentLattice,
     return Expansion(lat, fields, gevrey)
 
 
-def _wedge_d(lat: ExponentLattice, i: int, j: int) -> float:
-    return lat.system.wedge(lat.exponent(i), lat.exponent(j)).d
+def coupling_terms(lat: ExponentLattice, fields: Sequence[SpectralField], n: int):
+    """The pieces of chi_n + sum_{wedge(i,j) = n} d B(xi_i, xi_j), in order.
+
+    ``fields`` holds xi_1, xi_2, ...; only sources that have a field
+    contribute.  Yields c_{p,k} xi_p over the vee routes (p, k) of entry n,
+    then d B(xi_i, xi_j) over its wedge pairs (i, j), both as recorded by
+    lattice provenance (every source comes before n).
+    """
+    have = len(fields)
+    for (p, k) in lat.vee_sources(n):
+        if p <= have:
+            yield lat.vee(p)[k - 1].coeff * fields[p - 1]
+    for (i, j) in lat.wedge_pairs(n):
+        if i <= have and j <= have:
+            d = lat.system.wedge(lat.exponent(i), lat.exponent(j)).d
+            yield d * bilinear_form(fields[i - 1], fields[j - 1])
 
 
 def _recursion(force: Expansion, N: int) -> Expansion:
@@ -141,12 +159,8 @@ def _recursion(force: Expansion, N: int) -> Expansion:
         if len(routes) > MAX_VEE_ROUTES:
             raise ExpansionError(
                 f"{len(routes)} vee routes land on entry {n}; system too exotic")
-        for (p, k) in routes:
-            if p <= n - 1:
-                acc = acc - lat.vee(p)[k - 1].coeff * out[p - 1]
-        for (i, j) in lat.wedge_pairs(n):
-            if i <= n - 1 and j <= n - 1:
-                acc = acc - _wedge_d(lat, i, j) * bilinear_form(out[i - 1], out[j - 1])
+        for piece in coupling_terms(lat, out, n):
+            acc = acc - piece
         out.append(apply_inverse_stokes(acc))
     g = force.gevrey
     return Expansion(lat, tuple(out), GevreyIndex(g.alpha + 1.0, g.sigma))

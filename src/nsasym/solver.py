@@ -44,7 +44,7 @@ from .spectral import (
     bilinear_form,
     gevrey_norm,
 )
-from .systems import CheckResult, Exponent
+from .systems import CheckResult, Exponent, VeeTerm
 
 __all__ = [
     "ExtraTerm",
@@ -73,20 +73,20 @@ class ExtraTerm:
     """Closed-form force piece xi * (psi_lambda'(t) - truncated vee sum).
 
     Manufactured forces carry the exact derivative of each target term;
-    the part of its expansion living on the lattice is folded into the
-    expansion coefficients, and this term evaluates the leftover tail
-    analytically so the manufactured solution stays exact.
+    the part of its expansion living on the lattice (``tail``, the
+    lattice's vee terms of the exponent) is folded into the expansion
+    coefficients, and this term evaluates what is left analytically so the
+    manufactured solution stays exact.
     """
 
     field: SpectralField
     exponent: Exponent
+    tail: tuple[VeeTerm, ...]
 
-    def envelope(self, sys, lattice_cutoff: float) -> Callable[[float], float]:
-        tail = sys.vee(self.exponent, lattice_cutoff) if self.exponent.value < lattice_cutoff else []
-
+    def envelope(self, sys) -> Callable[[float], float]:
         def value(t: float) -> float:
             out = sys.psi_prime(self.exponent, t)
-            for term in tail:
+            for term in self.tail:
                 out -= term.coeff * sys.eval(term.exponent, t)
             return out
 
@@ -133,11 +133,10 @@ class _ForceEval:
             if np.any(f.coeffs):
                 stacks.append(f.coeffs)
                 evals.append(lambda t, _lam=lam: sys.eval(_lam, t))
-        lat_cut = force.expansion.lattice.cutoff
         for extra in force.extras:
             if np.any(extra.field.coeffs):
                 stacks.append(extra.field.coeffs)
-                evals.append(extra.envelope(sys, lat_cut))
+                evals.append(extra.envelope(sys))
         self.stack = np.stack(stacks) if stacks else None
         self.evals = evals
 

@@ -162,24 +162,23 @@ class SpectralField:
         return cls(cutoff, np.zeros((W, W, W, 3), dtype=np.complex128))
 
     @classmethod
-    def from_modes(cls, cutoff: int, modes: Mapping[WaveVector, Iterable[complex]],
-                   conjugate: bool = True) -> "SpectralField":
+    def from_modes(cls, cutoff: int,
+                   modes: Mapping[WaveVector, Iterable[complex]]) -> "SpectralField":
         """Build a field from a {k: amplitude} mapping.
 
-        With ``conjugate=True`` the mirror coefficient u_hat(-k) is filled
-        in automatically for every k not explicitly listed.  Every k must
-        pass ``wave_vector`` (ValueError otherwise).
+        The mirror coefficient u_hat(-k) is filled in automatically for
+        every k not explicitly listed.  Every k must pass ``wave_vector``
+        (ValueError otherwise).
         """
         W = 2 * cutoff + 1
         arr = np.zeros((W, W, W, 3), dtype=np.complex128)
         keys = [wave_vector(k, cutoff) for k in modes]
         for k, amp in zip(keys, modes.values()):
             arr[tuple(x + cutoff for x in k)] = np.asarray(amp, dtype=np.complex128)
-        if conjugate:
-            for k in keys:
-                mk = tuple(-x + cutoff for x in k)
-                if tuple(x + cutoff for x in k) != mk and not np.any(arr[mk]):
-                    arr[mk] = np.conj(arr[tuple(x + cutoff for x in k)])
+        for k in keys:
+            mk = tuple(-x + cutoff for x in k)
+            if tuple(x + cutoff for x in k) != mk and not np.any(arr[mk]):
+                arr[mk] = np.conj(arr[tuple(x + cutoff for x in k)])
         return leray_project(arr, cutoff)
 
     # -- algebra ---------------------------------------------------------

@@ -639,14 +639,14 @@ class ProductSystem(DecaySystem):
 # JSON ingestion
 # ---------------------------------------------------------------------------
 
-_KINDS = {
-    "power": lambda params: PowerSystem(),
-    "sqrt_shift": lambda params: SqrtShiftSystem(),
-    "iterated_log": lambda params: IteratedLogSystem(
-        m=params["m"], q0=params["q0"], q1=params["q1"], beta=params.get("beta", 1.0)),
-    "sin_log": lambda params: SinLogSystem(params["m"]),
-    "tan_log": lambda params: TanLogSystem(params["m"]),
-    "product": lambda params: ProductSystem(params["gamma"]),
+_KINDS = {  # kind -> (accepted params keys, constructor)
+    "power": (set(), lambda params: PowerSystem()),
+    "sqrt_shift": (set(), lambda params: SqrtShiftSystem()),
+    "iterated_log": ({"m", "q0", "q1", "beta"}, lambda params: IteratedLogSystem(
+        m=params["m"], q0=params["q0"], q1=params["q1"], beta=params.get("beta", 1.0))),
+    "sin_log": ({"m"}, lambda params: SinLogSystem(params["m"])),
+    "tan_log": ({"m"}, lambda params: TanLogSystem(params["m"])),
+    "product": ({"gamma"}, lambda params: ProductSystem(params["gamma"])),
 }
 
 
@@ -654,8 +654,14 @@ def system_from_json(data: dict) -> DecaySystem:
     kind = data.get("kind")
     if kind not in _KINDS:
         raise SystemSpecError(f"unknown system kind {kind!r}; expected one of {sorted(_KINDS)}")
+    keys, make = _KINDS[kind]
+    params = data.get("params", {})
+    unknown = set(params) - keys
+    if unknown:
+        raise SystemSpecError(f"unknown parameter(s) {sorted(unknown)} for system kind "
+                              f"{kind!r}; expected {sorted(keys) or 'none'}")
     try:
-        return _KINDS[kind](data.get("params", {}))
+        return make(params)
     except KeyError as missing:
         raise SystemSpecError(f"system kind {kind!r} is missing parameter {missing}") from None
 

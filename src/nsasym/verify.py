@@ -7,11 +7,12 @@ xi_1..xi_N on a lattice, the force
          + sum_{k,m} d B(xi_k, xi_m) psi_{wedge(k,m)}(t)
 
 makes u(t) = sum_n xi_n psi_n(t) an exact solution of the truncated
-equations.  The derivative part is split: everything its expansion places
-on the lattice goes into the force's expansion coefficients (so running
-the coefficient recursion on them returns the targets identically), and
-the off-lattice tail is carried as a closed-form extra term, keeping the
-manufactured solution exact rather than asymptotic.
+equations.  Its expansion is the coefficient recursion run forwards,
+phi_n = A xi_n + chi_n + sum d B(xi_i, xi_j), built from the recursion's
+own coupling sum (``expansion.coupling_terms``), so the recursion returns
+the targets; the residual audit rebuilds that sum independently.  The
+part of each psi_n' that falls off the lattice is carried as a closed-form
+extra term, keeping the manufactured solution exact, not asymptotic.
 
 Remainders r_N(t) = |u(t) - partial sum| are fitted on log-log axes
 against the system's own decay scale; the predicted order of r_N is the
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .expansion import Expansion, ExpansionError, evaluate_expansion
+from .expansion import Expansion, ExpansionError, coupling_terms, evaluate_expansion
 from .solver import ExtraTerm, ForceSpec, SimulationTrace
 from .spectral import (
     GevreyIndex,
@@ -74,48 +76,30 @@ def manufacture_force(target: Expansion, N: Optional[int] = None) -> ForceSpec:
     """Force for which the N-term partial sum of ``target`` solves the
     truncated equations exactly.
 
-    Every exponent generated by the construction (wedges of target pairs,
-    lattice-resident derivative terms) must be a lattice entry; a lattice
-    cutoff too small to hold them raises ExpansionError.
+    Entry n of the force expansion is A xi_n plus the recursion's coupling
+    sum over the N targets.  Provenance must record all N^2 wedges of two
+    targets; fewer means the lattice cutoff is too small (ExpansionError).
     """
     lat = target.lattice
-    sys = lat.system
     N = len(target) if N is None else N
     if N > len(target):
         raise ExpansionError(f"target has {len(target)} terms, requested {N}")
-    cutoff_k = target.cutoff
-    parts: dict[int, SpectralField] = {}
-
-    def deposit(exponent, field):
-        idx = lat.index_of(exponent)
-        if idx is None:
-            raise ExpansionError(
-                f"manufactured exponent {exponent.value:g} exceeds the lattice "
-                f"cutoff {lat.cutoff:g}; enlarge the closure")
-        parts[idx] = parts.get(idx, SpectralField.zero(cutoff_k)) + field
-
-    extras = []
-    for n in range(1, N + 1):
-        lam = lat.exponent(n)
-        xi = target.field(n)
-        deposit(lam, apply_multiplier(xi, "A_alpha", 1.0))
-        # lattice-resident part of the derivative expansion
-        vee_terms = lat.vee(n)
-        for term in vee_terms:
-            deposit(term.exponent, term.coeff * xi)
-        # off-lattice remainder of psi', kept in closed form; only the power
-        # system has a one-term exact expansion that can land fully on-lattice
-        exact_on_lattice = sys.kind == "power" and len(vee_terms) == 1
-        if not exact_on_lattice:
-            extras.append(ExtraTerm(xi, lam))
-    for k in range(1, N + 1):
-        for m in range(1, N + 1):
-            w = sys.wedge(lat.exponent(k), lat.exponent(m))
-            deposit(w.gamma, w.d * bilinear_form(target.field(k), target.field(m)))
-
-    fields = tuple(parts.get(n, SpectralField.zero(cutoff_k)) for n in range(1, len(lat) + 1))
-    expansion = Expansion(lat, fields, target.gevrey)
-    return ForceSpec(expansion, tuple(extras))
+    kept = sum(i <= N and j <= N for n in range(1, len(lat) + 1) for i, j in lat.wedge_pairs(n))
+    if kept < N * N:
+        raise ExpansionError(
+            f"{N * N - kept} of the {N * N} wedges of the target terms exceed the lattice "
+            f"cutoff {lat.cutoff:g}; enlarge the closure")
+    xis = target.fields[:N]
+    zero = SpectralField.zero(target.cutoff)
+    fields = []
+    for n in range(1, len(lat) + 1):
+        own = [apply_multiplier(xis[n - 1], "A_alpha", 1.0)] if n <= N else []
+        fields.append(sum(chain(own, coupling_terms(lat, xis, n)), zero))
+    # off-lattice remainder of psi', kept in closed form; only the power
+    # system has a one-term exact expansion that can land fully on-lattice
+    extras = tuple(ExtraTerm(xi, lat.exponent(n), lat.vee(n)) for n, xi in enumerate(xis, 1)
+                   if not (lat.system.kind == "power" and len(lat.vee(n)) == 1))
+    return ForceSpec(Expansion(lat, tuple(fields), target.gevrey), extras)
 
 
 def remainder_series(trace: SimulationTrace, exp: Expansion, N: int,

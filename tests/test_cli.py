@@ -103,6 +103,14 @@ class TestCommandLine:
         assert "PASS" in out and "FAIL" not in out
         assert (tmp_path / "report.json").exists()
 
+    def test_simulate_states_match_run(self, tmp_path, capsys):
+        config = str(CONFIG_DIR / "power_two_term.json")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["run", "--config", config, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        for name in ("states.json", "trace.csv"):
+            assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
     def test_bad_config_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{\"schema\": 1}")
@@ -126,10 +134,15 @@ class TestCommandLine:
         (("force", "terms", 0, "field", "random", "amplitude"), "x"),
         (("system", "params"), [1]),
         (("solver", "u0"), {"modes": 5}),
+        (("force", "terms", 0, "field", "modes", 2),
+         {"k": [1, 0, 0], "re": [0.0, 0.01, 0.0], "im": [0.0, 0.0, 0.0]}),
+        (("system",), {"kind": "product", "params": {"gamma": 0.7, "gammma": 0.3}}),
+        (("system",), {"kind": "power", "params": {"m": 1}}),
     ], ids=["t0_missing", "window_short", "gevrey_flat", "tol_text", "lattice_cutoff_text",
             "solver_not_object", "generator_text", "falsify_past_last_term",
             "mode_k_two_components", "mode_re_text", "mode_k_above_cutoff", "modes_not_list",
-            "random_amplitude_text", "system_params_list", "u0_modes_not_list"])
+            "random_amplitude_text", "system_params_list", "u0_modes_not_list",
+            "mode_k_repeated", "product_param_typo", "power_extra_param"])
     def test_malformed_field_exit_two(self, path, value, tmp_path, capsys):
         data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
         *parents, key = path
@@ -141,6 +154,8 @@ class TestCommandLine:
             section = section[name]
         if value is None:
             del section[key]
+        elif isinstance(section, list) and key == len(section):
+            section.append(value)  # a new entry after the last
         else:
             section[key] = value
         bad = tmp_path / "bad.json"

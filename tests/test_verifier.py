@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from nsasym import expansion, verify
 from nsasym.expansion import (
     compute_coefficients,
     evaluate_expansion,
     normalize_force,
     Expansion,
+    ExpansionError,
 )
-from nsasym.lattice import closure
+from nsasym.lattice import ExponentLattice, closure
 from nsasym.solver import evaluate_force, integrate_nse
 from nsasym.spectral import (
     GevreyIndex,
@@ -29,6 +31,8 @@ from nsasym.verify import (
     remainder_series,
 )
 
+from test_lattice import provenance_lattices
+
 RNG = np.random.default_rng(777)
 
 
@@ -39,6 +43,17 @@ def plain_log_system():
 def target_expansion(lat, fields):
     complete = list(fields) + [SpectralField.zero(fields[0].cutoff)] * (len(lat) - len(fields))
     return Expansion(lat, tuple(complete), GevreyIndex(0.5, 0.0))
+
+
+def lead_terms(lat):
+    """Number of leading entries whose pairwise wedges all stay on the lattice."""
+    return max(n for n in range(1, len(lat) + 1) if 2.0 * lat.exponent(n).value <= lat.cutoff)
+
+
+def random_targets(lat, N, seed):
+    rng = np.random.default_rng(seed)
+    return target_expansion(lat, [random_solenoidal_field(2, rng, amplitude=0.1)
+                                  for _ in range(N)])
 
 
 class TestManufacture:
@@ -86,8 +101,34 @@ class TestManufacture:
     def test_cutoff_overflow_detected(self):
         lat = closure(PowerSystem(), [1.0], 1.5)  # single entry, no room for wedges
         xi = random_solenoidal_field(2, np.random.default_rng(4), amplitude=0.1)
-        with pytest.raises(Exception):
+        with pytest.raises(ExpansionError, match="enlarge the closure"):
             manufacture_force(target_expansion(lat, [xi]), 1)
+        lat = provenance_lattices()[-1]  # product lattice; one target past the lead
+        N = lead_terms(lat) + 1
+        with pytest.raises(ExpansionError, match="enlarge the closure"):
+            manufacture_force(random_targets(lat, N, 4), N)
+
+    def test_reads_lattice_not_lookups(self, monkeypatch):
+        # deterministic cost guard: the force is built from provenance and
+        # the vee terms of closure, with one B call per ordered target pair
+        for lat in provenance_lattices():
+            N = lead_terms(lat)
+            target = random_targets(lat, N, 8)
+            calls = {"index_of": 0, "vee": 0, "B": 0}
+
+            def spy(name, method):
+                def wrapped(*args):
+                    calls[name] += 1
+                    return method(*args)
+                return wrapped
+            monkeypatch.setattr(ExponentLattice, "index_of",
+                                spy("index_of", ExponentLattice.index_of))
+            monkeypatch.setattr(lat.system, "vee", spy("vee", lat.system.vee))
+            for module in (expansion, verify):
+                monkeypatch.setattr(module, "bilinear_form", spy("B", bilinear_form))
+            manufacture_force(target, N)
+            monkeypatch.undo()
+            assert calls == {"index_of": 0, "vee": 0, "B": N * N}, lat.system.kind
 
     def test_manufactured_solution_solves_equations(self):
         # du/dt + Au + B(u,u) - f = 0 pointwise in t, by finite differences
