@@ -32,7 +32,6 @@ from .systems import (
     SystemSpecError,
     TanLogSystem,
     VeeTerm,
-    WedgeResult,
     iterated_log,
     system_from_json,
     verify_system_conditions,

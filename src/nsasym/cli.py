@@ -233,8 +233,13 @@ def _field_spec(spec, cutoff: int, where: str) -> tuple[str, dict]:
         at = f"{where}.modes[{j}]"
         _reject_unknown(m, _MODE_KEYS, at)
         k = _read(f"{at}.k", lambda: wave_vector(m["k"], cutoff))
+        if not any(k):
+            raise ConfigError(f"{at}.k = [0, 0, 0] is the mean mode, which the projection removes")
         if k in modes:
             raise ConfigError(f"{at}.k = {list(k)} repeats the wave vector of an earlier mode")
+        if tuple(-x for x in k) in modes:
+            raise ConfigError(f"{at}.k = {list(k)} mirrors an earlier mode; "
+                              "list each conjugate pair once")
         re = _read(f"{at}.re", lambda: _amplitude(m["re"]))
         im = _read(f"{at}.im", lambda: _amplitude(m["im"]))
         modes[k] = re + 1j * im

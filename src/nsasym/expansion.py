@@ -5,7 +5,7 @@ An Expansion couples a lattice with one spectral coefficient per entry
 force expansion, the solution coefficients are produced entry by entry:
 
     xi_1 = A^-1 phi_1
-    xi_n = A^-1 ( phi_n - chi_n - sum_{wedge(i,j) = n} d B(xi_i, xi_j) )
+    xi_n = A^-1 ( phi_n - chi_n - sum_{wedge(i,j) = n} B(xi_i, xi_j) )
 
 where chi_n collects c_{p,k} xi_p over all vee routes (p, k) landing on
 entry n.  Wedge and vee route sets come from lattice provenance, and each
@@ -131,11 +131,11 @@ def normalize_force(raw: Sequence[tuple], lat: ExponentLattice,
 
 
 def coupling_terms(lat: ExponentLattice, fields: Sequence[SpectralField], n: int):
-    """The pieces of chi_n + sum_{wedge(i,j) = n} d B(xi_i, xi_j), in order.
+    """The pieces of chi_n + sum_{wedge(i,j) = n} B(xi_i, xi_j), in order.
 
     ``fields`` holds xi_1, xi_2, ...; only sources that have a field
     contribute.  Yields c_{p,k} xi_p over the vee routes (p, k) of entry n,
-    then d B(xi_i, xi_j) over its wedge pairs (i, j), both as recorded by
+    then B(xi_i, xi_j) over its wedge pairs (i, j), both as recorded by
     lattice provenance (every source comes before n).
     """
     have = len(fields)
@@ -144,8 +144,7 @@ def coupling_terms(lat: ExponentLattice, fields: Sequence[SpectralField], n: int
             yield lat.vee(p)[k - 1].coeff * fields[p - 1]
     for (i, j) in lat.wedge_pairs(n):
         if i <= have and j <= have:
-            d = lat.system.wedge(lat.exponent(i), lat.exponent(j)).d
-            yield d * bilinear_form(fields[i - 1], fields[j - 1])
+            yield bilinear_form(fields[i - 1], fields[j - 1])
 
 
 def _recursion(force: Expansion, N: int) -> Expansion:
@@ -205,7 +204,7 @@ def evaluate_expansion(exp: Expansion, t: float, upto: Optional[int] = None) -> 
 
 
 def recursion_residual(coeffs: Expansion, force: Expansion, n: int) -> float:
-    """Relative defect of A xi_n + chi_n + sum d B(xi_i, xi_j) = phi_n.
+    """Relative defect of A xi_n + chi_n + sum B(xi_i, xi_j) = phi_n.
 
     The chi and wedge sums are rebuilt by scanning the lattice and never
     read the provenance tags used to compute the coefficients, so this
@@ -232,9 +231,8 @@ def recursion_residual(coeffs: Expansion, force: Expansion, n: int) -> float:
         rest = target.value - values[i - 1]
         j = bisect_left(values, rest - slack) + 1
         while j < n and values[j - 1] <= rest + slack:
-            w = sys.wedge(lat.exponent(i), lat.exponent(j))
-            if sys.same(w.gamma, target):
-                piece = w.d * bilinear_form(coeffs.field(i), coeffs.field(j))
+            if sys.same(sys.wedge(lat.exponent(i), lat.exponent(j)), target):
+                piece = bilinear_form(coeffs.field(i), coeffs.field(j))
                 scale = max(scale, piece.l2())
                 lhs = lhs + piece
             j += 1

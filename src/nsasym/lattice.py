@@ -173,7 +173,7 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
             for b in snapshot[i:]:
                 if a.value + b.value > cutoff + VALUE_TOL:
                     break  # snapshot is sorted; later b only grow
-                gamma = sys.wedge(a, b).gamma
+                gamma = sys.wedge(a, b)
                 if gamma.value <= cutoff + VALUE_TOL:
                     changed |= work.add(gamma)
         if len(work.items) > MAX_ENTRIES:
@@ -205,7 +205,7 @@ def _with_provenance(sys: DecaySystem, work: _WorkingSet, gens: Sequence[Exponen
         for j, b in enumerate(exps):
             if a.value + b.value > reach:
                 break  # values are sorted; later b only grow
-            n = _find(sys, vals, exps, sys.wedge(a, b).gamma)
+            n = _find(sys, vals, exps, sys.wedge(a, b))
             if n is not None and n > max(i, j):
                 origins[n].append(("wedge", i + 1, j + 1))
     for p, terms in enumerate(vees):

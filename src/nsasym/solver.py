@@ -11,13 +11,17 @@ the smooth drift of B and f alone, never by the stiffness of A.  The
 stages follow Krogstad's fourth-order scheme (nodes 0, 1/2, 1/2, 1),
 and the local error is estimated by step doubling: each interval is also
 covered by two half steps, the Richardson difference (scaled by 1/15)
-drives the controller, and the fine solution is propagated.  A plain
-integrating-factor pair (polynomial weights on e^{-tau A}) was tried
-first and rejected: its weights grow linearly in h where the phi-weights
-saturate, which pins the step at h ~ 1/|k|_max^2 regardless of how slow
-the dynamics are.  Same-stage embedded phi-weight rows were tried next
-and also rejected: past saturation their defect grows like h while the
-true error stays flat.
+drives the controller, and the fine solution is propagated; the step
+sizes h, h/2 and h/4 get one phi table each.  A plain integrating-factor
+pair (polynomial weights on e^{-tau A}) was tried first and rejected: its
+weights grow linearly in h where the phi-weights saturate, which pins the
+step at h ~ 1/|k|_max^2 regardless of how slow the dynamics are.
+
+The energy ledger evaluates the dissipation rate |A^(1/2) u|^2, the
+injection rate <f, u> and their time derivatives once per converged node
+(start, midpoint and end of an accepted step; the end node starts the
+next step) and combines the three nodes by a Richardson-corrected cubic
+Hermite rule.
 
 Steps are allowed to grow proportionally to elapsed time (decaying
 dynamics relax on the scale of t itself).  The linearized equation
@@ -177,7 +181,6 @@ class SimulationTrace:
                 for t, s in zip(self.times, self.states)]
 
 
-_ORDER = 4          # propagated order of the Krogstad scheme
 _CTRL_EXP = 0.25    # controller exponent under error-per-unit-step weighting
 
 
@@ -252,34 +255,33 @@ class _Integrator:
             return f - buu
         return f + self.xi
 
-    def krogstad(self, t: float, h: float, u0: np.ndarray, k1: Optional[np.ndarray]):
-        """One fourth-order step; returns (u_new, stages U, stage rhs N)."""
-        # never clamp z: the phi formulas divide by it, and exp just underflows
-        zf = -h * self.ksq
-        e1, p1, p2, p3 = (m[..., None] for m in _phi_trio(zf))
-        eh, q1, q2, _ = (m[..., None] for m in _phi_trio(0.5 * zf))
-        if k1 is None:
-            k1 = self.rhs(t, u0)
+    def krogstad(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray,
+                 full: tuple, half: tuple) -> np.ndarray:
+        """One fourth-order step from (t, u0) with k1 = rhs(t, u0); ``full``
+        and ``half`` are the phi tables at h and h/2."""
+        e1, p1, p2, p3 = full
+        eh, q1, q2, _ = half
         U2 = eh * u0 + (0.5 * h) * q1 * k1
         k2 = self.rhs(t + 0.5 * h, U2)
         U3 = eh * u0 + h * ((0.5 * q1 - q2) * k1 + q2 * k2)
         k3 = self.rhs(t + 0.5 * h, U3)
         U4 = e1 * u0 + h * ((p1 - 2.0 * p2) * k1 + 2.0 * p2 * k3)
         k4 = self.rhs(t + h, U4)
-        u_new = e1 * u0 + h * ((p1 - 3.0 * p2 + 4.0 * p3) * k1
-                               + (2.0 * p2 - 4.0 * p3) * (k2 + k3)
-                               + (4.0 * p3 - p2) * k4)
-        return u_new, [u0, U2, U3, U4], [k1, k2, k3, k4]
+        return e1 * u0 + h * ((p1 - 3.0 * p2 + 4.0 * p3) * k1
+                              + (2.0 * p2 - 4.0 * p3) * (k2 + k3)
+                              + (4.0 * p3 - p2) * k4)
 
-    def step(self, t: float, h: float, u0: np.ndarray, k1: Optional[np.ndarray]):
-        """Doubled step; returns (u_fine, err_field, half-step data for the
-        ledger: [(t, h/2, U, N, u_end), (t + h/2, ...)])."""
-        coarse, _, _ = self.krogstad(t, h, u0, k1)
-        mid, U_a, N_a = self.krogstad(t, 0.5 * h, u0, k1)
-        fine, U_b, N_b = self.krogstad(t + 0.5 * h, 0.5 * h, mid, None)
-        err = (fine - coarse) / 15.0
-        halves = [(t, 0.5 * h, U_a, N_a, mid), (t + 0.5 * h, 0.5 * h, U_b, N_b, fine)]
-        return fine, err, halves
+    def step(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray):
+        """Doubled step from (t, u0) with k1 = rhs(t, u0); returns the fine
+        solution, the error field, the midpoint state and its rhs."""
+        # never clamp z: the phi formulas divide by it, and exp just underflows
+        z = -h * self.ksq
+        P1, P2, P4 = (tuple(m[..., None] for m in _phi_trio(c * z)) for c in (1.0, 0.5, 0.25))
+        coarse = self.krogstad(t, h, u0, k1, P1, P2)
+        mid = self.krogstad(t, 0.5 * h, u0, k1, P2, P4)
+        n_mid = self.rhs(t + 0.5 * h, mid)
+        fine = self.krogstad(t + 0.5 * h, 0.5 * h, mid, n_mid, P2, P4)
+        return fine, (fine - coarse) / 15.0, mid, n_mid
 
 
 def _l2(arr: np.ndarray) -> float:
@@ -315,26 +317,26 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
     max_b_rel = 0.0
     n_steps = n_rejected = 0
 
-    def g_diss(arr: np.ndarray) -> float:
-        return VOLUME * float(np.sum(ksq[..., None] * np.abs(arr) ** 2))
-
-    def gd_prime(arr: np.ndarray, ndot: np.ndarray) -> float:
-        udot = -ksq[..., None] * arr + ndot
-        return 2.0 * VOLUME * float(np.real(np.sum(ksq[..., None] * np.conj(arr) * udot)))
-
-    def g_inj(tau: float, arr: np.ndarray) -> float:
-        return VOLUME * float(np.real(np.vdot(arr, feval(tau))))
-
-    def f_dot(tau: float) -> np.ndarray:
+    def node(tau: float, arr: np.ndarray, n_arr: np.ndarray) -> np.ndarray:
+        # [D, I, D', I'] at a converged state (interior stage values are
+        # lower-order and would pollute the ledger): D = |A^(1/2) u|^2,
+        # I = <f, u>, exact du/dt = -A u + N, finite-difference df/dt
+        f = feval(tau)
         delta = max(1e-6 * tau, 1e-9)
         if tau - delta >= force.t_min:
-            return (feval(tau + delta) - feval(tau - delta)) / (2.0 * delta)
-        return (feval(tau + delta) - feval(tau)) / delta
+            f_dot = (feval(tau + delta) - feval(tau - delta)) / (2.0 * delta)
+        else:
+            f_dot = (feval(tau + delta) - f) / delta
+        udot = -ksq[..., None] * arr + n_arr
+        return VOLUME * np.array([
+            float(np.sum(ksq[..., None] * np.abs(arr) ** 2)),
+            float(np.real(np.vdot(arr, f))),
+            2.0 * float(np.real(np.sum(ksq[..., None] * np.conj(arr) * udot))),
+            float(np.real(np.vdot(udot, f) + np.vdot(arr, f_dot)))])
 
-    def gi_prime(tau: float, arr: np.ndarray, ndot: np.ndarray) -> float:
-        udot = -ksq[..., None] * arr + ndot
-        return VOLUME * float(np.real(np.vdot(udot, feval(tau))
-                                      + np.vdot(arr, f_dot(tau))))
+    def hermite(a: np.ndarray, b: np.ndarray, h_ab: float) -> np.ndarray:
+        # cubic Hermite of [D, I] over one interval from its two end nodes
+        return 0.5 * h_ab * (a[:2] + b[:2]) + (h_ab * h_ab / 12.0) * (a[2:] - b[2:])
 
     def record(t: float, arr: np.ndarray, h: float):
         state = SpectralField(cutoff, arr.copy())
@@ -349,26 +351,14 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
         rec_diss.append(diss)
         rec_inj.append(inj)
 
-    def ledger_piece(t_a: float, h_a: float, u_a: np.ndarray, n_a: np.ndarray,
-                     u_b: np.ndarray, n_b: np.ndarray) -> tuple[float, float]:
-        # cubic Hermite over [t_a, t_a + h_a] from endpoint values and the
-        # exact endpoint slopes du/dt = -A u + N; only converged states and
-        # true rhs values enter (interior stage values are lower-order and
-        # would pollute the ledger)
-        tb = t_a + h_a
-        dd = 0.5 * h_a * (g_diss(u_a) + g_diss(u_b)) \
-            + (h_a * h_a / 12.0) * (gd_prime(u_a, n_a) - gd_prime(u_b, n_b))
-        di = 0.5 * h_a * (g_inj(t_a, u_a) + g_inj(tb, u_b)) \
-            + (h_a * h_a / 12.0) * (gi_prime(t_a, u_a, n_a) - gi_prime(tb, u_b, n_b))
-        return dd, di
-
     u = np.array(u0.coeffs)
     t = t0
     record(t, u, 0.0)
     sample_idx = 1
+    k1 = stepper.rhs(t, u)
+    start = node(t, u, k1)
 
     h = fixed_step if fixed_step is not None else min(1e-3 * max(t0, 1.0), (t1 - t0) / 2)
-    k1 = None
     while t < t1 * (1 - 1e-14):
         target = samples[sample_idx]
         h_cap = min(step_growth * t, target - t) if fixed_step is None \
@@ -378,7 +368,7 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing trial step shows up as a non-finite error norm
             # and is rejected (adaptive) or caught by the guard (fixed step)
-            u_new, err_field, halves = stepper.step(t, h_try, u, k1)
+            u_new, err_field, mid, n_mid = stepper.step(t, h_try, u, k1)
 
         err = _l2(err_field)
         ref = max(_l2(u_new), _l2(u))
@@ -399,7 +389,7 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
                     "the run left the small-data regular regime")
             # one fresh rhs at the accepted endpoint closes the ledger slopes
             # and seeds the next step's first stage
-            n_end = stepper.rhs(t + h_try, u_new)
+            k1 = stepper.rhs(t + h_try, u_new)
             if nonlinear:
                 # the rhs just stashed B(u_new, u_new): check its energy
                 # orthogonality against the state it advects
@@ -407,24 +397,23 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
                 half = gevrey_norm(SpectralField(cutoff, u_new.copy()), GevreyIndex(0.5, 0.0))
                 if half > 0:
                     max_b_rel = max(max_b_rel, abs(b_inner) / half ** 3)
-            # ledger: cubic Hermite on the two halves, Richardson-corrected
-            # by the full-step rule (same trusted data, error drops to h^7)
-            (ta1, ha1, _Ua, Na, mid), (ta2, ha2, _Ub, Nb, fin) = halves
-            dd_a, di_a = ledger_piece(ta1, ha1, u, Na[0], mid, Nb[0])
-            dd_b, di_b = ledger_piece(ta2, ha2, mid, Nb[0], fin, n_end)
-            dd_full, di_full = ledger_piece(t, h_try, u, Na[0], fin, n_end)
-            diss += dd_a + dd_b + (dd_a + dd_b - dd_full) / 15.0
-            inj += di_a + di_b + (di_a + di_b - di_full) / 15.0
+            # ledger: Hermite on the two halves, Richardson-corrected by the
+            # full-step rule (same trusted nodes, error drops to h^7)
+            middle = node(t + 0.5 * h_try, mid, n_mid)
+            end = node(t + h_try, u_new, k1)
+            halves = hermite(start, middle, 0.5 * h_try) + hermite(middle, end, 0.5 * h_try)
+            dd, di = halves + (halves - hermite(start, end, h_try)) / 15.0
+            diss += dd
+            inj += di
+            start = end
             t = target if hit_sample else t + h_try
             u = u_new
-            k1 = n_end
             n_steps += 1
             if hit_sample:
                 record(t, u, h_try)
                 sample_idx += 1
         else:
             n_rejected += 1
-            k1 = halves[0][3][0]  # same (t, u): first stage is reusable
         if fixed_step is None:
             fac = 0.9 * ratio ** (-_CTRL_EXP) if ratio > 0 else 5.0
             h = h_try * min(5.0, max(0.2, fac))
@@ -469,8 +458,9 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
                   fixed_step: Optional[float] = None) -> SimulationTrace:
     """Advance du/dt = -A u - B(u, u) + f(t) from u0 over [t0, t1].
 
-    Adaptive embedded steps keep the local error below ``tol`` relative;
-    snapshots land exactly on the geometric grid t0 * sample_ratio^j.
+    Step doubling keeps the local error per unit step below ``tol``
+    relative; snapshots land exactly on the geometric grid
+    t0 * sample_ratio^j.
     Passing ``fixed_step`` disables error control (used by convergence
     tests).  Raises BlowUpError if |u| exceeds 1e3 times the initial scale.
     """

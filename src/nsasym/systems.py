@@ -3,9 +3,8 @@
 Each system supports the two pieces of algebra the expansion machinery
 needs:
 
-  wedge:  psi_lambda * psi_mu = d * psi_gamma with gamma above both inputs
-          (for every built-in system d = 1 and gamma = lambda + mu, with
-          product-system exponent pairs adding componentwise);
+  wedge:  psi_lambda * psi_mu = psi_gamma with gamma = lambda + mu above
+          both inputs (product-system exponent pairs add componentwise);
 
   vee:    an expansion of the derivative,
           psi_lambda'(t) ~ sum_k c_{lambda,k} psi_{lambda_vee(k)}(t),
@@ -38,7 +37,6 @@ import numpy as np
 
 __all__ = [
     "Exponent",
-    "WedgeResult",
     "VeeTerm",
     "DecaySystem",
     "PowerSystem",
@@ -83,12 +81,6 @@ class Exponent:
     def __post_init__(self):
         if not self.value > 0:
             raise ValueError(f"exponent must be positive, got {self.value}")
-
-
-@dataclass(frozen=True)
-class WedgeResult:
-    gamma: Exponent
-    d: float
 
 
 @dataclass(frozen=True)
@@ -138,11 +130,8 @@ class DecaySystem(ABC):
             return a.pair == b.pair
         return abs(a.value - b.value) <= VALUE_TOL
 
-    def wedge(self, lam: Exponent, mu: Exponent) -> WedgeResult:
-        """Product rule psi_lam * psi_mu = d * psi_gamma; d = 1 throughout."""
-        return WedgeResult(self.exponent_sum(lam, mu), 1.0)
-
-    def exponent_sum(self, lam: Exponent, mu: Exponent) -> Exponent:
+    def wedge(self, lam: Exponent, mu: Exponent) -> Exponent:
+        """Product rule psi_lam * psi_mu = psi_gamma: the exponent gamma."""
         return Exponent(lam.value + mu.value)
 
     def exponent(self, spec) -> Exponent:
@@ -592,7 +581,7 @@ class ProductSystem(DecaySystem):
         base = p ** (-a) * q ** (-b)
         return -base * (a * g * t ** (g - 1.0) / p + b * (1.0 - g) * t ** (-g) / q)
 
-    def exponent_sum(self, lam, mu):
+    def wedge(self, lam, mu):
         (a1, b1) = self._require_pair(lam)
         (a2, b2) = self._require_pair(mu)
         return self.exponent_from_pair(a1 + a2, b1 + b2)
@@ -745,13 +734,13 @@ def verify_system_conditions(sys: DecaySystem, sample_lams: Sequence[Exponent],
         for mu in lams[i:]:
             w = sys.wedge(lam, mu)
             lhs = np.array([sys.eval(lam, ti) * sys.eval(mu, ti) for ti in t])
-            rhs = np.array([w.d * sys.eval(w.gamma, ti) for ti in t])
+            rhs = np.array([sys.eval(w, ti) for ti in t])
             rel = float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)))
             sym = sys.wedge(mu, lam)
             checks.append(CheckResult(
                 f"wedge[{lam.value:g},{mu.value:g}]",
-                rel <= 1e-10 and sys.same(sym.gamma, w.gamma) and sym.d == w.d,
-                {"max_rel_err": rel, "gamma": w.gamma.value, "d": w.d}))
+                rel <= 1e-10 and sys.same(sym, w),
+                {"max_rel_err": rel, "gamma": w.value}))
 
     # vee expansion against a finite-difference derivative
     for lam in lams:

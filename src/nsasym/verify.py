@@ -4,11 +4,11 @@ The central tool is the manufactured force: given target coefficients
 xi_1..xi_N on a lattice, the force
 
     f(t) = sum_n [ xi_n psi_n'(t) + (A xi_n) psi_n(t) ]
-         + sum_{k,m} d B(xi_k, xi_m) psi_{wedge(k,m)}(t)
+         + sum_{k,m} B(xi_k, xi_m) psi_{wedge(k,m)}(t)
 
 makes u(t) = sum_n xi_n psi_n(t) an exact solution of the truncated
 equations.  Its expansion is the coefficient recursion run forwards,
-phi_n = A xi_n + chi_n + sum d B(xi_i, xi_j), built from the recursion's
+phi_n = A xi_n + chi_n + sum B(xi_i, xi_j), built from the recursion's
 own coupling sum (``expansion.coupling_terms``), so the recursion returns
 the targets; the residual audit rebuilds that sum independently.  The
 part of each psi_n' that falls off the lattice is carried as a closed-form

@@ -138,11 +138,15 @@ class TestCommandLine:
          {"k": [1, 0, 0], "re": [0.0, 0.01, 0.0], "im": [0.0, 0.0, 0.0]}),
         (("system",), {"kind": "product", "params": {"gamma": 0.7, "gammma": 0.3}}),
         (("system",), {"kind": "power", "params": {"m": 1}}),
+        (("force", "terms", 0, "field", "modes", 0, "k"), [0, 0, 0]),
+        (("force", "terms", 0, "field", "modes", 2),
+         {"k": [-1, 0, 0], "re": [0.0, 0.02, 0.0], "im": [0.0, 0.0, 0.0]}),
     ], ids=["t0_missing", "window_short", "gevrey_flat", "tol_text", "lattice_cutoff_text",
             "solver_not_object", "generator_text", "falsify_past_last_term",
             "mode_k_two_components", "mode_re_text", "mode_k_above_cutoff", "modes_not_list",
             "random_amplitude_text", "system_params_list", "u0_modes_not_list",
-            "mode_k_repeated", "product_param_typo", "power_extra_param"])
+            "mode_k_repeated", "product_param_typo", "power_extra_param",
+            "mode_k_zero", "mode_mirror_listed"])
     def test_malformed_field_exit_two(self, path, value, tmp_path, capsys):
         data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
         *parents, key = path

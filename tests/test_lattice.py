@@ -146,7 +146,7 @@ class TestProvenance:
         lat = closure(sys, [0.8, 1.1], 5.0)
         for e in lat.entries:
             for f in lat.entries:
-                w = sys.wedge(e.exponent, f.exponent).gamma
+                w = sys.wedge(e.exponent, f.exponent)
                 if w.value <= lat.cutoff:
                     assert lat.index_of(w) is not None
             if e.value < lat.cutoff:

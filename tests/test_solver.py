@@ -205,9 +205,17 @@ class TestEnergyBudget:
         phi = random_solenoidal_field(4, rng, amplitude=0.05)
         force = ForceSpec(normalize_force([(1.0, phi)], lat))
         u0 = random_solenoidal_field(4, rng, amplitude=0.01)
+        # one explicit power term: each force evaluation is one sys.eval call
+        calls = []
+        sys_eval = lat.system.eval
+        lat.system.eval = lambda lam, t: calls.append(t) or sys_eval(lam, t)
         tol = 1e-8
         trace = integrate_nse(u0, force, 5.0, 200.0, tol,
                               norm_indices=(GevreyIndex(0.5, 0.0),))
+        # a doubled step pays 11 rhs plus the ledger's midpoint and end
+        # nodes (3 each); the start node is the previous step's end
+        attempts = trace.stats["n_steps"] + trace.stats["n_rejected"]
+        assert len(calls) <= 18 * attempts + len(trace.times) + 8, (len(calls), attempts)
         report = energy_budget(trace)
         assert report["energy_identity"].passed, report["energy_identity"].measured
         assert report["energy_identity"].measured["max_rel_residual"] <= 100 * tol

@@ -117,14 +117,13 @@ class TestIteratedLog:
 class TestWedge:
     def test_power_sum(self):
         w = PowerSystem().wedge(Exponent(1.5), Exponent(2.5))
-        assert w.gamma.value == pytest.approx(4.0) and w.d == 1.0
+        assert w.value == pytest.approx(4.0)
 
     def test_product_pairs_add(self):
         sys = ProductSystem(GAMMA)
         w = sys.wedge(sys.exponent_from_pair(2, 3), sys.exponent_from_pair(1, 1))
-        assert w.gamma.pair == (Fraction(3), Fraction(4))
-        assert w.gamma.value == pytest.approx(GAMMA * 3 + (1 - GAMMA) * 4, rel=1e-14)
-        assert w.d == 1.0
+        assert w.pair == (Fraction(3), Fraction(4))
+        assert w.value == pytest.approx(GAMMA * 3 + (1 - GAMMA) * 4, rel=1e-14)
 
     def test_commutative(self):
         product = ProductSystem(GAMMA)
@@ -133,16 +132,16 @@ class TestWedge:
             (SqrtShiftSystem(), Exponent(1.0), Exponent(2.0)),
             (product, product.exponent_from_pair(2, 3), product.exponent_from_pair(1, 1)),
         ]:
-            assert sys.same(sys.wedge(a, b).gamma, sys.wedge(b, a).gamma)
+            assert sys.same(sys.wedge(a, b), sys.wedge(b, a))
 
     def test_pointwise_identity(self):
-        # with d = 1 the product identity holds exactly pointwise
+        # the product identity holds exactly pointwise
         sys = SqrtShiftSystem()
         lam, mu = Exponent(1.3), Exponent(0.9)
         w = sys.wedge(lam, mu)
         for t in (2.0, 17.0, 400.0):
             assert sys.eval(lam, t) * sys.eval(mu, t) == pytest.approx(
-                w.d * sys.eval(w.gamma, t), rel=1e-12)
+                sys.eval(w, t), rel=1e-12)
 
 
 class TestVee:
