@@ -55,6 +55,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _integer(value) -> int:
+    """value itself if it is an integer; JSON 2.5, "2" and true are not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"needs an integer, got {value!r}")
+    return value
+
+
 _TOP_KEYS = {"schema", "system", "cutoff", "lattice_cutoff", "generators",
              "force", "solver", "verification", "seed"}
 _SYSTEM_KEYS = {"kind", "params"}
@@ -62,7 +69,9 @@ _FORCE_KEYS = {"type", "terms"}
 _TERM_KEYS = {"exponent", "field"}
 _SOLVER_KEYS = {"t0", "t1", "tol", "sample_ratio", "step_growth", "u0"}
 _VERIF_KEYS = {"orders", "gevrey", "window", "order_tolerance", "falsify"}
-_FALSIFY_KEYS = {"n", "relative", "max_order_fraction"}
+_FALSIFY_FIELDS = (("n", _integer, 0), ("relative", float, 0.01),
+                   ("max_order_fraction", float, 0.7))
+_FALSIFY_KEYS = {key for key, _, _ in _FALSIFY_FIELDS}
 _FIELD_KEYS = {"modes", "random"}
 _MODE_KEYS = {"k", "re", "im"}
 _RANDOM_DEFAULTS = {"amplitude": 0.1, "radius": 0.4, "order": 2.0}
@@ -169,16 +178,22 @@ class ExperimentConfig:
             raise ConfigError("config.solver needs t1 > t0 and tol > 0")
         sample_ratio = _read("config.solver.sample_ratio",
                              lambda: float(sol.get("sample_ratio", 1.1)))
+        if not sample_ratio > 1.0:
+            raise ConfigError(f"config.solver.sample_ratio must exceed 1, got {sample_ratio!r}")
         step_growth = _read("config.solver.step_growth",
                             lambda: float(sol.get("step_growth", 0.08)))
+        if not step_growth > 0.0:
+            raise ConfigError(f"config.solver.step_growth must be positive, got {step_growth!r}")
         u0_spec = sol.get("u0", "expansion" if ftype == "manufactured" else "zero")
         if u0_spec not in ("zero", "expansion"):
             u0_spec = _field_spec(u0_spec, cutoff, "config.solver.u0")
 
         verif = data.get("verification", {})
         _reject_unknown(verif, _VERIF_KEYS, "config.verification")
-        orders = _read("config.verification.orders",
-                       lambda: [int(n) for n in verif.get("orders", [])])
+        orders = verif.get("orders", [])
+        if not isinstance(orders, list):
+            raise ConfigError(f"config.verification.orders must be a list, got {orders!r}")
+        orders = _read("config.verification.orders", lambda: [_integer(n) for n in orders])
         if any(n < 0 for n in orders):
             raise ConfigError("config.verification.orders must be nonnegative")
         gevrey = _read("config.verification.gevrey", lambda: [
@@ -186,18 +201,30 @@ class ExperimentConfig:
         window = verif.get("window")
         window = (t0, t1) if window is None else _read(
             "config.verification.window", lambda: (float(window[0]), float(window[1])))
+        if not window[0] < window[1]:
+            raise ConfigError(f"config.verification.window must be increasing, got {list(window)}")
         order_tolerance = _read("config.verification.order_tolerance",
                                 lambda: float(verif.get("order_tolerance", 0.1)))
-        falsify = verif.get("falsify")
-        if falsify is not None:
-            _reject_unknown(falsify, _FALSIFY_KEYS, "config.verification.falsify")
-            if _read("config.verification.falsify.n", lambda: int(falsify.get("n", 0))) < 1:
+        falsify_spec, falsify = verif.get("falsify"), None
+        if falsify_spec is not None:
+            _reject_unknown(falsify_spec, _FALSIFY_KEYS, "config.verification.falsify")
+            falsify = {key: _read(f"config.verification.falsify.{key}",
+                                  lambda: kind(falsify_spec.get(key, default)))
+                       for key, kind, default in _FALSIFY_FIELDS}
+            if falsify["n"] < 1:
                 raise ConfigError("config.verification.falsify.n must be >= 1")
-        seed = _read("config.seed", lambda: int(data.get("seed", 0)))
+        seed = _read("config.seed", lambda: _integer(data.get("seed", 0)))
+        if seed < 0:
+            raise ConfigError(f"config.seed must be nonnegative, got {seed}")
         return cls(data, system, cutoff, lattice_cutoff, data["generators"], ftype,
                    [(t["exponent"], f) for t, f in zip(terms, fields)],
                    t0, t1, tol, sample_ratio, step_growth, u0_spec,
                    orders, gevrey, window, order_tolerance, falsify, seed)
+
+    @property
+    def verifying(self) -> bool:
+        """Whether the config asks for any check (remainder orders or falsify)."""
+        return bool(self.orders) or self.falsify is not None
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -309,26 +336,26 @@ def _closure(cfg: ExperimentConfig) -> tuple[ExponentLattice, list]:
     return closure(cfg.system, gens + term_exps, cfg.lattice_cutoff), term_exps
 
 
-def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> ExperimentResult:
-    """Lattice -> coefficients -> simulate -> verify, no files written."""
-    sys_ = cfg.system
-    seed = cfg.seed if seed is None else seed
-    rng = np.random.default_rng(seed)
-    lat, term_exps = _closure(cfg)
+def _expand(cfg: ExperimentConfig, rng: np.random.Generator):
+    """Lattice -> force -> coefficients, and the round-trip check of a
+    manufactured force when the config verifies anything.
 
+    Returns (lattice, coefficients, reference, force, checks); the reference
+    is the expansion the remainders are measured against.
+    """
+    lat, term_exps = _closure(cfg)
     raw_terms = [(exp, _make_field(fld, cfg.cutoff, rng))
                  for exp, (_, fld) in zip(term_exps, cfg.force_terms)]
-    compute = compute_coefficients_discrete if sys_.discrete else compute_coefficients
+    compute = compute_coefficients_discrete if cfg.system.discrete else compute_coefficients
     checks: list[dict] = []
 
-    verifying = bool(cfg.orders) or cfg.falsify is not None
     if cfg.force_type == "manufactured":
         target = normalize_force(raw_terms, lat)
         n_terms = max(lat.index_of(e) for e, _ in raw_terms)
         force = manufacture_force(target, n_terms)
         coeffs = compute(force.expansion)
         reference = target
-        if verifying:
+        if cfg.verifying:
             # the recursion must reproduce the targets from the force expansion
             worst = 0.0
             scale = max(f.l2() for f in target.fields)
@@ -341,17 +368,34 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
         force = ForceSpec(force_exp)
         coeffs = compute(force_exp)
         reference = coeffs
+    return lat, coeffs, reference, force, checks
 
+
+def _simulate(cfg: ExperimentConfig, reference: Expansion, force: ForceSpec,
+              rng: np.random.Generator) -> SimulationTrace:
+    """The initial state and the Galerkin run from t0 to t1."""
     if cfg.u0_spec == "zero":
         u0 = SpectralField.zero(cfg.cutoff)
     elif cfg.u0_spec == "expansion":
         u0 = evaluate_expansion(reference, cfg.t0)
     else:
         u0 = _make_field(cfg.u0_spec, cfg.cutoff, rng)
+    return integrate_nse(u0, force, cfg.t0, cfg.t1, cfg.tol,
+                         sample_ratio=cfg.sample_ratio, step_growth=cfg.step_growth,
+                         norm_indices=cfg.gevrey)
 
-    trace = integrate_nse(u0, force, cfg.t0, cfg.t1, cfg.tol,
-                          sample_ratio=cfg.sample_ratio, step_growth=cfg.step_growth,
-                          norm_indices=cfg.gevrey)
+
+def _rng(cfg: ExperimentConfig, seed: Optional[int]) -> np.random.Generator:
+    """The one generator of a run; the force fields draw from it before u0."""
+    return np.random.default_rng(cfg.seed if seed is None else seed)
+
+
+def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> ExperimentResult:
+    """Lattice -> coefficients -> simulate -> verify, no files written."""
+    sys_ = cfg.system
+    rng = _rng(cfg, seed)
+    lat, coeffs, reference, force, checks = _expand(cfg, rng)
+    trace = _simulate(cfg, reference, force, rng)
 
     remainders: dict = {}
     for N in cfg.orders:
@@ -373,9 +417,7 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
                                  fit.slope >= floor))
 
     if cfg.falsify is not None:
-        n = int(cfg.falsify["n"])
-        rel = float(cfg.falsify.get("relative", 0.01))
-        frac = float(cfg.falsify.get("max_order_fraction", 0.7))
+        n, rel, frac = (cfg.falsify[key] for key, _, _ in _FALSIFY_FIELDS)
         expected = _next_nonzero_exponent(reference, n)
         if expected is None:
             raise ConfigError(f"config.verification.falsify.n = {n}: "
@@ -389,7 +431,7 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
         checks.append(_check(f"falsify[n={n}]", "perturbed_order_at_most",
                              cap, fit.slope, fit.slope <= cap))
 
-    if verifying:
+    if cfg.verifying:
         primary = {"energy_identity": "max_rel_residual",
                    "apriori_energy_bound": "worst_margin",
                    "force_envelope_convolution": "worst_margin",
@@ -436,6 +478,13 @@ def emit_report(result: ExperimentResult, outdir) -> list[Path]:
 # command line
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
+    return seed
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="nsasym",
@@ -452,7 +501,7 @@ def _parser() -> argparse.ArgumentParser:
         q = sub.add_parser(name, help=desc)
         q.add_argument("--config", required=True, help="experiment config JSON")
         q.add_argument("--out", default=None, help="output directory")
-        q.add_argument("--seed", type=int, default=None, help="override the config seed")
+        q.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     return p
 
 
@@ -495,16 +544,22 @@ def _command(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.command == "lattice":
         return _print_json(_closure(cfg)[0].to_json(), args.out, "lattice.json")
 
-    result = run_experiment(cfg, seed=args.seed)
-    if args.command == "coeffs":
-        return _print_json(result.coefficients.to_json(), args.out, "coefficients.json")
-    outdir = Path(args.out or "out")
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.command == "simulate":
-        result.trace.to_csv(outdir / "trace.csv")
-        _write_json(outdir / "states.json", result.trace.states_json())
+    if args.command in ("coeffs", "simulate"):
+        rng = _rng(cfg, args.seed)
+        _, coeffs, reference, force, _ = _expand(cfg, rng)
+        if args.command == "coeffs":
+            return _print_json(coeffs.to_json(), args.out, "coefficients.json")
+        trace = _simulate(cfg, reference, force, rng)
+        outdir = Path(args.out or "out")
+        outdir.mkdir(parents=True, exist_ok=True)
+        trace.to_csv(outdir / "trace.csv")
+        _write_json(outdir / "states.json", trace.states_json())
         print(f"trace written to {outdir}")
         return 0
+
+    result = run_experiment(cfg, seed=args.seed)
+    outdir = Path(args.out or "out")
+    outdir.mkdir(parents=True, exist_ok=True)
     if args.command == "run":
         emit_report(result, outdir)
     else:  # verify

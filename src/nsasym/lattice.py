@@ -1,13 +1,16 @@
 """Closure of a set of decay exponents under the wedge and vee operations.
 
-Starting from the force exponents, alternately adjoin every vee image and
-every pairwise wedge, keeping only exponents up to a cutoff; the fixed
-point is the sorted index set that a solution expansion lives on.  Each
+Starting from the force exponents, the closure adjoins every vee image and
+every pairwise wedge up to a cutoff; the result is the sorted index set
+that a solution expansion lives on.  Both operations give an exponent
+strictly above their sources, so the closure is built in one increasing
+pass: an entry is final once every smaller entry has been processed.  Each
 entry records its provenance (generator, wedge of two earlier entries, or
-k-th vee image of an earlier entry) so the recursion engine can enumerate
-exactly the interactions landing on a given entry without re-searching.
-The vee terms of every entry are computed once, at closure, and kept on
-the lattice for the recursion, the residual audit and manufactured forces.
+k-th vee image of an earlier entry) as its images are adjoined, so the
+recursion engine can enumerate exactly the interactions landing on a given
+entry without re-searching.  The vee terms of every entry are computed
+once, in the same pass, and kept on the lattice for the recursion, the
+residual audit and manufactured forces.
 
 Whether two exponents are the same entry is decided by the system's one
 identity rule, ``DecaySystem.same``; every lookup here goes through it.
@@ -118,32 +121,25 @@ def _find(sys: DecaySystem, values: Sequence[float], items: Sequence[Exponent],
     return None
 
 
-class _WorkingSet:
-    """Sorted collection of exponents, deduplicated by the system's rule."""
-
-    def __init__(self, sys: DecaySystem):
-        self.sys = sys
-        self.values: list[float] = []
-        self.items: list[Exponent] = []
-
-    def add(self, exp: Exponent) -> bool:
-        if _find(self.sys, self.values, self.items, exp) is not None:
-            return False
-        j = bisect_left(self.values, exp.value)
-        self.values.insert(j, exp.value)
-        self.items.insert(j, exp)
-        return True
+_RANK = {"generator": 0, "wedge": 1, "vee": 2}  # order of an entry's origin tags
 
 
 def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLattice:
     """Smallest exponent set containing the generators, closed under wedge
     and vee below the cutoff, sorted increasingly.
 
-    Alternates vee passes and wedge passes until a full sweep adds nothing.
+    One cursor pass over a sorted working list, seeded with the generators.
+    Every wedge and vee image lies strictly above its sources, so the entry
+    under the cursor can no longer be reached from anything unprocessed: it
+    is final, and so is its index.  At that entry the pass computes its vee
+    terms once (below the cutoff; none at or above it), then wedges it with
+    itself and with each earlier entry, so each unordered pair is visited
+    once.  Every image is adjoined unless the system calls it the same as
+    an entry already listed, and is tagged on the entry it lands on as
+    ("vee", p, k), or as ("wedge", i, j) and ("wedge", j, i).  Each entry's
+    tags end up ordered generator, wedges by (i, j), vees by (p, k).
     Termination for well-posed systems follows from the minimum spacing of
     reachable exponents; a runaway count (> 10^6) raises ClosureError.
-    The vee terms of every entry are computed once here and kept on the
-    lattice (``ExponentLattice.vee``).
     """
     gens = [sys.exponent(g) for g in generators]
     cutoff = float(cutoff)
@@ -154,66 +150,50 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
     if any(g.value > cutoff + VALUE_TOL for g in gens):
         raise ClosureError("every generator must lie within the cutoff")
 
-    work = _WorkingSet(sys)
-    for g in gens:
-        work.add(g)
+    values: list[float] = []
+    items: list[Exponent] = []
+    origins: list[list[tuple]] = []
 
-    changed = True
-    while changed:
-        changed = False
-        # vee pass
-        for exp in list(work.items):
-            if exp.value >= cutoff:
-                continue
-            for term in sys.vee(exp, cutoff):
-                changed |= work.add(term.exponent)
-        # wedge pass
-        snapshot = list(work.items)
-        for i, a in enumerate(snapshot):
-            for b in snapshot[i:]:
-                if a.value + b.value > cutoff + VALUE_TOL:
-                    break  # snapshot is sorted; later b only grow
-                gamma = sys.wedge(a, b)
-                if gamma.value <= cutoff + VALUE_TOL:
-                    changed |= work.add(gamma)
-        if len(work.items) > MAX_ENTRIES:
+    def adjoin(exp: Exponent) -> int:
+        """0-based position of the entry the system calls the same as exp,
+        inserted in sorted position if there is none yet."""
+        n = _find(sys, values, items, exp)
+        if n is None:
+            n = bisect_left(values, exp.value)
+            values.insert(n, exp.value)
+            items.insert(n, exp)
+            origins.insert(n, [])
+        return n
+
+    for g in gens:
+        tags = origins[adjoin(g)]
+        if not tags:
+            tags.append(("generator",))
+
+    vees: list[tuple[VeeTerm, ...]] = []
+    for c, a in enumerate(items):  # items grows only above the cursor
+        terms = tuple(sys.vee(a, cutoff)) if a.value < cutoff else ()
+        vees.append(terms)
+        for k, term in enumerate(terms, 1):
+            n = adjoin(term.exponent)
+            if n > c:
+                origins[n].append(("vee", c + 1, k))
+        for i in range(c + 1):
+            b = items[i]
+            if a.value + b.value > cutoff + VALUE_TOL:
+                break  # items are sorted; later b only grow
+            gamma = sys.wedge(b, a)
+            if gamma.value <= cutoff + VALUE_TOL and (n := adjoin(gamma)) > c:
+                # both orders, one tag when i == c
+                origins[n] += {("wedge", i + 1, c + 1), ("wedge", c + 1, i + 1)}
+        if len(items) > MAX_ENTRIES:
             raise ClosureError(
                 f"closure exceeded {MAX_ENTRIES} entries below cutoff {cutoff:g}; "
                 "the exponent set appears to accumulate")
 
-    vees = tuple(tuple(sys.vee(e, cutoff)) if e.value < cutoff else () for e in work.items)
-    return ExponentLattice(sys, cutoff, _with_provenance(sys, work, gens, vees), vees)
-
-
-def _with_provenance(sys: DecaySystem, work: _WorkingSet, gens: Sequence[Exponent],
-                     vees: Sequence[Sequence[VeeTerm]]) -> tuple[LatticeEntry, ...]:
-    """Tag every entry with its origins in one forward pass.
-
-    Each generator, each ordered wedge pair (i, j) and each k-th vee image
-    of an entry p is looked up once and recorded on the entry it lands on,
-    provided that entry comes after its sources.  Generators come first,
-    then wedge pairs in (i, j) order, then vee routes in (p, k) order.
-    """
-    exps, vals = work.items, work.values
-    origins: list[list[tuple]] = [[] for _ in exps]
-    for g in gens:
-        tags = origins[_find(sys, vals, exps, g)]
-        if not tags:
-            tags.append(("generator",))
-    reach = vals[-1] + VALUE_TOL  # no larger wedge can be the same as an entry
-    for i, a in enumerate(exps):
-        for j, b in enumerate(exps):
-            if a.value + b.value > reach:
-                break  # values are sorted; later b only grow
-            n = _find(sys, vals, exps, sys.wedge(a, b))
-            if n is not None and n > max(i, j):
-                origins[n].append(("wedge", i + 1, j + 1))
-    for p, terms in enumerate(vees):
-        for k, term in enumerate(terms, 1):
-            n = _find(sys, vals, exps, term.exponent)
-            if n is not None and n > p:
-                origins[n].append(("vee", p + 1, k))
-    return tuple(LatticeEntry(exp, tuple(tags)) for exp, tags in zip(exps, origins))
+    entries = tuple(LatticeEntry(exp, tuple(sorted(tags, key=lambda o: (_RANK[o[0]], o[1:]))))
+                    for exp, tags in zip(items, origins))
+    return ExponentLattice(sys, cutoff, entries, tuple(vees))
 
 
 # ---------------------------------------------------------------------------

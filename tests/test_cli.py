@@ -4,6 +4,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from nsasym import cli
 from nsasym.cli import ConfigError, ExperimentConfig, emit_report, main, run_experiment
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -12,6 +13,29 @@ SCHEMA_PATH = Path(__file__).resolve().parent.parent / "src" / "nsasym" / "schem
 
 def load_config(name):
     return ExperimentConfig.load(CONFIG_DIR / name)
+
+
+def mutated_config(tmp_path, path, value):
+    """A copy of power_two_term.json with the field at ``path`` set to ``value``
+    (deleted when value is None, appended one past the end of a list, and a
+    "random" step replaces a modes field by a random one)."""
+    data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
+    *parents, key = path
+    section = data
+    for part in parents:
+        if part == "random":
+            section.clear()
+            section[part] = {}
+        section = section[part]
+    if value is None:
+        del section[key]
+    elif isinstance(section, list) and key == len(section):
+        section.append(value)
+    else:
+        section[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    return str(bad)
 
 
 @pytest.fixture(scope="module")
@@ -148,23 +172,8 @@ class TestCommandLine:
             "mode_k_repeated", "product_param_typo", "power_extra_param",
             "mode_k_zero", "mode_mirror_listed"])
     def test_malformed_field_exit_two(self, path, value, tmp_path, capsys):
-        data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
-        *parents, key = path
-        section = data
-        for name in parents:
-            if name == "random":  # replace the modes field by a random one
-                section.clear()
-                section[name] = {}
-            section = section[name]
-        if value is None:
-            del section[key]
-        elif isinstance(section, list) and key == len(section):
-            section.append(value)  # a new entry after the last
-        else:
-            section[key] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        rc = main(["verify", "--config", str(bad), "--out", str(tmp_path)])
+        bad = mutated_config(tmp_path, path, value)
+        rc = main(["verify", "--config", bad, "--out", str(tmp_path)])
         captured = capsys.readouterr()
         assert rc == 2
         lines = captured.err.strip().splitlines()
@@ -172,21 +181,68 @@ class TestCommandLine:
         name = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
         assert "config" + name in lines[0]
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("seed",), -1, "config.seed"),
+        (("verification", "falsify"), {"n": 1, "relative": "x"},
+         "config.verification.falsify.relative"),
+        (("verification", "falsify"), {"n": 1, "max_order_fraction": "x"},
+         "config.verification.falsify.max_order_fraction"),
+        (("solver", "step_growth"), 0, "config.solver.step_growth"),
+        (("solver", "step_growth"), -1, "config.solver.step_growth"),
+        (("solver", "sample_ratio"), 1.0, "config.solver.sample_ratio"),
+        (("verification", "window"), [500.0, 50.0], "config.verification.window"),
+        (("verification", "orders"), "1", "config.verification.orders"),
+        (("seed",), 2.7, "config.seed"),
+        (("verification", "falsify"), {"n": 1.5}, "config.verification.falsify.n"),
+    ], ids=["seed_negative", "falsify_relative_text", "falsify_fraction_text",
+            "step_growth_zero", "step_growth_negative", "sample_ratio_one",
+            "window_reversed", "orders_text", "seed_fraction", "falsify_n_fraction"])
+    def test_malformed_field_fails_on_load(self, path, value, field, tmp_path, capsys):
+        # `lattice` only loads the config, so a field that escapes the loader
+        # shows as exit 0 here instead of a failure or hang in a later stage
+        rc = main(["lattice", "--config", mutated_config(tmp_path, path, value)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {field} ")
+
+    def test_negative_seed_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "--config", str(CONFIG_DIR / "power_two_term.json"),
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_coeffs_prints_run_coefficients(self, two_term_result, tmp_path, capsys):
+        emit_report(two_term_result, tmp_path)
+        assert main(["coeffs", "--config", str(CONFIG_DIR / "power_two_term.json")]) == 0
+        assert capsys.readouterr().out == (tmp_path / "coefficients.json").read_text()
+
+    def test_coeffs_does_not_integrate(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("coeffs must not run the solver")
+        monkeypatch.setattr(cli, "integrate_nse", refuse)
+        assert main(["coeffs", "--config", str(CONFIG_DIR / "power_two_term.json")]) == 0
+        assert json.loads(capsys.readouterr().out)
+
+    def test_thin_window_only_fails_stages_that_fit(self, tmp_path, capsys):
+        # a fit window past the run is a library failure of verify, not of
+        # the stages that never fit
+        bad = mutated_config(tmp_path, ("verification", "window"), [1e4, 2e4])
+        assert main(["coeffs", "--config", bad]) == 0
+        assert main(["simulate", "--config", bad, "--out", str(tmp_path / "sim")]) == 0
+        assert (tmp_path / "sim" / "states.json").exists()
+        assert main(["verify", "--config", bad, "--out", str(tmp_path)]) == 3
+        capsys.readouterr()
+
     @pytest.mark.parametrize("path, value, error", [
         (("generators",), [1.0, 5.0], "ClosureError"),
         (("verification", "window"), [200.0, 300.0], "FitError"),
         (("solver", "t0"), 0.5, "DomainError"),
     ], ids=["generator_above_cutoff", "window_outside_run", "t0_below_t_min"])
     def test_library_failure_exit_three(self, path, value, error, tmp_path, capsys):
-        data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
-        *parents, key = path
-        section = data
-        for name in parents:
-            section = section[name]
-        section[key] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        rc = main(["verify", "--config", str(bad), "--out", str(tmp_path)])
+        bad = mutated_config(tmp_path, path, value)
+        rc = main(["verify", "--config", bad, "--out", str(tmp_path)])
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsasym.lattice import (
     ClosureError,
@@ -10,7 +11,7 @@ from nsasym.lattice import (
     decompose_product_exponent,
     enumerate_pair_components,
 )
-from nsasym.systems import Exponent, PowerSystem, ProductSystem, SqrtShiftSystem
+from nsasym.systems import VALUE_TOL, Exponent, PowerSystem, ProductSystem, SqrtShiftSystem
 
 from oracles import bfs_closure
 
@@ -42,6 +43,26 @@ def provenance_lattices():
         closure(SqrtShiftSystem(), [1.0, 1.5], 7.0),
         closure(product, [product.exponent_from_pair(1, 1), product.exponent_from_pair(1, 2)], 5.0),
     ]
+
+
+def rescan_wedge_pairs(lat, n):
+    """Ordered pairs (i, j) whose values sum to entry n's, by brute force."""
+    vals = lat.values()
+    return sorted((i + 1, j + 1) for i in range(len(vals)) for j in range(len(vals))
+                  if abs(vals[i] + vals[j] - vals[n - 1]) <= 1e-9)
+
+
+def rescan_vee_sources(lat, n):
+    """Pairs (p, k) whose k-th vee term has entry n's value, by brute force."""
+    vals = lat.values()
+    expect = []
+    for p, v in enumerate(vals, 1):
+        if v >= lat.cutoff:
+            continue
+        for k, term in enumerate(lat.system.vee(lat.exponent(p), lat.cutoff), 1):
+            if abs(term.exponent.value - vals[n - 1]) <= 1e-9:
+                expect.append((p, k))
+    return sorted(expect)
 
 
 class TestClosure:
@@ -77,6 +98,26 @@ class TestClosure:
             got = closure(sys, gens, cutoff).values()
             assert len(got) == len(oracle)
             assert got == pytest.approx(list(oracle), abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["power", "sqrt_shift"]),
+           gens=st.lists(st.integers(500, 3000), min_size=1, max_size=3),
+           cutoff=st.integers(3000, 6000))
+    def test_matches_bfs_oracle_property(self, kind, gens, cutoff):
+        # generators on a 1e-3 grid and a cutoff half a grid step off it, so
+        # no reachable value sits on the cutoff within rounding
+        gens = sorted({g / 1000 for g in gens})
+        cutoff = (cutoff + 0.5) / 1000
+        if kind == "power":
+            sys, vee = PowerSystem(), lambda x: power_vee_values(x, cutoff)
+        else:
+            sys, vee = SqrtShiftSystem(), sqrt_vee_values(cutoff)
+        lat = closure(sys, gens, cutoff)
+        oracle = bfs_closure(vee, lambda a, b: a + b, gens, cutoff)
+        assert lat.values() == pytest.approx(list(oracle), abs=1e-9)
+        for n in range(1, len(lat) + 1):
+            assert sorted(lat.wedge_pairs(n)) == rescan_wedge_pairs(lat, n)
+            assert sorted(lat.vee_sources(n)) == rescan_vee_sources(lat, n)
 
     def test_monotone_in_cutoff(self):
         sys = SqrtShiftSystem()
@@ -121,24 +162,46 @@ class TestProvenance:
 
     def test_wedge_pairs_match_rescan(self):
         for lat in provenance_lattices():
-            vals = lat.values()
             for n in range(1, len(lat) + 1):
-                expect = [(i + 1, j + 1) for i in range(len(vals)) for j in range(len(vals))
-                          if abs(vals[i] + vals[j] - vals[n - 1]) <= 1e-9]
-                assert sorted(lat.wedge_pairs(n)) == sorted(expect)
+                assert sorted(lat.wedge_pairs(n)) == rescan_wedge_pairs(lat, n)
 
     def test_vee_sources_match_rescan(self):
         for lat in provenance_lattices():
-            vals = lat.values()
             for n in range(1, len(lat) + 1):
-                expect = []
-                for p, v in enumerate(vals, 1):
-                    if v >= lat.cutoff:
-                        continue
-                    for k, term in enumerate(lat.system.vee(lat.exponent(p), lat.cutoff), 1):
-                        if abs(term.exponent.value - vals[n - 1]) <= 1e-9:
-                            expect.append((p, k))
-                assert sorted(lat.vee_sources(n)) == sorted(expect)
+                assert sorted(lat.vee_sources(n)) == rescan_vee_sources(lat, n)
+
+    def test_origins_ordered(self):
+        # generator first, then wedges by (i, j), then vees by (p, k)
+        rank = {"generator": 0, "wedge": 1, "vee": 2}
+        for lat in provenance_lattices():
+            for e in lat.entries:
+                keys = [(rank[o[0]], o[1:]) for o in e.origins]
+                assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_each_pair_wedged_once(self, monkeypatch):
+        # deterministic cost guard: one pass wedges each unordered pair within
+        # the cutoff at most once and expands each entry's vee terms at most once
+        for lat in provenance_lattices():
+            sys = lat.system
+            calls = {"wedge": 0, "vee": 0}
+
+            def spy(name, method):
+                def counted(*args):
+                    calls[name] += 1
+                    return method(*args)
+                monkeypatch.setattr(sys, name, counted)
+
+            spy("wedge", sys.wedge)
+            spy("vee", sys.vee)
+            gens = [e.exponent for e in lat.entries if e.is_generator()]
+            again = closure(sys, gens, lat.cutoff)
+            monkeypatch.undo()
+            vals = again.values()
+            pairs = sum(vals[i] + vals[j] <= lat.cutoff + VALUE_TOL
+                        for j in range(len(vals)) for i in range(j + 1))
+            assert again.to_json() == lat.to_json()
+            assert calls["wedge"] <= pairs
+            assert calls["vee"] <= len(again)
 
     def test_closure_invariant(self):
         # every wedge and vee image below the cutoff must be present

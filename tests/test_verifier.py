@@ -21,7 +21,7 @@ from nsasym.spectral import (
     gevrey_norm,
     random_solenoidal_field,
 )
-from nsasym.systems import IteratedLogSystem, PowerSystem
+from nsasym.systems import IteratedLogSystem, PowerSystem, ProductSystem, SqrtShiftSystem
 from nsasym.verify import (
     FitError,
     check_bilinear_estimate,
@@ -83,6 +83,38 @@ class TestManufacture:
             - (1.0 / (lt ** 2 * t)) * xi
         got = evaluate_force(force, t)
         assert (got - want).l2() <= 1e-13 * want.l2()
+
+    @pytest.mark.parametrize("kind", ["sqrt_shift", "product"])
+    def test_vee_tail_closed_form_derivative(self, kind):
+        # u = xi psi_1 with psi_1^2 = psi_2: f = A xi psi_1 + B(xi, xi) psi_2
+        # + xi psi_1', where the lattice holds only part of psi_1's vee
+        # family and the extra term adds back psi_1' minus that tail
+        if kind == "sqrt_shift":
+            sys, gen, cutoff, tail = SqrtShiftSystem(), 1.0, 4.5, 2
+
+            def psi1_prime(t):
+                s = math.sqrt(t)
+                return -0.5 * (s + 1.0) ** -2 / s
+        else:
+            sys = ProductSystem(math.sqrt(2.0) / 2.0)
+            gen, cutoff, tail = sys.exponent_from_pair(1, 1), 3.5, 8
+            g = sys.gamma
+
+            def psi1_prime(t):
+                p, q = t ** g + 1.0, t ** (1.0 - g) + 1.0
+                return -(g * t ** (g - 1.0) / p + (1.0 - g) * t ** -g / q) / (p * q)
+        lat = closure(sys, [gen], cutoff)
+        assert len(lat.vee(1)) == tail
+        xi = random_solenoidal_field(2, np.random.default_rng(5), amplitude=0.1)
+        force = manufacture_force(target_expansion(lat, [xi]), 1)
+        assert len(force.extras) == 1
+        two = lat.index_of(sys.wedge(lat.exponent(1), lat.exponent(1)))
+        for t in (3.0, 50.0, 1e4):
+            want = sys.eval(lat.exponent(1), t) * apply_multiplier(xi, "A_alpha", 1.0) \
+                + sys.eval(lat.exponent(two), t) * bilinear_form(xi, xi) \
+                + psi1_prime(t) * xi
+            got = evaluate_force(force, t)
+            assert (got - want).l2() <= 1e-13 * want.l2()
 
     def test_round_trip_two_terms(self):
         lat = closure(PowerSystem(), [1.0, 2.0], 4.0)
