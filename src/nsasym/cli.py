@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,7 +42,7 @@ from .spectral import (
     random_solenoidal_field,
     wave_vector,
 )
-from .systems import DecaySystem, DomainError, system_from_json
+from .systems import DecaySystem, DomainError, Exponent, system_from_json
 from .verify import FitError, fit_decay_order, manufacture_force, remainder_series
 
 __all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult",
@@ -89,6 +90,18 @@ def _reject_unknown(data: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _finite(value, where: str) -> None:
+    """Reject NaN and +-inf anywhere under ``where``: json reads them, and
+    overflowing literals such as 1e400, as floats that every later check
+    either passes (100 * inf) or chokes on."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} = {value} is not a finite number")
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        _finite(item, f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}")
+
+
 def _read(where: str, parse):
     """parse(), with a missing or malformed value reported as a ConfigError
     naming the field ``where``."""
@@ -98,7 +111,7 @@ def _read(where: str, parse):
         raise
     except KeyError:
         raise ConfigError(f"{where} is missing") from None
-    except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (IndexError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{where} is malformed: {exc}") from None
 
 
@@ -108,9 +121,9 @@ class ExperimentConfig:
     system: DecaySystem
     cutoff: int
     lattice_cutoff: float
-    generators: list
+    generators: list[Exponent]
     force_type: str
-    force_terms: list          # [(exponent spec, checked field spec)]
+    force_terms: list          # [(Exponent, checked field spec)]
     t0: float
     t1: float
     tol: float
@@ -128,6 +141,7 @@ class ExperimentConfig:
     def from_json(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
+        _finite(data, "config")
         _reject_unknown(data, _TOP_KEYS, "config")
         if data.get("schema") != SCHEMA_VERSION:
             raise ConfigError(f"config schema must be {SCHEMA_VERSION}, "
@@ -149,8 +163,8 @@ class ExperimentConfig:
             raise ConfigError("config.lattice_cutoff must be positive")
         if not isinstance(data["generators"], list) or not data["generators"]:
             raise ConfigError("config.generators must be a nonempty list")
-        for i, spec in enumerate(data["generators"]):
-            _read(f"config.generators[{i}]", lambda: _exponent_spec(system, spec))
+        generators = [_read(f"config.generators[{i}]", lambda: _exponent_spec(system, spec))
+                      for i, spec in enumerate(data["generators"])]
 
         force = data["force"]
         _reject_unknown(force, _FORCE_KEYS, "config.force")
@@ -160,14 +174,15 @@ class ExperimentConfig:
         terms = force.get("terms")
         if not isinstance(terms, list) or not terms:
             raise ConfigError("config.force.terms must be a nonempty list")
-        fields = []
+        force_terms = []
         for i, term in enumerate(terms):
             _reject_unknown(term, _TERM_KEYS, f"config.force.terms[{i}]")
             if "exponent" not in term or "field" not in term:
                 raise ConfigError(f"config.force.terms[{i}] needs 'exponent' and 'field'")
-            _read(f"config.force.terms[{i}].exponent",
-                  lambda: _exponent_spec(system, term["exponent"]))
-            fields.append(_field_spec(term["field"], cutoff, f"config.force.terms[{i}].field"))
+            exponent = _read(f"config.force.terms[{i}].exponent",
+                             lambda: _exponent_spec(system, term["exponent"]))
+            force_terms.append(
+                (exponent, _field_spec(term["field"], cutoff, f"config.force.terms[{i}].field")))
 
         sol = data["solver"]
         _reject_unknown(sol, _SOLVER_KEYS, "config.solver")
@@ -216,8 +231,7 @@ class ExperimentConfig:
         seed = _read("config.seed", lambda: _integer(data.get("seed", 0)))
         if seed < 0:
             raise ConfigError(f"config.seed must be nonnegative, got {seed}")
-        return cls(data, system, cutoff, lattice_cutoff, data["generators"], ftype,
-                   [(t["exponent"], f) for t, f in zip(terms, fields)],
+        return cls(data, system, cutoff, lattice_cutoff, generators, ftype, force_terms,
                    t0, t1, tol, sample_ratio, step_growth, u0_spec,
                    orders, gevrey, window, order_tolerance, falsify, seed)
 
@@ -329,11 +343,10 @@ def _next_nonzero_exponent(exp: Expansion, N: int) -> Optional[float]:
     return None
 
 
-def _closure(cfg: ExperimentConfig) -> tuple[ExponentLattice, list]:
-    """Closure of the generators and force-term exponents, and the latter."""
-    gens = [_exponent_spec(cfg.system, g) for g in cfg.generators]
-    term_exps = [_exponent_spec(cfg.system, e) for e, _ in cfg.force_terms]
-    return closure(cfg.system, gens + term_exps, cfg.lattice_cutoff), term_exps
+def _closure(cfg: ExperimentConfig) -> ExponentLattice:
+    """Closure of the generators and force-term exponents."""
+    return closure(cfg.system, cfg.generators + [e for e, _ in cfg.force_terms],
+                   cfg.lattice_cutoff)
 
 
 def _expand(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -343,9 +356,8 @@ def _expand(cfg: ExperimentConfig, rng: np.random.Generator):
     Returns (lattice, coefficients, reference, force, checks); the reference
     is the expansion the remainders are measured against.
     """
-    lat, term_exps = _closure(cfg)
-    raw_terms = [(exp, _make_field(fld, cfg.cutoff, rng))
-                 for exp, (_, fld) in zip(term_exps, cfg.force_terms)]
+    lat = _closure(cfg)
+    raw_terms = [(exp, _make_field(fld, cfg.cutoff, rng)) for exp, fld in cfg.force_terms]
     compute = compute_coefficients_discrete if cfg.system.discrete else compute_coefficients
     checks: list[dict] = []
 
@@ -542,7 +554,7 @@ def _print_json(payload, out: Optional[str], name: str) -> int:
 
 def _command(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     if args.command == "lattice":
-        return _print_json(_closure(cfg)[0].to_json(), args.out, "lattice.json")
+        return _print_json(_closure(cfg).to_json(), args.out, "lattice.json")
 
     if args.command in ("coeffs", "simulate"):
         rng = _rng(cfg, args.seed)

@@ -45,6 +45,8 @@ from .spectral import (
     GevreyIndex,
     SpectralField,
     _grid,
+    apply_inverse_stokes,
+    apply_multiplier,
     bilinear_form,
     gevrey_norm,
 )
@@ -429,7 +431,7 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
     }
 
     if not nonlinear and xi is not None and feval.stack is None:
-        stats["linear_selfcheck"] = _linear_selfcheck(cutoff, u0, xi, rec_t, rec_state)
+        stats["linear_selfcheck"] = _linear_selfcheck(u0, xi, rec_t, rec_state)
 
     return SimulationTrace(
         times=np.array(rec_t), states=tuple(rec_state), l2=np.array(rec_l2),
@@ -438,17 +440,13 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
         force_l2=np.array(rec_fl2), steps=np.array(rec_h), stats=stats)
 
 
-def _linear_selfcheck(cutoff, w0, xi, times, states) -> float:
-    """Max relative deviation from w(t) = E(t-t0) w0 + A^-1 (1 - E(t-t0)) xi."""
-    ksq = _grid(cutoff)[1]
-    ksq_safe = np.where(ksq == 0, 1.0, ksq)[..., None]
+def _linear_selfcheck(w0, xi, times, states) -> float:
+    """Max relative deviation from w(t) = e^{-(t-t0)A} (w0 - A^-1 xi) + A^-1 xi."""
+    rest = apply_inverse_stokes(xi)
     worst = 0.0
-    t0 = times[0]
     for t, state in zip(times, states):
-        E = np.exp(np.maximum(-(t - t0) * ksq, -745.0))[..., None]
-        exact = E * w0.coeffs + (1.0 - E) / ksq_safe * xi.coeffs
-        scale = max(_l2(exact), 1e-300)
-        worst = max(worst, _l2(state.coeffs - exact) / scale)
+        exact = apply_multiplier(w0 - rest, "heat", t - times[0]) + rest
+        worst = max(worst, (state - exact).l2() / max(exact.l2(), 1e-300))
     return worst
 
 

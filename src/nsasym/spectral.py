@@ -18,9 +18,11 @@ The advective bilinear form B(u, v) = P((u . grad) v) is evaluated with
 real FFTs on a grid zero-padded to N >= 3K + 1 points per axis.  At that
 size no alias of the degree-2K product reaches |k|_inf <= K, so the result
 is the exact truncated convolution, not a dealiased approximation, and the
-finite-dimensional system is the exact Galerkin reduction.  Modes outside
-supp(u) + supp(v) are zeroed, so transform rounding never fills modes the
-convolution cannot reach.
+finite-dimensional system is the exact Galerkin reduction.  The support
+indicators of u and v ride in the same transform pair: their pointwise
+product transforms to the number of pairs p + q = k, and every mode with
+no such pair is set to exactly zero, so transform rounding never fills
+modes the convolution cannot reach.
 """
 
 from __future__ import annotations
@@ -119,18 +121,19 @@ def _grid(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return got
 
 
-# Cached per-cutoff padding: grid size N (3K + 1 rounded up to even), the
-# padded-grid index of each k in -K..K for the two full axes, and the
-# indices 0..K of the half axis that rfftn keeps.
-_PADS: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
+# Cached per-cutoff padding: grid size N (3K + 1 rounded up to even) and the
+# index of the k3 >= 0 half of the cube in a batch of padded half spectra
+# (k in -K..K on the two full axes, 0..K on the half axis that rfftn keeps).
+_PADS: dict[int, tuple[int, tuple]] = {}
 
 
-def _pad(cutoff: int) -> tuple[int, np.ndarray, np.ndarray]:
+def _pad(cutoff: int) -> tuple[int, tuple]:
     got = _PADS.get(cutoff)
     if got is None:
         n = 3 * cutoff + 1
         n += n % 2
-        got = (n, np.arange(-cutoff, cutoff + 1) % n, np.arange(cutoff + 1))
+        full = np.arange(-cutoff, cutoff + 1) % n
+        got = (n, (slice(None),) + np.ix_(full, full, np.arange(cutoff + 1)))
         _PADS[cutoff] = got
     return got
 
@@ -387,56 +390,36 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     N >= 3K + 1, multiplied pointwise and transformed back.  The product has
     degree at most 2K per axis, so no alias lands inside |k|_inf <= K and the
     cropped result equals the truncated convolution
-    sum_{p+q=k} i (u_hat(p) . q) v_hat(q) up to rounding.  Modes outside the
-    set sum supp(u) + supp(v), which the convolution cannot reach, are set to
-    exactly zero, so sparse states stay sparse.  The result is then
-    Leray-projected.
+    sum_{p+q=k} i (u_hat(p) . q) v_hat(q) up to rounding.  The indicators of
+    supp(u) and supp(v), real and even like the fields, go through the same
+    two transforms: their pointwise product comes back as the number of pairs
+    p + q = k, and every mode where that count is zero, which the convolution
+    cannot reach, is set to exactly zero, so sparse states stay sparse.  The
+    result is then Leray-projected.
     """
     if u.cutoff != v.cutoff:
         raise CutoffMismatchError(f"cutoffs {u.cutoff} != {v.cutoff}")
-    out = _convolve_advection(u.coeffs, v.coeffs, u.cutoff)
-    return leray_project(out, u.cutoff)
-
-
-def _support_sum(U: np.ndarray, V: np.ndarray, cutoff: int) -> np.ndarray:
-    """Boolean (W, W, W) mask of supp(U) + supp(V) within |k|_inf <= K.
-
-    The two support indicators are convolved cyclically on the padded grid;
-    as for the advection product, no wrapped sum lands inside the cube.
-    """
-    n, full, _ = _pad(cutoff)
-    axes = (0, 1, 2)
-    cube = np.ix_(full, full, full)
-
-    def spectrum(C):
-        ind = np.zeros((n, n, n))
-        ind[cube] = np.any(C != 0, axis=-1)
-        return np.fft.rfftn(ind, axes=axes)
-
-    su = spectrum(U)
-    sv = su if V is U else spectrum(V)
-    count = np.fft.irfftn(su * sv, s=(n, n, n), axes=axes)
-    return count[cube] > 0.5
-
-
-def _convolve_advection(U: np.ndarray, V: np.ndarray, cutoff: int) -> np.ndarray:
-    K = cutoff
-    n, full, half = _pad(K)
+    K = u.cutoff
+    n, box = _pad(K)
     kvec, _, _ = _grid(K)
     upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: the rfft half
-    box = (slice(None),) + np.ix_(full, full, half)      # the same modes, padded
-    # component-major half spectra: u_j, then d_j v_c = i k_j v_c at row 3 + 3j + c
-    u_hat = np.moveaxis(U[upper], -1, 0)
-    grad_hat = 1j * np.moveaxis(kvec[upper], -1, 0)[:, None] * np.moveaxis(V[upper], -1, 0)
-    spec = np.zeros((12, n, n, n // 2 + 1), dtype=np.complex128)
-    spec[box] = np.concatenate([u_hat, grad_hat.reshape((9,) + u_hat.shape[1:])])
+    U, V = u.coeffs[upper], v.coeffs[upper]
+    # component-major half spectra: u_j at row j, d_j v_c = i k_j v_c at row
+    # 3 + 3j + c, and the support indicators of u and v at rows 12 and 13
+    grad_hat = 1j * np.moveaxis(kvec[upper], -1, 0)[:, None] * np.moveaxis(V, -1, 0)
+    spec = np.zeros((14, n, n, n // 2 + 1), dtype=np.complex128)
+    spec[box] = np.concatenate([np.moveaxis(U, -1, 0), grad_hat.reshape((9,) + U.shape[:3]),
+                                np.any(U != 0, axis=-1)[None], np.any(V != 0, axis=-1)[None]])
     phys = np.fft.irfftn(spec, s=(n, n, n), axes=(1, 2, 3), norm="forward")
-    adv = np.einsum("jxyz,jcxyz->cxyz", phys[:3], phys[3:].reshape((3, 3, n, n, n)))
-    out = np.empty_like(V)
-    out[upper] = np.moveaxis(np.fft.rfftn(adv, axes=(1, 2, 3), norm="forward")[box], 0, -1)
+    prod = np.empty((4, n, n, n))
+    np.einsum("jxyz,jcxyz->cxyz", phys[:3], phys[3:12].reshape((3, 3, n, n, n)), out=prod[:3])
+    np.multiply(phys[12], phys[13], out=prod[3])
+    half = np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward")[box]
+    half[:3, half[3].real <= 0.5] = 0.0                   # no pair p + q = k
+    out = np.empty_like(v.coeffs)
+    out[upper] = np.moveaxis(half[:3], 0, -1)
     out[:, :, :K] = np.conj(out[::-1, ::-1, :K:-1])       # u_hat(-k) = conj(u_hat(k))
-    out[~_support_sum(U, V, K)] = 0.0
-    return out
+    return leray_project(out, K)
 
 
 def trilinear_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

@@ -1,8 +1,11 @@
+import copy
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nsasym import cli
 from nsasym.cli import ConfigError, ExperimentConfig, emit_report, main, run_experiment
@@ -15,8 +18,8 @@ def load_config(name):
     return ExperimentConfig.load(CONFIG_DIR / name)
 
 
-def mutated_config(tmp_path, path, value):
-    """A copy of power_two_term.json with the field at ``path`` set to ``value``
+def mutated(path, value):
+    """power_two_term.json with the field at ``path`` set to ``value``
     (deleted when value is None, appended one past the end of a list, and a
     "random" step replaces a modes field by a random one)."""
     data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
@@ -33,9 +36,55 @@ def mutated_config(tmp_path, path, value):
         section.append(value)
     else:
         section[key] = value
+    return data
+
+
+def mutated_config(tmp_path, path, value):
+    """``mutated(path, value)`` written to a file; returns its path."""
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(json.dumps(mutated(path, value)))
     return str(bad)
+
+
+def _paths(node, path=()):
+    """Every path below the root of a parsed JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+TARGETS = [(name, path) for name, data in SHIPPED.items() for path in _paths(data)]
+MODE_TARGETS = [(name, path) for name, path in TARGETS if len(path) > 1 and path[-2] == "modes"]
+ODD_VALUES = [None, True, False, "x", -3, 10 ** 18, 10 ** 400, math.nan, math.inf, -math.inf,
+              [], {}, [1.0], [1.0, 2.0, 3.0]]
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(TARGETS),
+              st.sampled_from([("drop",)] + [("set", v) for v in ODD_VALUES])),
+    st.tuples(st.sampled_from(MODE_TARGETS), st.sampled_from([("mirror",), ("repeat",)])))
+
+
+def apply_mutation(case) -> dict:
+    """A shipped config with one key dropped, one value replaced, or one
+    mode appended again (as is, or mirrored to -k)."""
+    (name, path), (kind, *value) = case
+    data = copy.deepcopy(SHIPPED[name])
+    *parents, key = path
+    section = data
+    for part in parents:
+        section = section[part]
+    if kind == "drop":
+        del section[key]
+    elif kind == "set":
+        section[key] = copy.deepcopy(value[0])
+    else:
+        mode = dict(section[key])
+        if kind == "mirror":
+            mode["k"] = [-x for x in mode["k"]]
+        section.append(mode)
+    return data
 
 
 @pytest.fixture(scope="module")
@@ -68,11 +117,55 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="system"):
             ExperimentConfig.from_json(data)
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("force", "terms", 0, "field", "modes", 0, "k"), [math.inf, 0, 0],
+         "config.force.terms[0].field.modes[0].k[0] = inf"),
+        (("force", "terms", 0, "field", "modes", 0, "re"), [math.inf, 0.0, 0.0],
+         "config.force.terms[0].field.modes[0].re[0] = inf"),
+        (("solver", "tol"), math.inf, "config.solver.tol = inf"),
+        (("solver", "t1"), math.inf, "config.solver.t1 = inf"),
+        (("solver", "t0"), -math.inf, "config.solver.t0 = -inf"),
+        (("lattice_cutoff",), math.inf, "config.lattice_cutoff = inf"),
+        (("verification", "gevrey"), [[math.nan, 0.0]], "config.verification.gevrey[0][0] = nan"),
+        (("generators", 0), math.nan, "config.generators[0] = nan"),
+    ], ids=["mode_k", "mode_re", "tol", "t1", "t0", "lattice_cutoff", "gevrey", "generator"])
+    def test_non_finite_number_rejected(self, path, value, field):
+        # through from_json, not a run: past the loader several of these hang
+        # or pass every check (the energy threshold 100 * inf)
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_json(mutated(path, value))
+        assert str(exc.value) == f"{field} is not a finite number"
+
+    def test_overflowing_literal_rejected(self):
+        # json reads 1e400 as inf
+        data = json.loads((CONFIG_DIR / "power_two_term.json").read_text()
+                          .replace('"tol": 1e-8', '"tol": 1e400'))
+        assert data["solver"]["tol"] == math.inf
+        with pytest.raises(ConfigError, match=r"^config\.solver\.tol = inf "):
+            ExperimentConfig.from_json(data)
+
+    def test_exponents_parsed_on_load(self):
+        cfg = load_config("power_two_term.json")
+        assert [g.value for g in cfg.generators] == [1.0, 2.0]
+        assert [e.value for e, _ in cfg.force_terms] == [1.0, 2.0]
+
     def test_schema_version_enforced(self):
         data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
         data["schema"] = 99
         with pytest.raises(ConfigError, match="schema"):
             ExperimentConfig.from_json(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=MUTATIONS)
+    @example(case=(("power_two_term.json", ("force", "terms", 0, "field", "modes", 0, "k")),
+                   ("set", [math.inf, 0, 0])))
+    def test_mutated_config_loads_or_fails_closed(self, case):
+        # loading only: a mutated config either loads or raises ConfigError,
+        # never another exception (full runs cost too much to fuzz)
+        try:
+            ExperimentConfig.from_json(apply_mutation(case))
+        except ConfigError:
+            pass
 
 
 class TestPipeline:
@@ -194,9 +287,12 @@ class TestCommandLine:
         (("verification", "orders"), "1", "config.verification.orders"),
         (("seed",), 2.7, "config.seed"),
         (("verification", "falsify"), {"n": 1.5}, "config.verification.falsify.n"),
+        (("force", "terms", 0, "field", "modes", 0, "k"), [math.inf, 0, 0],
+         "config.force.terms[0].field.modes[0].k[0]"),
     ], ids=["seed_negative", "falsify_relative_text", "falsify_fraction_text",
             "step_growth_zero", "step_growth_negative", "sample_ratio_one",
-            "window_reversed", "orders_text", "seed_fraction", "falsify_n_fraction"])
+            "window_reversed", "orders_text", "seed_fraction", "falsify_n_fraction",
+            "mode_k_infinite"])
     def test_malformed_field_fails_on_load(self, path, value, field, tmp_path, capsys):
         # `lattice` only loads the config, so a field that escapes the loader
         # shows as exit 0 here instead of a failure or hang in a later stage

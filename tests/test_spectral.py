@@ -226,6 +226,25 @@ class TestBilinearForm:
             # modes() yields every coefficient that is not exactly zero
             assert {k for k, _ in bilinear_form(left, right).modes()} <= support_sum(left, right)
 
+    @pytest.mark.parametrize("same", [True, False], ids=["u_is_v", "u_ne_v"])
+    def test_one_transform_pair_per_call(self, same, monkeypatch):
+        # the support mask rides in the product transforms: no second pipeline
+        calls = {"irfftn": 0, "rfftn": 0}
+
+        def counted(name):
+            inner = getattr(np.fft, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        u = supported_field(3, "planar", np.random.default_rng(5))
+        bilinear_form(u, u if same else shear_field(3))
+        assert calls == {"irfftn": 1, "rfftn": 1}
+
     def test_cutoff_mismatch(self):
         with pytest.raises(CutoffMismatchError):
             bilinear_form(random_solenoidal_field(2, RNG), random_solenoidal_field(3, RNG))
