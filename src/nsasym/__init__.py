@@ -27,6 +27,7 @@ from .systems import (
     IteratedLogSystem,
     PowerSystem,
     ProductSystem,
+    Report,
     SinLogSystem,
     SqrtShiftSystem,
     SystemSpecError,

@@ -91,11 +91,16 @@ def _reject_unknown(data: dict, allowed: set, where: str) -> None:
 
 
 def _finite(value, where: str) -> None:
-    """Reject NaN and +-inf anywhere under ``where``: json reads them, and
-    overflowing literals such as 1e400, as floats that every later check
-    either passes (100 * inf) or chokes on."""
+    """Reject NaN, +-inf and booleans anywhere under ``where``.
+
+    json reads NaN, Infinity and overflowing literals such as 1e400 as
+    floats that every later check either passes (100 * inf) or chokes on;
+    no field is boolean, and true passes as the integer 1 (a cutoff of true
+    indexes numpy arrays as a mask)."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where} = {value} is not a finite number")
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} = {json.dumps(value)} is a boolean; no config field takes one")
     items = (value.items() if isinstance(value, dict)
              else enumerate(value) if isinstance(value, list) else ())
     for key, item in items:
@@ -213,6 +218,8 @@ class ExperimentConfig:
             raise ConfigError("config.verification.orders must be nonnegative")
         gevrey = _read("config.verification.gevrey", lambda: [
             GevreyIndex(float(a), float(s)) for a, s in verif.get("gevrey", [[0.0, 0.0]])])
+        if not gevrey:
+            raise ConfigError("config.verification.gevrey must be a nonempty list")
         window = verif.get("window")
         window = (t0, t1) if window is None else _read(
             "config.verification.window", lambda: (float(window[0]), float(window[1])))
@@ -358,6 +365,12 @@ def _expand(cfg: ExperimentConfig, rng: np.random.Generator):
     """
     lat = _closure(cfg)
     raw_terms = [(exp, _make_field(fld, cfg.cutoff, rng)) for exp, fld in cfg.force_terms]
+    for i, ((_, (kind, args)), (_, field)) in enumerate(zip(cfg.force_terms, raw_terms)):
+        # gradient modes project to rounding residue of their amplitude, not to 0
+        amplitudes = args.values() if kind == "modes" else ()
+        if field.l2() <= COEFF_FLOOR * max((abs(x) for a in amplitudes for x in a), default=0.0):
+            raise ConfigError(f"config.force.terms[{i}].field is zero after the Leray projection "
+                              "(no mode whose re or im is off the direction of k)")
     compute = compute_coefficients_discrete if cfg.system.discrete else compute_coefficients
     checks: list[dict] = []
 
@@ -444,15 +457,9 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
                              cap, fit.slope, fit.slope <= cap))
 
     if cfg.verifying:
-        primary = {"energy_identity": "max_rel_residual",
-                   "apriori_energy_bound": "worst_margin",
-                   "force_envelope_convolution": "worst_margin",
-                   "advective_energy_orthogonality": "max_rel",
-                   "dissipation_monotone": "worst_drop"}
-        for item in energy_budget(trace).to_json():
-            measured = item["measured"].get(primary.get(item["name"], ""), None)
-            checks.append(_check("energy", item["name"],
-                                 item["measured"].get("threshold"), measured, item["pass"]))
+        for c in energy_budget(trace).checks:
+            checks.append(_check("energy", c.name, c.measured.get("threshold"),
+                                 next(iter(c.measured.values())), c.passed))
 
     return ExperimentResult(cfg, lat, coeffs, reference, force, trace, remainders, checks)
 

@@ -34,7 +34,7 @@ __all__ = [
     "enumerate_pair_components",
 ]
 
-MAX_ENTRIES = 10 ** 6
+MAX_ENTRIES = 1000  # the cursor pass is quadratic: ~5 s to build a lattice this size
 
 
 class ClosureError(ValueError):
@@ -139,14 +139,21 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
     ("vee", p, k), or as ("wedge", i, j) and ("wedge", j, i).  Each entry's
     tags end up ordered generator, wedges by (i, j), vees by (p, k).
     Termination for well-posed systems follows from the minimum spacing of
-    reachable exponents; a runaway count (> 10^6) raises ClosureError.
+    reachable exponents; more than MAX_ENTRIES entries raises ClosureError,
+    up front when the multiples of the smallest generator (all entries,
+    since wedge values add) already reach that count.
     """
     gens = [sys.exponent(g) for g in generators]
     cutoff = float(cutoff)
     if not gens:
         raise ClosureError("closure requires at least one generator")
-    if cutoff < min(g.value for g in gens):
+    smallest = min(g.value for g in gens)
+    if cutoff < smallest:
         raise ClosureError(f"cutoff {cutoff:g} is below the smallest generator")
+    if cutoff > MAX_ENTRIES * smallest:
+        raise ClosureError(
+            f"cutoff {cutoff:g} exceeds {MAX_ENTRIES} times the smallest generator "
+            f"{smallest:g}, so the closure would hold at least {MAX_ENTRIES} entries")
     if any(g.value > cutoff + VALUE_TOL for g in gens):
         raise ClosureError("every generator must lie within the cutoff")
 

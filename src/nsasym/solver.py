@@ -50,13 +50,12 @@ from .spectral import (
     bilinear_form,
     gevrey_norm,
 )
-from .systems import CheckResult, Exponent, VeeTerm
+from .systems import CheckResult, Exponent, Report, VeeTerm
 
 __all__ = [
     "ExtraTerm",
     "ForceSpec",
     "SimulationTrace",
-    "EnergyReport",
     "BlowUpError",
     "SolverError",
     "evaluate_force",
@@ -489,25 +488,6 @@ def integrate_linearized(w0: SpectralField, xi: SpectralField, force: ForceSpec,
 # energy accounting
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnergyReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_json(self) -> list:
-        return [{"name": c.name, "pass": c.passed, "measured": c.measured}
-                for c in self.checks]
-
-
 def _exp_kernel_convolution(times: np.ndarray, values: np.ndarray, sigma: float) -> np.ndarray:
     """C_j = int_{t_0}^{t_j} e^{-sigma (t_j - s)} g(s) ds for piecewise-linear g.
 
@@ -529,7 +509,7 @@ def _exp_kernel_convolution(times: np.ndarray, values: np.ndarray, sigma: float)
     return out
 
 
-def energy_budget(trace: SimulationTrace, threshold_factor: float = 100.0) -> EnergyReport:
+def energy_budget(trace: SimulationTrace, threshold_factor: float = 100.0) -> Report:
     """Audit one trace against the exact Galerkin energy relations.
 
     Checks the energy identity
@@ -575,4 +555,4 @@ def energy_budget(trace: SimulationTrace, threshold_factor: float = 100.0) -> En
     checks.append(CheckResult("dissipation_monotone",
                               worst_drop >= -1e-12 * max(trace.dissipation.max(), 1e-300),
                               {"worst_drop": worst_drop}))
-    return EnergyReport(tuple(checks))
+    return Report(tuple(checks))

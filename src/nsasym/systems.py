@@ -51,8 +51,8 @@ __all__ = [
     "min_log_time",
     "system_from_json",
     "verify_system_conditions",
-    "SystemReport",
     "CheckResult",
+    "Report",
 ]
 
 PAIR_VALUE_TOL = 1e-12
@@ -243,14 +243,9 @@ def iterated_log(m: int, t: float) -> float:
     """L_m(t) = ln ln ... ln t (m times); domain error if any level is <= 0."""
     if m < 1:
         raise ValueError("iterated log requires m >= 1")
-    x = float(t)
-    for level in range(m):
-        if x <= 0.0:
-            raise DomainError(f"iterated log undefined: level {level} argument {x:g} <= 0")
-        x = math.log(x)
-    if x <= 0.0:
-        raise DomainError(f"L_{m}({t:g}) = {x:g} is not positive")
-    return x
+    if not t > 0.0:
+        raise DomainError(f"iterated log undefined: argument {t:g} <= 0")
+    return _iterated_log_vector(m, math.log(t))[-1]
 
 
 def _iterated_log_vector(m: int, x1: float) -> list[float]:
@@ -368,10 +363,11 @@ class IteratedLogSystem(DecaySystem):
             raise DomainError(f"Q1(t^beta) = {q:g} not positive at t = {t:g}")
         return _iterated_log_vector(self.m, math.log(q))
 
+    def _q0_at(self, L: Sequence[float]) -> float:
+        return sum(c * math.prod(x ** a for x, a in zip(L, alpha)) for alpha, c in self.q0)
+
     def omega(self, t: float) -> float:
-        L = self._log_vector(t)
-        return sum(c * math.prod(x ** a for x, a in zip(L, alpha))
-                   for alpha, c in self.q0)
+        return self._q0_at(self._log_vector(t))
 
     def omega_prime(self, t: float) -> float:
         s = t ** self.beta
@@ -437,8 +433,7 @@ class IteratedLogSystem(DecaySystem):
         if corr <= 0.0:
             raise DomainError("Q1 not positive at requested log-time")
         L1 = self.q1_degree * log_s + math.log(corr)
-        L = _iterated_log_vector(self.m, L1)
-        w = sum(c * math.prod(x ** a for x, a in zip(L, alpha)) for alpha, c in self.q0)
+        w = self._q0_at(_iterated_log_vector(self.m, L1))
         if w <= 0.0:
             raise DomainError("omega not positive at requested log-time")
         return w ** (-lam.value)
@@ -473,7 +468,7 @@ class _TrigLogSystem(DecaySystem):
 
     def eval(self, lam, t):
         self.check_domain(t)
-        return self.trig(1.0 / iterated_log(self.m, t)) ** lam.value
+        return self.eval_at_log_time(lam, math.log(t))
 
     def psi_prime(self, lam, t):
         self.check_domain(t)
@@ -499,8 +494,6 @@ class _TrigLogSystem(DecaySystem):
 
 class SinLogSystem(_TrigLogSystem):
     kind = "sin_log"
-    trig = staticmethod(math.sin)
-    trig_prime = staticmethod(math.cos)
 
 
 class TanLogSystem(_TrigLogSystem):
@@ -661,15 +654,22 @@ def system_from_json(data: dict) -> DecaySystem:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One audited property.
+
+    The first value of ``measured`` is the check's headline figure and the
+    value under ``"threshold"``, when there is one, is the bound it is held
+    to; report.json takes its ``measured`` and ``expected`` from these.
+    """
+
     name: str
     passed: bool
     measured: dict
 
 
 @dataclass(frozen=True)
-class SystemReport:
-    system: str
-    t_min: float
+class Report:
+    """The checks of one audit; ``report[name]`` is the check of that name."""
+
     checks: tuple[CheckResult, ...]
 
     @property
@@ -679,13 +679,19 @@ class SystemReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
+    def __getitem__(self, name: str) -> CheckResult:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
 def verify_system_conditions(sys: DecaySystem, sample_lams: Sequence[Exponent],
-                             t_grid: Sequence[float]) -> SystemReport:
+                             t_grid: Sequence[float]) -> Report:
     """Numerically probe the structural conditions a system must satisfy.
 
     Checks, per sampled exponent: positivity and monotone decay on the grid;
@@ -775,4 +781,4 @@ def verify_system_conditions(sys: DecaySystem, sample_lams: Sequence[Exponent],
             measured = {"underflow": True, "n_terms": len(terms)}
         checks.append(CheckResult(f"vee_residual[{lam.value:g}]", passed, measured))
 
-    return SystemReport(sys.kind, sys.t_min, tuple(checks))
+    return Report(tuple(checks))

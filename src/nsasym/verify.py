@@ -38,7 +38,7 @@ from .spectral import (
     gevrey_norm,
     random_solenoidal_field,
 )
-from .systems import CheckResult, DecaySystem
+from .systems import CheckResult, DecaySystem, Report
 
 __all__ = [
     "DecayFit",
@@ -147,15 +147,10 @@ def fit_decay_order(series: Sequence[tuple[float, float]], sys: DecaySystem,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BilinearReport:
+class BilinearReport(Report):
     sup_ratio: dict          # (cutoff, alpha, sigma) -> empirical sup
     growth: dict             # (alpha, sigma) -> sup at largest / smallest cutoff
     ensemble: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def check_bilinear_estimate(ensemble: int = 100, cutoffs: Sequence[int] = (4, 8),
@@ -197,7 +192,7 @@ def check_bilinear_estimate(ensemble: int = 100, cutoffs: Sequence[int] = (4, 8)
             g <= growth_factor,
             {"sup_small": sup[(k_lo, alpha, sigma)], "sup_large": sup[(k_hi, alpha, sigma)],
              "growth": g}))
-    return BilinearReport(sup, growth, ensemble, tuple(checks))
+    return BilinearReport(tuple(checks), sup, growth, ensemble)
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +200,12 @@ def check_bilinear_estimate(ensemble: int = 100, cutoffs: Sequence[int] = (4, 8)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SeriesReport:
-    checks: tuple[CheckResult, ...]
+class SeriesReport(Report):
     T0: float
     T1: float
     c1: float
     tail_constants: dict      # N -> C_N
     reordered: bool
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def _find_threshold(phi: Callable[[float], float], t_start: float, target: float) -> float:

@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,9 +12,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from nsasym import cli
 from nsasym.cli import ConfigError, ExperimentConfig, emit_report, main, run_experiment
+from nsasym.solver import energy_budget
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "src" / "nsasym" / "schemas" / "report.schema.json"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SCHEMA_PATH = SRC_DIR / "nsasym" / "schemas" / "report.schema.json"
 
 
 def load_config(name):
@@ -56,6 +61,10 @@ def _paths(node, path=()):
 
 
 SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted(CONFIG_DIR.glob("*.json"))}
+TWO_TERM = SHIPPED["power_two_term.json"]
+# modes with re parallel to k: the projection leaves exact zero / rounding residue
+GRADIENT_EXACT = {"k": [1, 0, 0], "re": [0.05, 0.0, 0.0], "im": [0.02, 0.0, 0.0]}
+GRADIENT_ROUNDED = {"k": [1, 2, 0], "re": [0.01, 0.02, 0.0], "im": [0.0, 0.0, 0.0]}
 TARGETS = [(name, path) for name, data in SHIPPED.items() for path in _paths(data)]
 MODE_TARGETS = [(name, path) for name, path in TARGETS if len(path) > 1 and path[-2] == "modes"]
 ODD_VALUES = [None, True, False, "x", -3, 10 ** 18, 10 ** 400, math.nan, math.inf, -math.inf,
@@ -177,6 +186,14 @@ class TestPipeline:
         report = json.loads((tmp_path / "report.json").read_text())
         schema = json.loads(SCHEMA_PATH.read_text())
         jsonschema.validate(report, schema)
+        # each energy row carries its check's headline value and threshold
+        budget = energy_budget(two_term_result.trace)
+        rows = [c for c in report["checks"] if c["case"] == "energy"]
+        assert [r["property"] for r in rows] == [c.name for c in budget.checks]
+        for row, check in zip(rows, budget.checks):
+            assert row["measured"] is not None
+            assert row["measured"] == next(iter(check.measured.values()))
+            assert row["expected"] == check.measured.get("threshold")
 
     def test_artifacts_written(self, two_term_result, tmp_path):
         written = emit_report(two_term_result, tmp_path)
@@ -258,12 +275,23 @@ class TestCommandLine:
         (("force", "terms", 0, "field", "modes", 0, "k"), [0, 0, 0]),
         (("force", "terms", 0, "field", "modes", 2),
          {"k": [-1, 0, 0], "re": [0.0, 0.02, 0.0], "im": [0.0, 0.0, 0.0]}),
+        # force terms the Leray projection zeroes: they would drop out of the
+        # run, or divide the round trip by a zero scale when every term does
+        (("force", "terms", 1, "field"), {"modes": [GRADIENT_ROUNDED]}),
+        (("force", "terms", 1, "field"), {"modes": []}),
+        (("force",), {"type": "explicit", "terms": [
+            TWO_TERM["force"]["terms"][0],
+            {"exponent": 2.0, "field": {"modes": [GRADIENT_ROUNDED]}}]}),
+        (("force",), {"type": "manufactured", "terms": [
+            {"exponent": 1.0, "field": {"modes": [GRADIENT_EXACT]}},
+            {"exponent": 2.0, "field": {"modes": [GRADIENT_ROUNDED]}}]}),
     ], ids=["t0_missing", "window_short", "gevrey_flat", "tol_text", "lattice_cutoff_text",
             "solver_not_object", "generator_text", "falsify_past_last_term",
             "mode_k_two_components", "mode_re_text", "mode_k_above_cutoff", "modes_not_list",
             "random_amplitude_text", "system_params_list", "u0_modes_not_list",
             "mode_k_repeated", "product_param_typo", "power_extra_param",
-            "mode_k_zero", "mode_mirror_listed"])
+            "mode_k_zero", "mode_mirror_listed", "force_term_gradient", "force_term_no_modes",
+            "explicit_term_gradient", "manufactured_all_gradient"])
     def test_malformed_field_exit_two(self, path, value, tmp_path, capsys):
         bad = mutated_config(tmp_path, path, value)
         rc = main(["verify", "--config", bad, "--out", str(tmp_path)])
@@ -289,10 +317,13 @@ class TestCommandLine:
         (("verification", "falsify"), {"n": 1.5}, "config.verification.falsify.n"),
         (("force", "terms", 0, "field", "modes", 0, "k"), [math.inf, 0, 0],
          "config.force.terms[0].field.modes[0].k[0]"),
+        (("cutoff",), True, "config.cutoff"),
+        (("schema",), True, "config.schema"),
+        (("verification", "gevrey"), [], "config.verification.gevrey"),
     ], ids=["seed_negative", "falsify_relative_text", "falsify_fraction_text",
             "step_growth_zero", "step_growth_negative", "sample_ratio_one",
             "window_reversed", "orders_text", "seed_fraction", "falsify_n_fraction",
-            "mode_k_infinite"])
+            "mode_k_infinite", "cutoff_bool", "schema_bool", "gevrey_empty"])
     def test_malformed_field_fails_on_load(self, path, value, field, tmp_path, capsys):
         # `lattice` only loads the config, so a field that escapes the loader
         # shows as exit 0 here instead of a failure or hang in a later stage
@@ -301,6 +332,24 @@ class TestCommandLine:
         assert rc == 2
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {field} ")
+
+    @pytest.mark.parametrize("name, lattice_cutoff", [
+        ("power_two_term.json", 1e6), ("power_two_term.json", 1e300), ("product_pair.json", 1e6),
+    ], ids=["power_1e6", "power_1e300", "product_1e6"])
+    def test_runaway_closure_exits_three_promptly(self, name, lattice_cutoff, tmp_path):
+        # in a subprocess with a timeout, so a closure that runs away fails
+        # the test instead of hanging the suite
+        data = copy.deepcopy(SHIPPED[name])
+        data["lattice_cutoff"] = lattice_cutoff
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-m", "nsasym.cli", "lattice", "--config", str(bad)],
+                              capture_output=True, text=True, env=env, timeout=10)
+        lines = done.stderr.strip().splitlines()
+        assert done.returncode == 3
+        assert len(lines) == 1 and lines[0].startswith("error: ClosureError: ")
 
     def test_negative_seed_option_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -12,7 +12,7 @@ from nsasym.expansion import (
     ExpansionError,
 )
 from nsasym.lattice import ExponentLattice, closure
-from nsasym.solver import evaluate_force, integrate_nse
+from nsasym.solver import ForceSpec, energy_budget, evaluate_force, integrate_nse
 from nsasym.spectral import (
     GevreyIndex,
     SpectralField,
@@ -21,7 +21,15 @@ from nsasym.spectral import (
     gevrey_norm,
     random_solenoidal_field,
 )
-from nsasym.systems import IteratedLogSystem, PowerSystem, ProductSystem, SqrtShiftSystem
+from nsasym.systems import (
+    Exponent,
+    IteratedLogSystem,
+    PowerSystem,
+    ProductSystem,
+    Report,
+    SqrtShiftSystem,
+    verify_system_conditions,
+)
 from nsasym.verify import (
     FitError,
     check_bilinear_estimate,
@@ -314,3 +322,37 @@ class TestSeriesCriteria:
             xi, lambdas, kappa=1.0, M=M, c0=g * a, phi=lambda t: 1.0 / t,
             t_start=1.0, D=D, psi_funcs=psi, t_grid=grid, N_list=[0, 3])
         assert report.ok, [c for c in report.checks if not c.passed]
+
+
+def _energy_audit():
+    lat = closure(PowerSystem(), [1.0], 3.0)
+    u0 = random_solenoidal_field(2, np.random.default_rng(5), amplitude=0.1)
+    return energy_budget(integrate_nse(u0, ForceSpec.zero(lat, 2), 2.0, 6.0, 1e-6))
+
+
+AUDITS = {
+    "system_conditions": lambda: verify_system_conditions(
+        PowerSystem(), [Exponent(1.0), Exponent(2.5)], np.geomspace(2, 2e5, 40)),
+    "bilinear": lambda: check_bilinear_estimate(ensemble=4, cutoffs=(2, 3),
+                                                indices=((0.5, 0.0),), seed=9),
+    # the first coefficient breaks its bound, so one check fails
+    "series": lambda: check_series_expansion([10.0, 0.25], [1.0, 2.0], kappa=0.5, M=2.0,
+                                             c0=1.0, sys=PowerSystem(), series_sum=1.0),
+    "energy": _energy_audit,
+}
+
+
+class TestReport:
+    @pytest.mark.parametrize("audit", sorted(AUDITS))
+    def test_every_audit_answers_one_report(self, audit):
+        report = AUDITS[audit]()
+        assert isinstance(report, Report) and report.checks
+        assert report.failures() == [c for c in report.checks if not c.passed]
+        assert report.ok == (not report.failures())
+        assert len({c.name for c in report.checks}) == len(report.checks)
+        for c in report.checks:
+            assert report[c.name] is c
+        with pytest.raises(KeyError):
+            report["no_such_check"]
+        if audit == "series":
+            assert [c.name for c in report.failures()] == ["coefficient_bound"]
