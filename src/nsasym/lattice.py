@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .systems import VALUE_TOL, DecaySystem, Exponent, ProductSystem, VeeTerm
@@ -141,7 +142,8 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
     Termination for well-posed systems follows from the minimum spacing of
     reachable exponents; more than MAX_ENTRIES entries raises ClosureError,
     up front when the multiples of the smallest generator (all entries,
-    since wedge values add) already reach that count.
+    since wedge values add) already reach that count, and before a vee
+    family is listed past that count.
     """
     gens = [sys.exponent(g) for g in generators]
     cutoff = float(cutoff)
@@ -179,7 +181,10 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
 
     vees: list[tuple[VeeTerm, ...]] = []
     for c, a in enumerate(items):  # items grows only above the cursor
-        terms = tuple(sys.vee(a, cutoff)) if a.value < cutoff else ()
+        # listed only to one term past the bound: the terms of a vee family
+        # are distinct entries, so a longer family trips the check below
+        terms = tuple(islice(sys.vee_terms(a, cutoff), MAX_ENTRIES + 1)) \
+            if a.value < cutoff else ()
         vees.append(terms)
         for k, term in enumerate(terms, 1):
             n = adjoin(term.exponent)

@@ -14,19 +14,25 @@ Gevrey-Sobolev norm |u|_{alpha,sigma} is the L^2(Omega) norm of
 A^alpha e^{sigma A^(1/2)} u over Omega = (-pi, pi)^3.  The (2*pi)^(3/2)
 Parseval factor is included so |u|_{0,0} equals the plain L^2 norm.
 
-The advective bilinear form B(u, v) = P((u . grad) v) is evaluated with
-real FFTs on a grid zero-padded to N >= 3K + 1 points per axis.  At that
-size no alias of the degree-2K product reaches |k|_inf <= K, so the result
-is the exact truncated convolution, not a dealiased approximation, and the
-finite-dimensional system is the exact Galerkin reduction.  The support
-indicators of u and v ride in the same transform pair: their pointwise
-product transforms to the number of pairs p + q = k, and every mode with
-no such pair is set to exactly zero, so transform rounding never fills
-modes the convolution cannot reach.
+The advective bilinear form B(u, v) = P((u . grad) v) is evaluated in
+divergence form, P(div(u (x) v)), which is the same for divergence-free u,
+with real FFTs on a grid sized per axis from the supports of u and v.  If
+e_u and e_v are the largest |k_a| in the supports and the output keeps
+|k_a| <= o = min(K, e_u + e_v), an axis of N_a >= e_u + e_v + o + 1 points
+puts no alias of the product inside the output box (Orszag 1971; Canuto,
+Hussaini, Quarteroni and Zang, Spectral Methods), so the result is the
+exact truncated convolution, not a dealiased approximation, and the
+finite-dimensional system is the exact Galerkin reduction.  A dense field
+gets 3K + 1 points per axis, and a field on the k3 = 0 plane a single k3
+point.  The support indicators of u and v ride in the same transform pair:
+their pointwise product transforms to the number of pairs p + q = k, and
+every mode with no such pair is set to exactly zero, so transform rounding
+never fills modes the convolution cannot reach.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -121,21 +127,34 @@ def _grid(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return got
 
 
-# Cached per-cutoff padding: grid size N (3K + 1 rounded up to even) and the
-# index of the k3 >= 0 half of the cube in a batch of padded half spectra
-# (k in -K..K on the two full axes, 0..K on the half axis that rfftn keeps).
-_PADS: dict[int, tuple[int, tuple]] = {}
+@functools.lru_cache(maxsize=None)
+def _axis_maps(e_in: int, e_out: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Grid index k mod n of each k in -e_in..e_in (the input box) and in
+    -e_out..e_out (the output box) on one padded axis of n points.  The rfft
+    half axis uses the k >= 0 tails.  The extents run over 0..K and n stays
+    below 3K + 3, so a cutoff adds only a few (K + 1)^2 keys."""
+    return np.arange(-e_in, e_in + 1) % n, np.arange(-e_out, e_out + 1) % n
 
 
-def _pad(cutoff: int) -> tuple[int, tuple]:
-    got = _PADS.get(cutoff)
-    if got is None:
-        n = 3 * cutoff + 1
-        n += n % 2
-        full = np.arange(-cutoff, cutoff + 1) % n
-        got = (n, (slice(None),) + np.ix_(full, full, np.arange(cutoff + 1)))
-        _PADS[cutoff] = got
-    return got
+def _half_box(cutoff: int, extents) -> tuple[slice, slice, slice]:
+    """The box |k_a| <= extents[a] inside the k3 >= 0 half of a coefficient array."""
+    return tuple(slice(cutoff - e, cutoff + e + 1) for e in extents[:2]) + (slice(extents[2] + 1),)
+
+
+def _extents(mask: np.ndarray, cutoff: int) -> tuple[int, int, int]:
+    """Largest |k_a| per axis over a support mask of the k3 >= 0 half (0 if empty)."""
+    i, j, l = np.nonzero(mask)
+    return tuple(int(np.abs(x).max(initial=0)) for x in (i - cutoff, j - cutoff, l))
+
+
+# The products u_j v_c of the divergence form, as (j, c) pairs, and the row of
+# each T_jc among them: all nine for B(u, v); for B(u, u) the tensor is
+# symmetric and only the six with j <= c are formed.
+_TENSOR = {
+    False: ([(j, c) for j in range(3) for c in range(3)], np.arange(9).reshape(3, 3)),
+    True: ([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
+           np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])),
+}
 
 
 def _conj_flip(arr: np.ndarray) -> np.ndarray:
@@ -386,38 +405,66 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
 def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     """Advective form B(u, v) = P((u . grad) v), the exact Galerkin nonlinearity.
 
-    u and grad v = i k (x) v_hat are evaluated on a zero-padded N^3 grid,
-    N >= 3K + 1, multiplied pointwise and transformed back.  The product has
-    degree at most 2K per axis, so no alias lands inside |k|_inf <= K and the
-    cropped result equals the truncated convolution
-    sum_{p+q=k} i (u_hat(p) . q) v_hat(q) up to rounding.  The indicators of
-    supp(u) and supp(v), real and even like the fields, go through the same
-    two transforms: their pointwise product comes back as the number of pairs
-    p + q = k, and every mode where that count is zero, which the convolution
-    cannot reach, is set to exactly zero, so sparse states stay sparse.  The
-    result is then Leray-projected.
+    Evaluated in divergence form: u and v are transformed to a zero-padded
+    grid, the products T_jc = u_j v_c are transformed back, and
+    B(u, v) = P(i k_j T_jc).  This equals the truncated convolution
+    sum_{p+q=k} i (u_hat(p) . q) v_hat(q) up to rounding: the two differ by
+    sum_{p+q=k} i (u_hat(p) . p) v_hat(q), the v (div u) term, which is at
+    rounding level because stored fields are divergence free to
+    INVARIANT_TOL (the quadrature-oracle and b(u, u, u) tests check this).
+    For B(u, u) with one object, T is symmetric and 6 products are formed
+    instead of 9.
+
+    Each axis a is padded separately.  With e_u[a], e_v[a] the largest |k_a|
+    in supp(u), supp(v), the output box is |k_a| <= o[a] = min(K, e_u + e_v)
+    (nothing outside it can be reached) and the axis gets
+    N_a >= e_u + e_v + o + 1 points, rounded up to even above 1, so no alias
+    of the product lands in the output box.  Only the box of extent
+    max(e_u, e_v) is transformed in and only the output box is cropped out.
+
+    The indicators of supp(u) and supp(v), real and even like the fields,
+    go through the same two transforms: their pointwise product comes back
+    as the number of pairs p + q = k, and every mode where that count is
+    zero, which the convolution cannot reach, is set to exactly zero, so
+    sparse states stay sparse.  The result is then Leray-projected.
     """
     if u.cutoff != v.cutoff:
         raise CutoffMismatchError(f"cutoffs {u.cutoff} != {v.cutoff}")
     K = u.cutoff
-    n, box = _pad(K)
+    same = v is u
     kvec, _, _ = _grid(K)
     upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: the rfft half
-    U, V = u.coeffs[upper], v.coeffs[upper]
-    # component-major half spectra: u_j at row j, d_j v_c = i k_j v_c at row
-    # 3 + 3j + c, and the support indicators of u and v at rows 12 and 13
-    grad_hat = 1j * np.moveaxis(kvec[upper], -1, 0)[:, None] * np.moveaxis(V, -1, 0)
-    spec = np.zeros((14, n, n, n // 2 + 1), dtype=np.complex128)
-    spec[box] = np.concatenate([np.moveaxis(U, -1, 0), grad_hat.reshape((9,) + U.shape[:3]),
-                                np.any(U != 0, axis=-1)[None], np.any(V != 0, axis=-1)[None]])
-    phys = np.fft.irfftn(spec, s=(n, n, n), axes=(1, 2, 3), norm="forward")
-    prod = np.empty((4, n, n, n))
-    np.einsum("jxyz,jcxyz->cxyz", phys[:3], phys[3:12].reshape((3, 3, n, n, n)), out=prod[:3])
-    np.multiply(phys[12], phys[13], out=prod[3])
-    half = np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward")[box]
-    half[:3, half[3].real <= 0.5] = 0.0                   # no pair p + q = k
-    out = np.empty_like(v.coeffs)
-    out[upper] = np.moveaxis(half[:3], 0, -1)
+    halves = [u.coeffs[upper]] if same else [u.coeffs[upper], v.coeffs[upper]]
+    masks = [np.any(h != 0, axis=-1) for h in halves]
+    extents = [_extents(m, K) for m in masks]
+    e_u, e_v = extents[0], extents[-1]
+    e_in = [max(a, b) for a, b in zip(e_u, e_v)]
+    e_out = [min(K, a + b) for a, b in zip(e_u, e_v)]
+    sizes = [a + b + o + 1 for a, b, o in zip(e_u, e_v, e_out)]
+    sizes = tuple(n + n % 2 if n > 1 else n for n in sizes)
+    (in1, out1), (in2, out2), (in3, out3) = (
+        _axis_maps(i, o, n) for i, o, n in zip(e_in, e_out, sizes))
+    box_in, box_out = _half_box(K, e_in), _half_box(K, e_out)
+    # component-major half spectra on the input box: u_j at rows 0-2, then
+    # v_c unless v is u, then the support indicator of each distinct field
+    rows = [np.moveaxis(h[box_in], -1, 0) for h in halves] + [m[box_in][None] for m in masks]
+    spec = np.zeros((3 * len(halves) + len(masks),) + sizes[:2] + (sizes[2] // 2 + 1,),
+                    dtype=np.complex128)
+    spec[(slice(None),) + np.ix_(in1, in2, in3[e_in[2]:])] = np.concatenate(rows)
+    phys = np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")
+    pairs, table = _TENSOR[same]
+    v0 = 3 * (len(halves) - 1)                            # first row of v
+    prod = np.empty((len(pairs) + 1,) + sizes)
+    for r, (j, c) in enumerate(pairs):
+        np.multiply(phys[j], phys[v0 + c], out=prod[r])
+    np.multiply(phys[v0 + 3], phys[-1], out=prod[-1])     # ind_u * ind_v
+    half = np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward")[
+        (slice(None),) + np.ix_(out1, out2, out3[e_out[2]:])]
+    k_out = np.moveaxis(kvec[upper][box_out], -1, 0)
+    flux = 1j * np.einsum("jxyz,jcxyz->cxyz", k_out, half[table])   # i k_j T_jc
+    flux[:, half[-1].real <= 0.5] = 0.0                   # no pair p + q = k
+    out = np.zeros_like(v.coeffs)
+    out[upper][box_out] = np.moveaxis(flux, 0, -1)
     out[:, :, :K] = np.conj(out[::-1, ::-1, :K:-1])       # u_hat(-k) = conj(u_hat(k))
     return leray_project(out, K)
 

@@ -27,11 +27,13 @@ pairs and its decay is measured against the background family t^(-lambda).
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -109,8 +111,8 @@ class DecaySystem(ABC):
         """Exact derivative d psi_lambda / dt."""
 
     @abstractmethod
-    def vee(self, lam: Exponent, cutoff: float) -> list[VeeTerm]:
-        """Derivative-expansion terms with exponent <= cutoff, increasing."""
+    def vee_terms(self, lam: Exponent, cutoff: float) -> Iterator[VeeTerm]:
+        """The terms of ``vee``, listed lazily so that a caller can stop early."""
 
     @abstractmethod
     def order_abscissa(self, t: float) -> float:
@@ -145,9 +147,11 @@ class DecaySystem(ABC):
             raise DomainError(f"t = {t:g} below admissible start {self.t_min:g} "
                               f"for {self.kind} system")
 
-    def _check_vee_cutoff(self, lam: Exponent, cutoff: float) -> None:
+    def vee(self, lam: Exponent, cutoff: float) -> list[VeeTerm]:
+        """Derivative-expansion terms with exponent <= cutoff, increasing."""
         if cutoff <= lam.value:
             raise ValueError(f"vee cutoff {cutoff:g} must exceed the exponent {lam.value:g}")
+        return list(self.vee_terms(lam, cutoff))
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": self.params_json()}
@@ -174,12 +178,10 @@ class PowerSystem(DecaySystem):
         self.check_domain(t)
         return -lam.value * t ** (-lam.value - 1.0)
 
-    def vee(self, lam, cutoff):
-        self._check_vee_cutoff(lam, cutoff)
+    def vee_terms(self, lam, cutoff):
         # exact single term: (t^-lam)' = -lam * t^-(lam+1)
         if lam.value + 1.0 <= cutoff:
-            return [VeeTerm(Exponent(lam.value + 1.0), -lam.value)]
-        return []
+            yield VeeTerm(Exponent(lam.value + 1.0), -lam.value)
 
     def order_abscissa(self, t):
         return t
@@ -211,14 +213,11 @@ class SqrtShiftSystem(DecaySystem):
         s = math.sqrt(t)
         return -lam.value * (s + 1.0) ** (-lam.value - 1.0) / (2.0 * s)
 
-    def vee(self, lam, cutoff):
-        self._check_vee_cutoff(lam, cutoff)
-        terms = []
+    def vee_terms(self, lam, cutoff):
         k = 1
         while lam.value + 1.0 + k <= cutoff:
-            terms.append(VeeTerm(Exponent(lam.value + 1.0 + k), -lam.value / 2.0))
+            yield VeeTerm(Exponent(lam.value + 1.0 + k), -lam.value / 2.0)
             k += 1
-        return terms
 
     def order_abscissa(self, t):
         return math.sqrt(t) + 1.0
@@ -413,9 +412,8 @@ class IteratedLogSystem(DecaySystem):
         w = self.omega(t)
         return -lam.value * w ** (-lam.value - 1.0) * self.omega_prime(t)
 
-    def vee(self, lam, cutoff):
-        self._check_vee_cutoff(lam, cutoff)
-        return []
+    def vee_terms(self, lam, cutoff):
+        return iter(())
 
     def order_abscissa(self, t):
         return self.omega(t)
@@ -477,9 +475,8 @@ class _TrigLogSystem(DecaySystem):
         chain = -x * x / (t * math.prod(L[:-1]))  # d(1/L_m)/dt
         return lam.value * self.trig(x) ** (lam.value - 1.0) * self.trig_prime(x) * chain
 
-    def vee(self, lam, cutoff):
-        self._check_vee_cutoff(lam, cutoff)
-        return []
+    def vee_terms(self, lam, cutoff):
+        return iter(())
 
     def order_abscissa(self, t):
         return 1.0 / self.trig(1.0 / iterated_log(self.m, t))
@@ -579,36 +576,30 @@ class ProductSystem(DecaySystem):
         (a2, b2) = self._require_pair(mu)
         return self.exponent_from_pair(a1 + a2, b1 + b2)
 
-    def vee(self, lam, cutoff):
+    def vee_terms(self, lam, cutoff):
         """Merged double family of the product derivative.
 
         Pair (a, b) contributes (a+1, b+k) with coefficient -g a and
         (a+k, b+1) with coefficient -(1-g) b for k = 1, 2, ...; the shared
-        corner (a+1, b+1) carries the sum of both coefficients.
+        corner (a+1, b+1) heads both families and carries the sum of both
+        coefficients.  Each family increases in k, so merging the two by
+        value lists the terms in increasing order.
         """
-        self._check_vee_cutoff(lam, cutoff)
         a, b = self._require_pair(lam)
         g = self.gamma
-        found: dict[tuple[Fraction, Fraction], float] = {}
-        if a > 0:
+
+        def family(live, coeff, pair):
             k = 1
-            while True:
-                exp = self.exponent_from_pair(a + 1, b + k)
-                if exp.value > cutoff:
-                    break
-                found[exp.pair] = found.get(exp.pair, 0.0) - g * float(a)
+            while live and (exp := self.exponent_from_pair(*pair(k))).value <= cutoff:
+                yield exp, coeff
                 k += 1
-        if b > 0:
-            k = 1
-            while True:
-                exp = self.exponent_from_pair(a + k, b + 1)
-                if exp.value > cutoff:
-                    break
-                found[exp.pair] = found.get(exp.pair, 0.0) - (1.0 - g) * float(b)
-                k += 1
-        terms = [VeeTerm(self.exponent_from_pair(*pair), c) for pair, c in found.items()]
-        terms.sort(key=lambda term: term.exponent.value)
-        return terms
+
+        merged = heapq.merge(family(a > 0, -g * float(a), lambda k: (a + 1, b + k)),
+                             family(b > 0, -(1.0 - g) * float(b), lambda k: (a + k, b + 1)),
+                             key=lambda term: term[0].value)
+        for _, group in itertools.groupby(merged, key=lambda term: term[0].pair):
+            group = list(group)
+            yield VeeTerm(group[0][0], sum(coeff for _, coeff in group))
 
     def order_abscissa(self, t):
         return t

@@ -51,6 +51,19 @@ def mutated_config(tmp_path, path, value):
     return str(bad)
 
 
+def lattice_in_subprocess(data, tmp_path, timeout):
+    """`nsasym lattice` on the config ``data``, in a subprocess with a timeout
+    so that a closure that runs away fails the test instead of hanging the
+    suite; returns the exit code and the stderr lines."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "nsasym.cli", "lattice", "--config", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    return done.returncode, done.stderr.strip().splitlines()
+
+
 def _paths(node, path=()):
     """Every path below the root of a parsed JSON tree."""
     items = (node.items() if isinstance(node, dict)
@@ -337,18 +350,25 @@ class TestCommandLine:
         ("power_two_term.json", 1e6), ("power_two_term.json", 1e300), ("product_pair.json", 1e6),
     ], ids=["power_1e6", "power_1e300", "product_1e6"])
     def test_runaway_closure_exits_three_promptly(self, name, lattice_cutoff, tmp_path):
-        # in a subprocess with a timeout, so a closure that runs away fails
-        # the test instead of hanging the suite
         data = copy.deepcopy(SHIPPED[name])
         data["lattice_cutoff"] = lattice_cutoff
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-m", "nsasym.cli", "lattice", "--config", str(bad)],
-                              capture_output=True, text=True, env=env, timeout=10)
-        lines = done.stderr.strip().splitlines()
-        assert done.returncode == 3
+        rc, lines = lattice_in_subprocess(data, tmp_path, timeout=10)
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("error: ClosureError: ")
+
+    @pytest.mark.parametrize("generator", [1000.0, 10000.0], ids=["g1e3", "g1e4"])
+    def test_huge_vee_family_exits_three_promptly(self, generator, tmp_path):
+        # a cutoff just under MAX_ENTRIES generators passes the up-front bound,
+        # but the generator's sqrt_shift vee family alone holds ~998 g terms,
+        # one per unit step: listed in full, it took seconds at g = 10^3 and
+        # ten times as long at g = 10^4
+        data = copy.deepcopy(SHIPPED["power_two_term.json"])
+        data["system"] = {"kind": "sqrt_shift", "params": {}}
+        data["generators"] = [generator]
+        data["lattice_cutoff"] = 999.0 * generator
+        data["force"]["terms"] = [dict(data["force"]["terms"][0], exponent=generator)]
+        rc, lines = lattice_in_subprocess(data, tmp_path, timeout=5)
+        assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("error: ClosureError: ")
 
     def test_negative_seed_option_rejected(self, capsys):

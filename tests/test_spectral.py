@@ -33,16 +33,19 @@ def shear_field(cutoff=4, amp=0.5):
 
 
 def supported_field(cutoff, support, rng):
-    """Random solenoidal field on one of three supports: every mode of the
-    cube ("dense"), the k3 = 0 plane ("planar") or a single conjugate pair
-    ("pair")."""
+    """Random solenoidal field on one of five supports: every mode of the
+    cube ("dense"), the k3 = 0 plane ("planar"), the k1 axis ("axis"), a
+    single conjugate pair ("pair") or none ("zero")."""
     f = random_solenoidal_field(cutoff, rng)
     if support == "dense":
         return f
-    if support == "planar":
-        plane = np.zeros_like(f.coeffs)
-        plane[:, :, cutoff] = f.coeffs[:, :, cutoff]
-        return leray_project(plane, cutoff)
+    if support == "zero":
+        return SpectralField.zero(cutoff)
+    if support in ("planar", "axis"):
+        box = (slice(None), slice(None) if support == "planar" else cutoff, cutoff)
+        kept = np.zeros_like(f.coeffs)
+        kept[box] = f.coeffs[box]
+        return leray_project(kept, cutoff)
     k = (0, 0, 0)
     while k == (0, 0, 0):
         k = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, size=3))
@@ -199,12 +202,17 @@ class TestBilinearForm:
             assert (got - want).l2() <= 1e-10 * scale
 
     @pytest.mark.parametrize("cutoff", [2, 3, 5])
-    @pytest.mark.parametrize("support", ["dense", "planar", "pair"])
+    @pytest.mark.parametrize("support", ["dense", "planar", "pair",
+                                         "planar_pair", "axis_dense", "zero_dense"])
     def test_matches_quadrature_oracle_on_supports(self, cutoff, support):
+        # "a_b" draws u on support a and v on support b: the two extents differ
+        # per axis, and so does every grid size of the padded transform
         rng = np.random.default_rng([cutoff, len(support)])
-        u = supported_field(cutoff, support, rng)
-        v = supported_field(cutoff, support, rng)
-        for left, right in ((u, v), (u, u)):
+        left_support, _, right_support = support.partition("_")
+        u = supported_field(cutoff, left_support, rng)
+        v = supported_field(cutoff, right_support or left_support, rng)
+        pairs = ((u, v), (u, u)) if not right_support else ((u, v), (v, u), (u, u), (v, v))
+        for left, right in pairs:
             got = bilinear_form(left, right)
             want = bilinear_quadrature(left, right, n=3 * cutoff + 1)
             # a single pair advecting itself gives B = 0: measure against the inputs
@@ -245,6 +253,38 @@ class TestBilinearForm:
         bilinear_form(u, u if same else shear_field(3))
         assert calls == {"irfftn": 1, "rfftn": 1}
 
+    @pytest.mark.parametrize("support, cutoff, grid", [
+        ("planar", 3, (10, 10, 1)), ("criterion2_pair", 4, (14, 10, 6)), ("dense", 4, (14, 14, 14)),
+    ], ids=["planar_K3", "criterion2_pair_K4", "dense_K4"])
+    def test_transform_size_follows_support(self, support, cutoff, grid, monkeypatch):
+        # axis a gets e_u + e_v + min(K, e_u + e_v) + 1 points, rounded up to
+        # even above 1: a planar state keeps one k3 point, the pair +-(4, 2, 1)
+        # has extents (4, 2, 1), and a dense field keeps 3K + 1 -> 14 at K = 4
+        sizes = []
+        inner = np.fft.irfftn
+
+        def spy(*args, **kwargs):
+            sizes.append(tuple(kwargs["s"]))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfftn", spy)
+        if support == "criterion2_pair":
+            u = SpectralField.from_modes(cutoff, {(4, 2, 1): (0.1, -0.2, 0.0)})
+        else:
+            u = supported_field(cutoff, support, np.random.default_rng(cutoff))
+        bilinear_form(u, u)
+        assert sizes == [grid]
+
+    @pytest.mark.parametrize("support", ["dense", "planar"])
+    def test_self_advection_matches_two_objects(self, support):
+        # B(u, u) with one object forms the 6 products u_j u_c with j <= c,
+        # B(u, v) all 9: the two must agree for an equal copy of u
+        for cutoff in (3, 4, 8):
+            u = supported_field(cutoff, support, np.random.default_rng([cutoff, 11]))
+            one = bilinear_form(u, u)
+            two = bilinear_form(u, SpectralField(cutoff, u.coeffs.copy()))
+            assert (one - two).l2() <= 1e-14 * two.l2()
+
     def test_cutoff_mismatch(self):
         with pytest.raises(CutoffMismatchError):
             bilinear_form(random_solenoidal_field(2, RNG), random_solenoidal_field(3, RNG))
@@ -277,7 +317,7 @@ class TestTrilinearForm:
         w = random_solenoidal_field(2, RNG)
         assert trilinear_form(SpectralField.zero(2), v, w) == 0.0
 
-    @pytest.mark.parametrize("cutoff", [8, 12])
+    @pytest.mark.parametrize("cutoff", [8, 12, 16])
     def test_invariants_at_large_cutoff(self, cutoff):
         rng = np.random.default_rng(cutoff)
         u, v, w = (random_solenoidal_field(cutoff, rng) for _ in range(3))
