@@ -277,7 +277,8 @@ class _Integrator:
         solution, the error field, the midpoint state and its rhs."""
         # never clamp z: the phi formulas divide by it, and exp just underflows
         z = -h * self.ksq
-        P1, P2, P4 = (tuple(m[..., None] for m in _phi_trio(c * z)) for c in (1.0, 0.5, 0.25))
+        tables = [m[..., None] for m in _phi_trio(np.stack([z, 0.5 * z, 0.25 * z]))]
+        P1, P2, P4 = (tuple(m[i] for m in tables) for i in range(3))
         coarse = self.krogstad(t, h, u0, k1, P1, P2)
         mid = self.krogstad(t, 0.5 * h, u0, k1, P2, P4)
         n_mid = self.rhs(t + 0.5 * h, mid)

@@ -27,7 +27,11 @@ gets 3K + 1 points per axis, and a field on the k3 = 0 plane a single k3
 point.  The support indicators of u and v ride in the same transform pair:
 their pointwise product transforms to the number of pairs p + q = k, and
 every mode with no such pair is set to exactly zero, so transform rounding
-never fills modes the convolution cannot reach.
+never fills modes the convolution cannot reach.  The Leray projection runs
+on the output box only.  The sizes, index maps and box geometry are cached
+per support extents and the indicators per pair of supports, and a small
+pair of supports whose sums all miss the cube away from k = 0 gives the
+zero field with no transform.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -127,24 +131,9 @@ def _grid(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return got
 
 
-@functools.lru_cache(maxsize=None)
-def _axis_maps(e_in: int, e_out: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid index k mod n of each k in -e_in..e_in (the input box) and in
-    -e_out..e_out (the output box) on one padded axis of n points.  The rfft
-    half axis uses the k >= 0 tails.  The extents run over 0..K and n stays
-    below 3K + 3, so a cutoff adds only a few (K + 1)^2 keys."""
-    return np.arange(-e_in, e_in + 1) % n, np.arange(-e_out, e_out + 1) % n
-
-
 def _half_box(cutoff: int, extents) -> tuple[slice, slice, slice]:
     """The box |k_a| <= extents[a] inside the k3 >= 0 half of a coefficient array."""
     return tuple(slice(cutoff - e, cutoff + e + 1) for e in extents[:2]) + (slice(extents[2] + 1),)
-
-
-def _extents(mask: np.ndarray, cutoff: int) -> tuple[int, int, int]:
-    """Largest |k_a| per axis over a support mask of the k3 >= 0 half (0 if empty)."""
-    i, j, l = np.nonzero(mask)
-    return tuple(int(np.abs(x).max(initial=0)) for x in (i - cutoff, j - cutoff, l))
 
 
 # The products u_j v_c of the divergence form, as (j, c) pairs, and the row of
@@ -324,16 +313,23 @@ def leray_project(raw, cutoff: int) -> SpectralField:
         if arr.shape != (W, W, W, 3):
             raise ValueError(f"array shape {arr.shape} does not match cutoff {cutoff}")
     kvec, ksq, kabs = _grid(cutoff)
-    arr[cutoff, cutoff, cutoff] = 0.0
-    ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
+    return SpectralField(cutoff, _project_box(arr, kvec, np.where(ksq == 0.0, 1.0, ksq), kabs))
+
+
+def _project_box(arr: np.ndarray, kvec: np.ndarray, ksq_safe: np.ndarray,
+                 kabs: np.ndarray) -> np.ndarray:
+    """The Leray projection of a box of modes |k_a| <= e_a centred on k = 0
+    (components last; overwritten), given k, |k|^2 (1 at k = 0) and |k| on
+    the same box: k = 0 is dropped, each mode becomes
+    u_hat(k) - (k . u_hat(k)) k / |k|^2, and the box is symmetrized."""
+    arr[tuple(n // 2 for n in arr.shape[:3])] = 0.0
     kdotu = np.einsum("xyzc,xyzc->xyz", kvec, arr)
     # Modes whose divergence is already at rounding level are left untouched,
     # which makes the projection exactly idempotent mode by mode.
     amp = np.sqrt(np.sum(np.abs(arr) ** 2, axis=-1))
     live = np.abs(kdotu) > 1e-13 * kabs * amp
     arr = np.where(live[..., None], arr - (kdotu / ksq_safe)[..., None] * kvec, arr)
-    arr = 0.5 * (arr + _conj_flip(arr))
-    return SpectralField(cutoff, arr)
+    return 0.5 * (arr + _conj_flip(arr))
 
 
 _MULTIPLIER_KINDS = ("A_alpha", "exp_sqrtA", "heat")
@@ -402,6 +398,68 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
     return VOLUME * float(np.real(np.vdot(v.coeffs, u.coeffs)))
 
 
+_SUM_PAIRS = 64   # largest |supp u| |supp v| (k3 >= 0 halves) whose sums are listed
+
+
+class _Layout(NamedTuple):
+    """Grids and boxes of ``bilinear_form`` for given support extents."""
+
+    sizes: tuple[int, int, int]   # padded grid N_a
+    box_in: tuple                 # half box of extent max(e_u, e_v), transformed in
+    scatter: tuple                # its place on the rfft half grid, all rows
+    gather: tuple                 # the k3 >= 0 half of the output box on the rfft half grid
+    k_rows: np.ndarray            # k_j on that half, component-major
+    box_out: tuple                # the output box |k_a| <= o[a] in a coefficient array
+    geometry: tuple               # k, |k|^2 (1 at k = 0) and |k| on the output box
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(cutoff: int, e_u: tuple, e_v: tuple) -> _Layout:
+    """The layout for supports whose largest |k_a| are e_u[a] and e_v[a]."""
+    e_in = [max(a, b) for a, b in zip(e_u, e_v)]
+    e_out = [min(cutoff, a + b) for a, b in zip(e_u, e_v)]
+    sizes = [a + b + o + 1 for a, b, o in zip(e_u, e_v, e_out)]
+    sizes = tuple(n + n % 2 if n > 1 else n for n in sizes)
+    # grid index k mod N_a of each k on an axis; the rfft half axis keeps k >= 0
+    index_in, index_out = (
+        np.ix_(*(np.arange(-e, e + 1) % n for e, n in zip(ext, sizes)))
+        for ext in (e_in, e_out))
+    box_out = tuple(slice(cutoff - e, cutoff + e + 1) for e in e_out)
+    kvec, ksq, kabs = (g[box_out] for g in _grid(cutoff))
+    return _Layout(
+        sizes=sizes, box_in=_half_box(cutoff, e_in),
+        scatter=(slice(None),) + index_in[:2] + (index_in[2][..., e_in[2]:],),
+        gather=(slice(None),) + index_out[:2] + (index_out[2][..., e_out[2]:],),
+        k_rows=np.moveaxis(kvec[:, :, e_out[2]:], -1, 0), box_out=box_out,
+        geometry=(kvec, np.where(ksq == 0.0, 1.0, ksq), kabs))
+
+
+@functools.lru_cache(maxsize=32)
+def _plan(cutoff: int, same: bool, mask_u: bytes,
+          mask_v: bytes) -> tuple[_Layout, np.ndarray] | None:
+    """The layout and the support indicators on its input box (complex
+    rows: supp(u), then supp(v) unless v is u) for supports given as k3 >= 0
+    half masks (``tobytes``), or None when no p + q with p in supp(u), q in
+    supp(v) lands in the cube away from k = 0.  That is tested by listing
+    p +- q over the half masks when they hold at most _SUM_PAIRS pairs;
+    larger supports always get a plan, so the listing stays small.  The
+    solver's support rarely changes between calls, so a few plans serve a
+    whole run."""
+    W = 2 * cutoff + 1
+    masks = [np.frombuffer(m, dtype=bool).reshape(W, W, cutoff + 1)
+             for m in ((mask_u,) if same else (mask_u, mask_v))]
+    centre = (cutoff, cutoff, 0)
+    points = [np.nonzero(m) for m in masks]        # index arrays per axis
+    if len(points[0][0]) * len(points[-1][0]) <= _SUM_PAIRS:
+        p, q = (np.stack(points[i], axis=-1) - centre for i in (0, -1))
+        sums = np.concatenate([p[:, None] + q, p[:, None] - q]).reshape(-1, 3)
+        if not np.any(np.all(np.abs(sums) <= cutoff, axis=1) & np.any(sums != 0, axis=1)):
+            return None
+    extents = [tuple(int(np.abs(x - c).max()) for x, c in zip(pt, centre)) for pt in points]
+    layout = _layout(cutoff, extents[0], extents[-1])
+    return layout, np.array([m[layout.box_in] for m in masks], dtype=np.complex128)
+
+
 def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     """Advective form B(u, v) = P((u . grad) v), the exact Galerkin nonlinearity.
 
@@ -426,31 +484,40 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     go through the same two transforms: their pointwise product comes back
     as the number of pairs p + q = k, and every mode where that count is
     zero, which the convolution cannot reach, is set to exactly zero, so
-    sparse states stay sparse.  The result is then Leray-projected.
+    sparse states stay sparse.
+
+    The k3 < 0 half of the output box is filled with conjugates and the
+    Leray projection runs on the output box alone, with ``leray_project``'s
+    own steps.  Every mode outside the box is zero and stays zero under
+    them, so the result equals ``leray_project`` of the whole cube bit for
+    bit.
+
+    Nothing above that depends only on the supports is rebuilt per call.
+    Grid sizes, index maps and the output box's wave vectors depend on the
+    extents alone and are cached per (e_u, e_v) (``_layout``); the
+    indicators and the empty-sum test are cached per pair of support
+    masks (``_plan``).  When the supports are small and no p + q lands in
+    the cube away from k = 0, the result is the zero field and no transform
+    is made.
     """
     if u.cutoff != v.cutoff:
         raise CutoffMismatchError(f"cutoffs {u.cutoff} != {v.cutoff}")
     K = u.cutoff
     same = v is u
-    kvec, _, _ = _grid(K)
     upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: the rfft half
     halves = [u.coeffs[upper]] if same else [u.coeffs[upper], v.coeffs[upper]]
-    masks = [np.any(h != 0, axis=-1) for h in halves]
-    extents = [_extents(m, K) for m in masks]
-    e_u, e_v = extents[0], extents[-1]
-    e_in = [max(a, b) for a, b in zip(e_u, e_v)]
-    e_out = [min(K, a + b) for a, b in zip(e_u, e_v)]
-    sizes = [a + b + o + 1 for a, b, o in zip(e_u, e_v, e_out)]
-    sizes = tuple(n + n % 2 if n > 1 else n for n in sizes)
-    (in1, out1), (in2, out2), (in3, out3) = (
-        _axis_maps(i, o, n) for i, o, n in zip(e_in, e_out, sizes))
-    box_in, box_out = _half_box(K, e_in), _half_box(K, e_out)
+    masks = [h.any(axis=-1) for h in halves]
+    plan = _plan(K, same, masks[0].tobytes(), masks[-1].tobytes())
+    if plan is None:
+        return SpectralField.zero(K)
+    layout, indicators = plan
+    sizes = layout.sizes
     # component-major half spectra on the input box: u_j at rows 0-2, then
     # v_c unless v is u, then the support indicator of each distinct field
-    rows = [np.moveaxis(h[box_in], -1, 0) for h in halves] + [m[box_in][None] for m in masks]
+    rows = [np.moveaxis(h[layout.box_in], -1, 0) for h in halves] + [indicators]
     spec = np.zeros((3 * len(halves) + len(masks),) + sizes[:2] + (sizes[2] // 2 + 1,),
                     dtype=np.complex128)
-    spec[(slice(None),) + np.ix_(in1, in2, in3[e_in[2]:])] = np.concatenate(rows)
+    spec[layout.scatter] = np.concatenate(rows)
     phys = np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")
     pairs, table = _TENSOR[same]
     v0 = 3 * (len(halves) - 1)                            # first row of v
@@ -458,15 +525,16 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     for r, (j, c) in enumerate(pairs):
         np.multiply(phys[j], phys[v0 + c], out=prod[r])
     np.multiply(phys[v0 + 3], phys[-1], out=prod[-1])     # ind_u * ind_v
-    half = np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward")[
-        (slice(None),) + np.ix_(out1, out2, out3[e_out[2]:])]
-    k_out = np.moveaxis(kvec[upper][box_out], -1, 0)
-    flux = 1j * np.einsum("jxyz,jcxyz->cxyz", k_out, half[table])   # i k_j T_jc
+    half = np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward")[layout.gather]
+    flux = 1j * np.einsum("jxyz,jcxyz->cxyz", layout.k_rows, half[table])   # i k_j T_jc
     flux[:, half[-1].real <= 0.5] = 0.0                   # no pair p + q = k
+    o3 = flux.shape[-1] - 1
+    box = np.empty(flux.shape[1:3] + (2 * o3 + 1, 3), dtype=np.complex128)
+    box[:, :, o3:] = np.moveaxis(flux, 0, -1)
+    box[:, :, :o3] = np.conj(box[::-1, ::-1, :o3:-1])    # u_hat(-k) = conj(u_hat(k))
     out = np.zeros_like(v.coeffs)
-    out[upper][box_out] = np.moveaxis(flux, 0, -1)
-    out[:, :, :K] = np.conj(out[::-1, ::-1, :K:-1])       # u_hat(-k) = conj(u_hat(k))
-    return leray_project(out, K)
+    out[layout.box_out] = _project_box(box, *layout.geometry)
+    return SpectralField(K, out)
 
 
 def trilinear_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

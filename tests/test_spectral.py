@@ -218,6 +218,8 @@ class TestBilinearForm:
             # a single pair advecting itself gives B = 0: measure against the inputs
             scale = max(want.l2(), left.l2() * gevrey_norm(right, GevreyIndex(0.5, 0.0)))
             assert (got - want).l2() <= 1e-10 * scale
+            # projecting the output box alone equals projecting the cube
+            np.testing.assert_array_equal(leray_project(got.coeffs, cutoff).coeffs, got.coeffs)
 
     @pytest.mark.parametrize("cutoff", [3, 5])
     @pytest.mark.parametrize("support", ["planar", "pair", "sparse"])
@@ -235,45 +237,67 @@ class TestBilinearForm:
             assert {k for k, _ in bilinear_form(left, right).modes()} <= support_sum(left, right)
 
     @pytest.mark.parametrize("same", [True, False], ids=["u_is_v", "u_ne_v"])
-    def test_one_transform_pair_per_call(self, same, monkeypatch):
+    def test_one_transform_pair_per_call(self, same, fft_calls):
         # the support mask rides in the product transforms: no second pipeline
-        calls = {"irfftn": 0, "rfftn": 0}
-
-        def counted(name):
-            inner = getattr(np.fft, name)
-
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(np.fft, name, counted(name))
         u = supported_field(3, "planar", np.random.default_rng(5))
         bilinear_form(u, u if same else shear_field(3))
-        assert calls == {"irfftn": 1, "rfftn": 1}
+        assert [name for name, _ in fft_calls] == ["irfftn", "rfftn"]
 
     @pytest.mark.parametrize("support, cutoff, grid", [
-        ("planar", 3, (10, 10, 1)), ("criterion2_pair", 4, (14, 10, 6)), ("dense", 4, (14, 14, 14)),
-    ], ids=["planar_K3", "criterion2_pair_K4", "dense_K4"])
-    def test_transform_size_follows_support(self, support, cutoff, grid, monkeypatch):
+        ("planar", 3, (10, 10, 1)), ("opposed_pairs", 4, (14, 10, 6)), ("dense", 4, (14, 14, 14)),
+    ], ids=["planar_K3", "opposed_pairs_K4", "dense_K4"])
+    def test_transform_size_follows_support(self, support, cutoff, grid, fft_calls):
         # axis a gets e_u + e_v + min(K, e_u + e_v) + 1 points, rounded up to
-        # even above 1: a planar state keeps one k3 point, the pair +-(4, 2, 1)
-        # has extents (4, 2, 1), and a dense field keeps 3K + 1 -> 14 at K = 4
-        sizes = []
-        inner = np.fft.irfftn
-
-        def spy(*args, **kwargs):
-            sizes.append(tuple(kwargs["s"]))
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "irfftn", spy)
-        if support == "criterion2_pair":
-            u = SpectralField.from_modes(cutoff, {(4, 2, 1): (0.1, -0.2, 0.0)})
+        # even above 1: a planar state keeps one k3 point, the pairs
+        # +-(4, 2, 1) and +-(-4, 2, 1) have extents (4, 2, 1) and reach
+        # (0, 4, 2), and a dense field keeps 3K + 1 -> 14 at K = 4
+        if support == "opposed_pairs":
+            u = SpectralField.from_modes(cutoff, {(4, 2, 1): (0.1, -0.2, 0.0),
+                                                  (-4, 2, 1): (0.1, 0.2, 0.0)})
         else:
             u = supported_field(cutoff, support, np.random.default_rng(cutoff))
         bilinear_form(u, u)
-        assert sizes == [grid]
+        assert [s for name, s in fft_calls if name == "irfftn"] == [grid]
+
+    @pytest.mark.parametrize("case", ["criterion2_pair_K4", "diagonals_K3", "zero_left",
+                                      "zero_right"])
+    def test_empty_support_sum_makes_no_transform(self, case, fft_calls):
+        # no p + q lands in the cube away from k = 0: B is the zero field
+        # and no transform is made
+        rng = np.random.default_rng(3)
+        if case == "criterion2_pair_K4":
+            u = SpectralField.from_modes(4, {(4, 2, 1): (0.1, -0.2, 0.0)})
+            v = u       # the sums are +-(8, 4, 2) and 0
+        elif case == "diagonals_K3":
+            # the sums +-(4, 0, 0) and +-(0, 4, 0) leave the K = 3 cube
+            u = SpectralField.from_modes(3, {(2, 2, 0): (1.0, -1.0, 0.0)})
+            v = SpectralField.from_modes(3, {(2, -2, 0): (1.0, 1.0, 0.0)})
+        else:
+            u = random_solenoidal_field(3, rng)
+            v = SpectralField.zero(3)
+            if case == "zero_left":
+                u, v = v, u
+        got = bilinear_form(u, v)
+        assert fft_calls == []
+        assert got.coeffs.tobytes() == SpectralField.zero(u.cutoff).coeffs.tobytes()
+
+    @pytest.mark.parametrize("case", ["diagonals_K4", "difference_only_K3"])
+    def test_reachable_support_sum_is_transformed(self, case, fft_calls):
+        # sums in the cube away from k = 0 go through one transform pair; at
+        # K = 3 the second pair is reached only through p - q = +-(1, -1, 0)
+        if case == "diagonals_K4":
+            u = SpectralField.from_modes(4, {(2, 2, 0): (1.0, -1.0, 0.0)})
+            v = SpectralField.from_modes(4, {(2, -2, 0): (1.0, 1.0, 0.0)})
+            reached = {(4, 0, 0), (-4, 0, 0), (0, 4, 0), (0, -4, 0)}
+        else:
+            u = SpectralField.from_modes(3, {(3, 0, 0): (0.0, 1.0, 0.0)})
+            v = SpectralField.from_modes(3, {(2, 1, 0): (0.0, 0.0, 1.0)})
+            reached = {(1, -1, 0), (-1, 1, 0)}
+        got = bilinear_form(u, v)
+        assert [name for name, _ in fft_calls] == ["irfftn", "rfftn"]
+        assert {k for k, _ in got.modes()} == reached
+        want = bilinear_quadrature(u, v, n=3 * u.cutoff + 1)
+        assert (got - want).l2() <= 1e-12 * want.l2()
 
     @pytest.mark.parametrize("support", ["dense", "planar"])
     def test_self_advection_matches_two_objects(self, support):
@@ -343,6 +367,7 @@ def test_bilinear_form_bilinear_and_real(cutoff, seed, a, b):
     assert left.l2() <= 1e-12 * scale and right.l2() <= 1e-12 * scale
     for f in (Buv, Bwv, Buw):
         np.testing.assert_array_equal(f.coeffs, np.conj(f.coeffs[::-1, ::-1, ::-1]))
+        np.testing.assert_array_equal(leray_project(f.coeffs, cutoff).coeffs, f.coeffs)
         f.validate()
 
 
