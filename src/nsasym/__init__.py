@@ -9,6 +9,7 @@ from .spectral import (
     SpectralRangeError,
     CutoffMismatchError,
     FieldInvariantError,
+    advection_sum,
     apply_inverse_stokes,
     apply_multiplier,
     bilinear_form,

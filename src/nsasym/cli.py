@@ -50,6 +50,13 @@ __all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult",
 
 SCHEMA_VERSION = 1
 COEFF_FLOOR = 1e-13  # below this (relative) a coefficient counts as zero
+# Most steps a horizon may demand at the least.  A step has h <= step_growth * t
+# and ends at or before the next sample, so a run needs
+# log(t1 / t0) / log(min(1 + step_growth, sample_ratio)) steps or more.  The
+# shipped configs and the perfbench workloads need at most 201
+# (criterion4_logarithmic and longhaul_planar); t1 = 1e300 from t0 = 5 needs
+# 8,955 and would only stop at the solver's step budget, after more than a minute.
+MAX_HORIZON_STEPS = 5_000
 
 
 class ConfigError(ValueError):
@@ -204,6 +211,14 @@ class ExperimentConfig:
                             lambda: float(sol.get("step_growth", 0.08)))
         if not step_growth > 0.0:
             raise ConfigError(f"config.solver.step_growth must be positive, got {step_growth!r}")
+        # a t0 <= 0 lies below every system's t_min and fails when the run starts
+        least = (math.log(t1) - math.log(t0)) / min(math.log1p(step_growth),
+                                                    math.log(sample_ratio)) if t0 > 0 else 0.0
+        if least > MAX_HORIZON_STEPS:
+            raise ConfigError(
+                f"config.solver.t1 = {t1:g} is out of reach: from t0 = {t0:g} at step_growth "
+                f"{step_growth} and sample_ratio {sample_ratio} the run needs at least "
+                f"{least:,.0f} steps, more than {MAX_HORIZON_STEPS:,}")
         u0_spec = sol.get("u0", "expansion" if ftype == "manufactured" else "zero")
         if u0_spec not in ("zero", "expansion"):
             u0_spec = _field_spec(u0_spec, cutoff, "config.solver.u0")

@@ -10,15 +10,18 @@ force expansion, the solution coefficients are produced entry by entry:
 where chi_n collects c_{p,k} xi_p over all vee routes (p, k) landing on
 entry n.  Wedge and vee route sets come from lattice provenance, and each
 c_{p,k} from the vee terms the lattice computed for entry p at closure.
-``coupling_terms`` yields the pieces of chi_n and the wedge sum: the
-recursion subtracts them from phi_n, and the manufactured force adds them
-to A xi_n, the same relation run forwards.
+``coupling_terms`` yields the pieces of chi_n and then the whole wedge
+sum of entry n as one piece, formed in physical space and transformed
+once (``spectral.advection_sum``): the recursion subtracts them from
+phi_n, and the manufactured force adds them to A xi_n, the same relation
+run forwards.
 The residual checker below never reads provenance: it keeps every vee
 term of an earlier entry that the system calls the same as lambda_n, and
 for each i < n tries only the j < n whose value lies within 2 VALUE_TOL
 of lambda_n - lambda_i (wedge values add, which closure relies on too),
-deciding each candidate by the system's wedge and identity rule.  The
-two paths therefore stay independently testable.
+deciding each candidate by the system's wedge and identity rule, and it
+evaluates each wedge pair with its own ``bilinear_form`` call.  The two
+paths therefore stay independently testable.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .lattice import ExponentLattice
 from .spectral import (
     GevreyIndex,
     SpectralField,
+    advection_sum,
     apply_inverse_stokes,
     apply_multiplier,
     bilinear_form,
@@ -135,16 +139,24 @@ def coupling_terms(lat: ExponentLattice, fields: Sequence[SpectralField], n: int
 
     ``fields`` holds xi_1, xi_2, ...; only sources that have a field
     contribute.  Yields c_{p,k} xi_p over the vee routes (p, k) of entry n,
-    then B(xi_i, xi_j) over its wedge pairs (i, j), both as recorded by
-    lattice provenance (every source comes before n).
+    then the whole wedge sum over its pairs (i, j) as one piece, a single
+    ``advection_sum`` (one forward transform per entry, not per pair), when
+    entry n has a wedge pair; routes and pairs are as recorded by lattice
+    provenance (every source comes before n).  A lone pair goes through
+    ``bilinear_form``, the one-pair case of the sum and equal to it bit for
+    bit, so a tracer that wraps ``bilinear_form`` (perfbench's layers) still
+    counts it.
     """
     have = len(fields)
     for (p, k) in lat.vee_sources(n):
         if p <= have:
             yield lat.vee(p)[k - 1].coeff * fields[p - 1]
-    for (i, j) in lat.wedge_pairs(n):
-        if i <= have and j <= have:
-            yield bilinear_form(fields[i - 1], fields[j - 1])
+    pairs = [(fields[i - 1], fields[j - 1]) for (i, j) in lat.wedge_pairs(n)
+             if i <= have and j <= have]
+    if len(pairs) == 1:
+        yield bilinear_form(*pairs[0])
+    elif pairs:
+        yield advection_sum(pairs)
 
 
 def _recursion(force: Expansion, N: int) -> Expansion:

@@ -16,22 +16,27 @@ Parseval factor is included so |u|_{0,0} equals the plain L^2 norm.
 
 The advective bilinear form B(u, v) = P((u . grad) v) is evaluated in
 divergence form, P(div(u (x) v)), which is the same for divergence-free u,
-with real FFTs on a grid sized per axis from the supports of u and v.  If
-e_u and e_v are the largest |k_a| in the supports and the output keeps
-|k_a| <= o = min(K, e_u + e_v), an axis of N_a >= e_u + e_v + o + 1 points
-puts no alias of the product inside the output box (Orszag 1971; Canuto,
-Hussaini, Quarteroni and Zang, Spectral Methods), so the result is the
-exact truncated convolution, not a dealiased approximation, and the
+with real FFTs on a grid sized per axis from the supports.  Its one
+implementation, ``advection_sum``, forms the sum of B(u, v) over a list of
+pairs with one forward transform: the distinct fields are transformed in,
+a few at a time, the products u_j v_c of all pairs are accumulated on one
+grid, and one divergence and one Leray projection follow.
+``bilinear_form`` is its one-pair case.  If e_u and e_v are the largest |k_a| in the supports of a
+pair, s the largest e_u + e_v over the pairs, and the output keeps
+|k_a| <= o = min(K, s), an axis of N_a >= s + o + 1 points puts no alias
+of any product inside the output box (Orszag 1971; Canuto, Hussaini,
+Quarteroni and Zang, Spectral Methods), so the result is the exact
+truncated convolution, not a dealiased approximation, and the
 finite-dimensional system is the exact Galerkin reduction.  A dense field
 gets 3K + 1 points per axis, and a field on the k3 = 0 plane a single k3
-point.  The support indicators of u and v ride in the same transform pair:
-their pointwise product transforms to the number of pairs p + q = k, and
-every mode with no such pair is set to exactly zero, so transform rounding
-never fills modes the convolution cannot reach.  The Leray projection runs
-on the output box only.  The sizes, index maps and box geometry are cached
-per support extents and the indicators per pair of supports, and a small
-pair of supports whose sums all miss the cube away from k = 0 gives the
-zero field with no transform.
+point.  The support indicators ride in the same transforms: their
+pointwise products, summed over the pairs, transform to the number of
+pairs p + q = k, and every mode with no such pair is set to exactly zero,
+so transform rounding never fills modes no convolution can reach.  The
+Leray projection runs on the output box only.  The sizes, index maps and
+box geometry are cached per support extents and the extents per pair of
+supports, and a small pair of supports whose sums all miss the cube away
+from k = 0 is dropped with no transform.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -61,6 +67,7 @@ __all__ = [
     "gevrey_norm",
     "inner_product",
     "bilinear_form",
+    "advection_sum",
     "trilinear_form",
     "low_mode_project",
     "smoothing_constant",
@@ -137,8 +144,9 @@ def _half_box(cutoff: int, extents) -> tuple[slice, slice, slice]:
 
 
 # The products u_j v_c of the divergence form, as (j, c) pairs, and the row of
-# each T_jc among them: all nine for B(u, v); for B(u, u) the tensor is
-# symmetric and only the six with j <= c are formed.
+# each T_jc among them: all nine in general; for a pair list closed under swap,
+# B(u, u) among them, the tensor is symmetric and only the six with j <= c are
+# formed.
 _TENSOR = {
     False: ([(j, c) for j in range(3) for c in range(3)], np.arange(9).reshape(3, 3)),
     True: ([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
@@ -399,13 +407,14 @@ def inner_product(u: SpectralField, v: SpectralField) -> float:
 
 
 _SUM_PAIRS = 64   # largest |supp u| |supp v| (k3 >= 0 halves) whose sums are listed
+_BATCH = 4        # most distinct fields inverse-transformed together by ``advection_sum``
 
 
 class _Layout(NamedTuple):
-    """Grids and boxes of ``bilinear_form`` for given support extents."""
+    """Grids and boxes of ``advection_sum`` for given support extents."""
 
     sizes: tuple[int, int, int]   # padded grid N_a
-    box_in: tuple                 # half box of extent max(e_u, e_v), transformed in
+    box_in: tuple                 # half box of the fields' extent, transformed in
     scatter: tuple                # its place on the rfft half grid, all rows
     gather: tuple                 # the k3 >= 0 half of the output box on the rfft half grid
     k_rows: np.ndarray            # k_j on that half, component-major
@@ -414,11 +423,11 @@ class _Layout(NamedTuple):
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(cutoff: int, e_u: tuple, e_v: tuple) -> _Layout:
-    """The layout for supports whose largest |k_a| are e_u[a] and e_v[a]."""
-    e_in = [max(a, b) for a, b in zip(e_u, e_v)]
-    e_out = [min(cutoff, a + b) for a, b in zip(e_u, e_v)]
-    sizes = [a + b + o + 1 for a, b, o in zip(e_u, e_v, e_out)]
+def _layout(cutoff: int, e_in: tuple, e_sum: tuple) -> _Layout:
+    """The layout for fields whose largest |k_a| are at most e_in[a] and
+    products whose largest e_u[a] + e_v[a] is e_sum[a]."""
+    e_out = [min(cutoff, s) for s in e_sum]
+    sizes = [s + o + 1 for s, o in zip(e_sum, e_out)]
     sizes = tuple(n + n % 2 if n > 1 else n for n in sizes)
     # grid index k mod N_a of each k on an axis; the rfft half axis keeps k >= 0
     index_in, index_out = (
@@ -435,16 +444,15 @@ def _layout(cutoff: int, e_u: tuple, e_v: tuple) -> _Layout:
 
 
 @functools.lru_cache(maxsize=32)
-def _plan(cutoff: int, same: bool, mask_u: bytes,
-          mask_v: bytes) -> tuple[_Layout, np.ndarray] | None:
-    """The layout and the support indicators on its input box (complex
-    rows: supp(u), then supp(v) unless v is u) for supports given as k3 >= 0
-    half masks (``tobytes``), or None when no p + q with p in supp(u), q in
-    supp(v) lands in the cube away from k = 0.  That is tested by listing
-    p +- q over the half masks when they hold at most _SUM_PAIRS pairs;
-    larger supports always get a plan, so the listing stays small.  The
-    solver's support rarely changes between calls, so a few plans serve a
-    whole run."""
+def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> tuple[tuple, tuple] | None:
+    """For supp(u) and supp(v), given as k3 >= 0 half masks (``tobytes``),
+    the largest |k_a| per axis of either support and of their sums:
+    max(e_u, e_v) and e_u + e_v, with e_u, e_v the extents of the supports.
+    None when no p + q with p in supp(u), q in supp(v) lands in the cube
+    away from k = 0.  That is tested by listing p +- q over the half masks
+    when they hold at most _SUM_PAIRS pairs; larger supports always get
+    extents, so the listing stays small.  The solver's support rarely
+    changes between calls, so a few plans serve a whole run."""
     W = 2 * cutoff + 1
     masks = [np.frombuffer(m, dtype=bool).reshape(W, W, cutoff + 1)
              for m in ((mask_u,) if same else (mask_u, mask_v))]
@@ -455,86 +463,144 @@ def _plan(cutoff: int, same: bool, mask_u: bytes,
         sums = np.concatenate([p[:, None] + q, p[:, None] - q]).reshape(-1, 3)
         if not np.any(np.all(np.abs(sums) <= cutoff, axis=1) & np.any(sums != 0, axis=1)):
             return None
-    extents = [tuple(int(np.abs(x - c).max()) for x, c in zip(pt, centre)) for pt in points]
-    layout = _layout(cutoff, extents[0], extents[-1])
-    return layout, np.array([m[layout.box_in] for m in masks], dtype=np.complex128)
+    e_u, e_v = ([int(np.abs(x - c).max()) for x, c in zip(pt, centre)]
+                for pt in (points[0], points[-1]))
+    return tuple(map(max, e_u, e_v)), tuple(map(operator.add, e_u, e_v))
 
 
-def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
-    """Advective form B(u, v) = P((u . grad) v), the exact Galerkin nonlinearity.
+def _batches(pairs: list, limit: int) -> Iterator[tuple[list, list]]:
+    """Split (a, b) pairs of field slots into batches that hold at most
+    ``limit`` (>= 2) distinct slots, as (slots, pairs in batch-local slots).
+    A pair and its swap sort next to each other, so a list closed under swap
+    transforms each field about once."""
+    local_of: dict = {}       # slot -> its index in the batch
+    local: list = []
+    for a, b in sorted(pairs, key=lambda ab: (min(ab), max(ab), ab[0])):
+        if len(local_of.keys() | {a, b}) > limit:
+            yield list(local_of), local
+            local_of, local = {}, []
+        local.append(tuple(local_of.setdefault(s, len(local_of)) for s in (a, b)))
+    yield list(local_of), local
 
-    Evaluated in divergence form: u and v are transformed to a zero-padded
-    grid, the products T_jc = u_j v_c are transformed back, and
-    B(u, v) = P(i k_j T_jc).  This equals the truncated convolution
-    sum_{p+q=k} i (u_hat(p) . q) v_hat(q) up to rounding: the two differ by
-    sum_{p+q=k} i (u_hat(p) . p) v_hat(q), the v (div u) term, which is at
-    rounding level because stored fields are divergence free to
-    INVARIANT_TOL (the quadrature-oracle and b(u, u, u) tests check this).
-    For B(u, u) with one object, T is symmetric and 6 products are formed
-    instead of 9.
 
-    Each axis a is padded separately.  With e_u[a], e_v[a] the largest |k_a|
-    in supp(u), supp(v), the output box is |k_a| <= o[a] = min(K, e_u + e_v)
-    (nothing outside it can be reached) and the axis gets
-    N_a >= e_u + e_v + o + 1 points, rounded up to even above 1, so no alias
-    of the product lands in the output box.  Only the box of extent
-    max(e_u, e_v) is transformed in and only the output box is cropped out.
+def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> SpectralField:
+    """The sum of B(u, v) = P((u . grad) v) over (u, v) pairs, with one
+    forward transform, one spectral divergence and one Leray projection.
 
-    The indicators of supp(u) and supp(v), real and even like the fields,
-    go through the same two transforms: their pointwise product comes back
-    as the number of pairs p + q = k, and every mode where that count is
-    zero, which the convolution cannot reach, is set to exactly zero, so
-    sparse states stay sparse.
+    Evaluated in divergence form: the fields are transformed to one
+    zero-padded grid, the products T_jc = sum u_j v_c are accumulated there
+    and transformed back once, and the sum is P(i k_j T_jc).  For each pair
+    this equals the truncated convolution sum_{p+q=k} i (u_hat(p) . q)
+    v_hat(q) up to rounding: the two differ by sum_{p+q=k} i (u_hat(p) . p)
+    v_hat(q), the v (div u) term, which is at rounding level because stored
+    fields are divergence free to INVARIANT_TOL (the quadrature-oracle and
+    b(u, u, u) tests check this).  Fields are told apart by identity: each
+    distinct object is transformed once per batch of at most _BATCH fields,
+    which bounds the transient memory whatever the number of pairs.  When
+    the pair list is closed under swap (as many (u, v) as (v, u); a lone
+    (u, u) is), T is symmetric and 6 products are formed instead of 9.
+
+    A pair whose supports are small and reach no p + q in the cube away
+    from k = 0 adds nothing and is dropped before any transform (``_plan``,
+    cached per pair of support masks); when every pair is dropped the
+    result is the zero field.  Each axis a of the grid is sized from the
+    pairs left: with s[a] the largest e_u[a] + e_v[a] over them (e_u, e_v
+    the largest |k_a| in supp(u), supp(v)), the output box is
+    |k_a| <= o[a] = min(K, s[a]) (nothing outside it can be reached) and
+    the axis gets N_a >= s + o + 1 points, rounded up to even above 1, so no
+    alias of any product lands in the output box.  Sizes, index maps and the
+    output box's wave vectors are cached per extents (``_layout``).
+
+    The support indicator of each field, real and even like the fields,
+    goes through the same transforms: the products ind_u ind_v, summed over
+    the pairs, come back as the number of pairs p + q = k, and every mode
+    where that count is zero, which no convolution in the sum can reach, is
+    set to exactly zero, so sparse sums stay sparse.
 
     The k3 < 0 half of the output box is filled with conjugates and the
     Leray projection runs on the output box alone, with ``leray_project``'s
     own steps.  Every mode outside the box is zero and stays zero under
     them, so the result equals ``leray_project`` of the whole cube bit for
     bit.
-
-    Nothing above that depends only on the supports is rebuilt per call.
-    Grid sizes, index maps and the output box's wave vectors depend on the
-    extents alone and are cached per (e_u, e_v) (``_layout``); the
-    indicators and the empty-sum test are cached per pair of support
-    masks (``_plan``).  When the supports are small and no p + q lands in
-    the cube away from k = 0, the result is the zero field and no transform
-    is made.
     """
-    if u.cutoff != v.cutoff:
-        raise CutoffMismatchError(f"cutoffs {u.cutoff} != {v.cutoff}")
-    K = u.cutoff
-    same = v is u
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("advection_sum needs at least one (u, v) pair")
+    fields = list({id(f): f for pair in pairs for f in pair}.values())
+    K = fields[0].cutoff
+    if any(f.cutoff != K for f in fields):
+        raise CutoffMismatchError(f"cutoffs {sorted({f.cutoff for f in fields})} differ")
+    slot = {id(f): i for i, f in enumerate(fields)}
     upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: the rfft half
-    halves = [u.coeffs[upper]] if same else [u.coeffs[upper], v.coeffs[upper]]
+    halves = [f.coeffs[upper] for f in fields]
     masks = [h.any(axis=-1) for h in halves]
-    plan = _plan(K, same, masks[0].tobytes(), masks[-1].tobytes())
-    if plan is None:
+    keys = [m.tobytes() for m in masks]
+    kept, extents = [], None      # the largest extent of a field, of a pair's sum
+    for u, v in pairs:
+        a, b = slot[id(u)], slot[id(v)]
+        ext = _plan(K, a == b, keys[a], keys[b])
+        if ext is not None:
+            kept.append((a, b))
+            extents = ext if extents is None else tuple(
+                tuple(map(max, old, new)) for old, new in zip(extents, ext))
+    if not kept:
         return SpectralField.zero(K)
-    layout, indicators = plan
+    layout = _layout(K, *extents)
     sizes = layout.sizes
-    # component-major half spectra on the input box: u_j at rows 0-2, then
-    # v_c unless v is u, then the support indicator of each distinct field
-    rows = [np.moveaxis(h[layout.box_in], -1, 0) for h in halves] + [indicators]
-    spec = np.zeros((3 * len(halves) + len(masks),) + sizes[:2] + (sizes[2] // 2 + 1,),
-                    dtype=np.complex128)
-    spec[layout.scatter] = np.concatenate(rows)
-    phys = np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")
-    pairs, table = _TENSOR[same]
-    v0 = 3 * (len(halves) - 1)                            # first row of v
-    prod = np.empty((len(pairs) + 1,) + sizes)
-    for r, (j, c) in enumerate(pairs):
-        np.multiply(phys[j], phys[v0 + c], out=prod[r])
-    np.multiply(phys[v0 + 3], phys[-1], out=prod[-1])     # ind_u * ind_v
+    symmetric = sorted(kept) == sorted((b, a) for a, b in kept)
+    products, table = _TENSOR[symmetric]
+    prod = np.empty((len(products) + 1,) + sizes)          # T_jc rows, then the pair count
+    term = np.empty(sizes) if len(kept) > 1 else None
+    # the first pair writes its products rather than adding them to zeros
+    # (0.0 + -0.0 is 0.0), so one pair gives B(u, v) bit for bit
+    first = True
+    for batch, local in _batches(kept, _BATCH):
+        # component-major half spectra on the input box: 3 rows per field,
+        # then the support indicator of each field
+        rows = [halves[f][layout.box_in].transpose(3, 0, 1, 2) for f in batch]
+        rows.append(np.array([masks[f][layout.box_in] for f in batch], dtype=np.complex128))
+        spec = np.zeros((4 * len(batch),) + sizes[:2] + (sizes[2] // 2 + 1,),
+                        dtype=np.complex128)
+        spec[layout.scatter] = np.concatenate(rows)
+        phys = np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")
+        del spec
+        ind = 3 * len(batch)                                 # first indicator row
+        for a, b in local:
+            factors = [(phys[3 * a + j], phys[3 * b + c]) for j, c in products]
+            factors.append((phys[ind + a], phys[ind + b]))   # ind_u * ind_v
+            for row, (x, y) in zip(prod, factors):
+                if first:
+                    np.multiply(x, y, out=row)
+                else:
+                    np.multiply(x, y, out=term)
+                    row += term
+            first = False
+        del phys
     half = np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward")[layout.gather]
+    del prod, term
     flux = 1j * np.einsum("jxyz,jcxyz->cxyz", layout.k_rows, half[table])   # i k_j T_jc
     flux[:, half[-1].real <= 0.5] = 0.0                   # no pair p + q = k
     o3 = flux.shape[-1] - 1
     box = np.empty(flux.shape[1:3] + (2 * o3 + 1, 3), dtype=np.complex128)
-    box[:, :, o3:] = np.moveaxis(flux, 0, -1)
+    box[:, :, o3:] = flux.transpose(1, 2, 3, 0)
     box[:, :, :o3] = np.conj(box[::-1, ::-1, :o3:-1])    # u_hat(-k) = conj(u_hat(k))
-    out = np.zeros_like(v.coeffs)
+    W = 2 * K + 1
+    out = np.zeros((W, W, W, 3), dtype=np.complex128)
     out[layout.box_out] = _project_box(box, *layout.geometry)
     return SpectralField(K, out)
+
+
+def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
+    """Advective form B(u, v) = P((u . grad) v), the exact Galerkin nonlinearity.
+
+    The one-pair case of ``advection_sum``, which documents the method: one
+    inverse transform of u, v and their support indicators (u and its
+    indicator alone, and 6 products instead of 9, when v is u), one forward
+    transform of the products and their pair count, and the Leray
+    projection on the output box.  A pair of small supports with no sum in
+    the cube away from k = 0 gives the zero field with no transform.
+    """
+    return advection_sum([(u, v)])
 
 
 def trilinear_form(u: SpectralField, v: SpectralField, w: SpectralField) -> float:

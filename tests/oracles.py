@@ -10,28 +10,18 @@ import numpy as np
 from nsasym.spectral import SpectralField, leray_project
 
 
-def grid_points(n: int) -> np.ndarray:
-    """n^3 uniform sample points of the torus, shape (n^3, 3)."""
-    x = 2.0 * np.pi * np.arange(n) / n
-    return np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+def _phases(cutoff: int, n: int, sign: int) -> np.ndarray:
+    """e^{sign i k x} for k = -cutoff..cutoff (rows) at the n grid points
+    x = 2 pi m / n of one axis (columns)."""
+    return np.exp(sign * 2j * np.pi * np.outer(np.arange(-cutoff, cutoff + 1), np.arange(n)) / n)
 
 
-def evaluate_physical(field: SpectralField, pts: np.ndarray) -> np.ndarray:
-    """u(x) = sum_k u_hat(k) e^{i k.x} evaluated at the given points."""
-    out = np.zeros((pts.shape[0], 3), dtype=np.complex128)
-    for k, amp in field.modes():
-        out += np.exp(1j * (pts @ np.asarray(k, dtype=float)))[:, None] * amp
-    return out
-
-
-def evaluate_gradient_physical(field: SpectralField, pts: np.ndarray) -> np.ndarray:
-    """grad v as a (npts, 3, 3) array, entry [., j, c] = d v_c / d x_j."""
-    out = np.zeros((pts.shape[0], 3, 3), dtype=np.complex128)
-    for k, amp in field.modes():
-        kv = np.asarray(k, dtype=float)
-        phase = np.exp(1j * (pts @ kv))
-        out += phase[:, None, None] * (1j * kv[:, None] * amp[None, :])
-    return out
+def evaluate_physical(coeffs: np.ndarray, n: int) -> np.ndarray:
+    """sum_k c(k) e^{i k.x} on the n^3 grid, for a coefficient array indexed
+    by k + cutoff on its first three axes; a direct sum, one matrix product
+    per axis, with any trailing axes kept."""
+    e = _phases((coeffs.shape[0] - 1) // 2, n, 1)
+    return np.einsum("ax,by,cz,abc...->xyz...", e, e, e, coeffs, optimize=True)
 
 
 def bilinear_quadrature(u: SpectralField, v: SpectralField, n: int = 16) -> SpectralField:
@@ -41,19 +31,15 @@ def bilinear_quadrature(u: SpectralField, v: SpectralField, n: int = 16) -> Spec
     pointwise product has degree at most 2 * cutoff per axis.
     """
     assert n > 3 * u.cutoff
-    pts = grid_points(n)
-    uu = evaluate_physical(u, pts)
-    gv = evaluate_gradient_physical(v, pts)
-    adv = np.einsum("pj,pjc->pc", uu, gv)
     K = u.cutoff
-    W = 2 * K + 1
-    raw = np.zeros((W, W, W, 3), dtype=np.complex128)
-    axis = np.arange(-K, K + 1)
-    for i1, k1 in enumerate(axis):
-        for i2, k2 in enumerate(axis):
-            for i3, k3 in enumerate(axis):
-                phase = np.exp(-1j * (pts @ np.array([k1, k2, k3], dtype=float)))
-                raw[i1, i2, i3] = (phase[:, None] * adv).sum(axis=0) / n**3
+    kvec = np.stack(np.meshgrid(*3 * [np.arange(-K, K + 1)], indexing="ij"), axis=-1)
+    uu = evaluate_physical(u.coeffs, n)
+    # grad v, entry [..., j, c] = d v_c / d x_j, from the coefficients i k_j v_hat_c
+    gv = evaluate_physical(1j * kvec[..., :, None] * v.coeffs[..., None, :], n)
+    adv = np.einsum("xyzj,xyzjc->xyzc", uu, gv)
+    # raw(k) = n^-3 sum_x e^{-i k.x} adv(x), again one matrix product per axis
+    e = _phases(K, n, -1)
+    raw = np.einsum("ax,by,cz,xyzj->abcj", e, e, e, adv, optimize=True) / n**3
     return leray_project(raw, K)
 
 

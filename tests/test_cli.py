@@ -51,15 +51,15 @@ def mutated_config(tmp_path, path, value):
     return str(bad)
 
 
-def lattice_in_subprocess(data, tmp_path, timeout):
-    """`nsasym lattice` on the config ``data``, in a subprocess with a timeout
-    so that a closure that runs away fails the test instead of hanging the
-    suite; returns the exit code and the stderr lines."""
+def cli_in_subprocess(data, tmp_path, timeout, command=("lattice",)):
+    """`nsasym <command>` on the config ``data``, in a subprocess with a
+    timeout so that a closure or a run that runs away fails the test instead
+    of hanging the suite; returns the exit code and the stderr lines."""
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "nsasym.cli", "lattice", "--config", str(bad)],
+    done = subprocess.run([sys.executable, "-m", "nsasym.cli", *command, "--config", str(bad)],
                           capture_output=True, text=True, env=env, timeout=timeout)
     return done.returncode, done.stderr.strip().splitlines()
 
@@ -352,7 +352,7 @@ class TestCommandLine:
     def test_runaway_closure_exits_three_promptly(self, name, lattice_cutoff, tmp_path):
         data = copy.deepcopy(SHIPPED[name])
         data["lattice_cutoff"] = lattice_cutoff
-        rc, lines = lattice_in_subprocess(data, tmp_path, timeout=10)
+        rc, lines = cli_in_subprocess(data, tmp_path, timeout=10)
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("error: ClosureError: ")
 
@@ -367,9 +367,31 @@ class TestCommandLine:
         data["generators"] = [generator]
         data["lattice_cutoff"] = 999.0 * generator
         data["force"]["terms"] = [dict(data["force"]["terms"][0], exponent=generator)]
-        rc, lines = lattice_in_subprocess(data, tmp_path, timeout=5)
+        rc, lines = cli_in_subprocess(data, tmp_path, timeout=5)
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith("error: ClosureError: ")
+
+    @pytest.mark.parametrize("key, value, steps", [
+        ("t1", 1e300, "8,955"), ("sample_ratio", 1.000001, "2,995,734"),
+    ], ids=["t1_1e300", "sample_ratio_near_one"])
+    def test_unreachable_horizon_exits_two_promptly(self, key, value, steps, tmp_path):
+        # a horizon that needs more steps than the bound, by step_growth 0.08
+        # or by one step per sample, is refused on load instead of running
+        # into the solver's step budget
+        data = copy.deepcopy(SHIPPED["power_two_term.json"])
+        data["solver"][key] = value
+        rc, lines = cli_in_subprocess(data, tmp_path, timeout=5,
+                                      command=("verify", "--out", str(tmp_path / "out")))
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("config error: config.solver.t1 ")
+        assert f"{steps} steps" in lines[0]
+
+    def test_shipped_horizons_far_inside_the_step_bound(self):
+        # the bound leaves every shipped config a factor of 10 or more
+        least = [math.log(cfg.t1 / cfg.t0)
+                 / min(math.log1p(cfg.step_growth), math.log(cfg.sample_ratio))
+                 for cfg in (ExperimentConfig.from_json(data) for data in SHIPPED.values())]
+        assert 10 * max(least) <= cli.MAX_HORIZON_STEPS
 
     def test_negative_seed_option_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,7 @@ from nsasym.spectral import (
     SpectralRangeError,
     CutoffMismatchError,
     apply_inverse_stokes,
+    advection_sum,
     apply_multiplier,
     bilinear_form,
     gevrey_norm,
@@ -22,7 +23,9 @@ from nsasym.spectral import (
     trilinear_form,
 )
 
+from nsasym.expansion import compute_coefficients, normalize_force
 from oracles import bilinear_quadrature
+from test_lattice import provenance_lattices
 
 RNG = np.random.default_rng(20240211)
 
@@ -317,6 +320,102 @@ class TestBilinearForm:
         u = random_solenoidal_field(3, RNG)
         v = random_solenoidal_field(3, RNG)
         bilinear_form(u, v).validate()
+
+
+def empty_sum_field(cutoff):
+    """A single conjugate pair +-(K, 1, 0) whose self sums, +-(2K, 2, 0)
+    and 0, all miss the cube away from k = 0."""
+    return SpectralField.from_modes(cutoff, {(cutoff, 1, 0): (0.1, -0.1 * cutoff, 0.2)})
+
+
+def reaches(u, v):
+    """Whether some p + q, p in supp(u), q in supp(v), is in the cube away
+    from k = 0 (vectorized ``support_sum``)."""
+    p, q = (np.array([k for k, _ in f.modes()]).reshape(-1, 3) for f in (u, v))
+    sums = (p[:, None] + q).reshape(-1, 3)
+    return bool(np.any(np.all(np.abs(sums) <= u.cutoff, axis=1) & np.any(sums != 0, axis=1)))
+
+
+class TestAdvectionSum:
+    @staticmethod
+    def pair_lists(cutoff):
+        rng = np.random.default_rng([cutoff, 23])
+        d, d2, p, a = (supported_field(cutoff, kind, rng)
+                       for kind in ("dense", "dense", "planar", "axis"))
+        cropped = np.zeros_like(d2.coeffs)
+        cropped[cutoff - 1:cutoff + 2] = d2.coeffs[cutoff - 1:cutoff + 2]
+        c = leray_project(cropped, cutoff)      # d2 cropped to |k1| <= 1
+        z, w = SpectralField.zero(cutoff), empty_sum_field(cutoff)
+        return {
+            # five distinct fields in nonempty pairs: more than one batch
+            "closed": [(d, p), (p, d), (a, a), (d, z), (z, d), (w, w), (p, a), (a, p),
+                       (d2, c), (c, d2), (d, d)],
+            "open": [(d, p), (a, d), (z, p), (w, w), (p, p), (c, d2)],
+            "repeated_closed": [(d, p), (p, d), (d, p), (p, d)],
+            "repeated_open": [(d, p), (p, d), (d, p), (a, a)],
+        }
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 5])
+    @pytest.mark.parametrize("kind", ["closed", "open", "repeated_closed", "repeated_open"])
+    def test_equals_running_sum_of_pairs(self, cutoff, kind, fft_calls):
+        pairs = self.pair_lists(cutoff)[kind]
+        want = SpectralField.zero(cutoff)
+        scale = 0.0
+        for u, v in pairs:
+            piece = bilinear_form(u, v)
+            want, scale = want + piece, scale + piece.l2()
+        before = len(fft_calls)
+        got = advection_sum(pairs)
+        assert [name for name, _ in fft_calls[before:]].count("rfftn") == 1
+        assert (got - want).l2() <= 1e-14 * scale
+        np.testing.assert_array_equal(leray_project(got.coeffs, cutoff).coeffs, got.coeffs)
+        got.validate()
+
+    @pytest.mark.parametrize("cutoff", [3, 5])
+    def test_exactly_zero_off_union_of_support_sums(self, cutoff):
+        rng = np.random.default_rng([cutoff, 29])
+        u, v, w = (sum((supported_field(cutoff, "pair", rng) for _ in range(3)),
+                       SpectralField.zero(cutoff)) for _ in range(3))
+        pairs = [(u, v), (v, u), (w, w), (u, w)]
+        union = set().union(*(support_sum(left, right) for left, right in pairs))
+        got = {k for k, _ in advection_sum(pairs).modes()}
+        assert got and got <= union
+
+    def test_all_empty_pairs_make_no_transform(self, fft_calls):
+        d = random_solenoidal_field(3, np.random.default_rng(31))
+        z, w = SpectralField.zero(3), empty_sum_field(3)
+        got = advection_sum([(w, w), (z, d), (d, z), (z, z), (w, w)])
+        assert fft_calls == []
+        assert got.coeffs.tobytes() == SpectralField.zero(3).coeffs.tobytes()
+
+    @pytest.mark.parametrize("support", ["dense", "planar", "axis", "pair", "zero"])
+    @pytest.mark.parametrize("same", [True, False], ids=["u_is_v", "u_ne_v"])
+    def test_one_pair_is_bilinear_form_byte_for_byte(self, support, same):
+        rng = np.random.default_rng([len(support), 37])
+        u = supported_field(4, support, rng)
+        v = u if same else supported_field(4, "dense", rng)
+        assert advection_sum([(u, v)]).coeffs.tobytes() == bilinear_form(u, v).coeffs.tobytes()
+
+    def test_rejects_empty_list_and_mixed_cutoffs(self):
+        with pytest.raises(ValueError):
+            advection_sum([])
+        u2, u3 = random_solenoidal_field(2, RNG), random_solenoidal_field(3, RNG)
+        with pytest.raises(CutoffMismatchError):
+            advection_sum([(u2, u2), (u3, u3)])
+
+    def test_recursion_makes_one_forward_transform_per_entry(self, fft_calls):
+        # each entry's wedge sum is one advection sum: one rfftn when some
+        # wedge pair reaches the cube, none when every pair misses it
+        lat = provenance_lattices()[-1]
+        force = normalize_force(
+            [(lat.exponent(1), SpectralField.from_modes(3, {(3, 0, 0): (0.0, 0.2, 0.1)})),
+             (lat.exponent(2), SpectralField.from_modes(3, {(0, 2, 1): (0.3, 0.0, 0.0)}))], lat)
+        xi = compute_coefficients(force)
+        live = [n for n in range(1, len(lat) + 1)
+                if any(reaches(xi.field(i), xi.field(j)) for i, j in lat.wedge_pairs(n))]
+        wedged = [n for n in range(1, len(lat) + 1) if lat.wedge_pairs(n)]
+        assert 0 < len(live) < len(wedged)
+        assert [name for name, _ in fft_calls].count("rfftn") == len(live)
 
 
 class TestTrilinearForm:

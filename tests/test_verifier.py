@@ -16,6 +16,7 @@ from nsasym.solver import ForceSpec, energy_budget, evaluate_force, integrate_ns
 from nsasym.spectral import (
     GevreyIndex,
     SpectralField,
+    advection_sum,
     apply_multiplier,
     bilinear_form,
     gevrey_norm,
@@ -150,25 +151,44 @@ class TestManufacture:
 
     def test_reads_lattice_not_lookups(self, monkeypatch):
         # deterministic cost guard: the force is built from provenance and
-        # the vee terms of closure, with one B call per ordered target pair
+        # the vee terms of closure, with one advection call per entry that
+        # has a target wedge, over exactly those wedges: B for a lone wedge,
+        # one advection sum for several
         for lat in provenance_lattices():
             N = lead_terms(lat)
             target = random_targets(lat, N, 8)
-            calls = {"index_of": 0, "vee": 0, "B": 0}
+            calls = {"index_of": 0, "vee": 0}
+            advection = []
 
             def spy(name, method):
                 def wrapped(*args):
                     calls[name] += 1
                     return method(*args)
                 return wrapped
+
+            def single(u, v):
+                advection.append(("B", 1))
+                return bilinear_form(u, v)
+
+            def summed(pairs):
+                pairs = list(pairs)
+                advection.append(("sum", len(pairs)))
+                return advection_sum(pairs)
             monkeypatch.setattr(ExponentLattice, "index_of",
                                 spy("index_of", ExponentLattice.index_of))
             monkeypatch.setattr(lat.system, "vee", spy("vee", lat.system.vee))
             for module in (expansion, verify):
-                monkeypatch.setattr(module, "bilinear_form", spy("B", bilinear_form))
+                monkeypatch.setattr(module, "bilinear_form", single)
+            monkeypatch.setattr(expansion, "advection_sum", summed)
             manufacture_force(target, N)
             monkeypatch.undo()
-            assert calls == {"index_of": 0, "vee": 0, "B": N * N}, lat.system.kind
+            kept = [sum(i <= N and j <= N for i, j in lat.wedge_pairs(n))
+                    for n in range(1, len(lat) + 1)]
+            assert calls == {"index_of": 0, "vee": 0}, lat.system.kind
+            assert advection == [("B" if w == 1 else "sum", w) for w in kept if w], \
+                lat.system.kind
+            assert any(kind == "sum" for kind, _ in advection), lat.system.kind
+            assert sum(w for _, w in advection) == N * N
 
     def test_manufactured_solution_solves_equations(self):
         # du/dt + Au + B(u,u) - f = 0 pointwise in t, by finite differences
