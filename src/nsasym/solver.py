@@ -125,13 +125,27 @@ def evaluate_force(force: ForceSpec, t: float) -> SpectralField:
     return SpectralField(force.cutoff, _ForceEval(force)(t))
 
 
+_FORCE_MEMO = 8    # most times ``_ForceEval`` remembers before it starts over
+
+
 class _ForceEval:
-    """Vectorized force evaluation: one weighted tensor contraction per call."""
+    """Vectorized force evaluation: one weighted tensor contraction per
+    distinct time.
+
+    A step asks for f at the same time several times (each stage node
+    twice or more, the ledger nodes again), so the last few results are
+    kept, keyed by the exact float t, and the memo is emptied when it holds
+    _FORCE_MEMO times.  A repeated t returns the same read-only array, equal
+    bit for bit to a fresh evaluation.  ``n_evals`` counts the contractions
+    actually made.
+    """
 
     def __init__(self, force: ForceSpec):
         sys = force.expansion.lattice.system
         self.sys = sys
         self.cutoff = force.cutoff
+        self.memo: dict[float, np.ndarray] = {}
+        self.n_evals = 0
         stacks = []
         evals = []
         for _, lam, f in force.expansion.terms():
@@ -146,6 +160,17 @@ class _ForceEval:
         self.evals = evals
 
     def __call__(self, t: float) -> np.ndarray:
+        got = self.memo.get(t)
+        if got is None:
+            got = self._evaluate(t)
+            got.setflags(write=False)
+            if len(self.memo) >= _FORCE_MEMO:
+                self.memo.clear()
+            self.memo[t] = got
+            self.n_evals += 1
+        return got
+
+    def _evaluate(self, t: float) -> np.ndarray:
         self.sys.check_domain(t)
         W = 2 * self.cutoff + 1
         if self.stack is None:
@@ -186,28 +211,29 @@ _CTRL_EXP = 0.25    # controller exponent under error-per-unit-step weighting
 
 
 def _phi_trio(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """phi_0..phi_3 at real z <= 0, series-evaluated near 0 to kill the
-    catastrophic cancellation in (e^z - 1 - z - ...) / z^j."""
+    """phi_0..phi_3 at real z <= 0, series-evaluated where |z| < 0.5 to
+    kill the catastrophic cancellation in (e^z - 1 - z - ...) / z^j.
+
+    The direct formulas run on the whole array (with -1 in place of the
+    small z) and the 21-term series on the small z alone, written over
+    them; every element gets the same operations as it would in a blend of
+    the two over the whole array."""
     small = np.abs(z) < 0.5
     zb = np.where(small, -1.0, z)       # direct formulas, safe magnitudes
     e = np.exp(zb)
-    d1 = (e - 1.0) / zb
-    d2 = (e - 1.0 - zb) / (zb * zb)
-    d3 = (e - 1.0 - zb - 0.5 * zb * zb) / (zb * zb * zb)
-    zs = np.where(small, z, 0.0)
-    out = []
-    for j in (1, 2, 3):
+    phis = [(e - 1.0) / zb,
+            (e - 1.0 - zb) / (zb * zb),
+            (e - 1.0 - zb - 0.5 * zb * zb) / (zb * zb * zb)]
+    zs = z[small]
+    for j, phi in enumerate(phis, 1):
         acc = np.zeros_like(zs)
         term = np.full_like(zs, 1.0 / math.factorial(j))
         acc += term
         for n in range(1, 22):
             term = term * zs / (n + j)
             acc += term
-        out.append(acc)
-    phi1 = np.where(small, out[0], d1)
-    phi2 = np.where(small, out[1], d2)
-    phi3 = np.where(small, out[2], d3)
-    return np.exp(z), phi1, phi2, phi3
+        phi[small] = acc
+    return (np.exp(z), *phis)
 
 
 def _geometric_samples(t0: float, t1: float, ratio: float) -> np.ndarray:
@@ -424,7 +450,7 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
 
     stats = {
         "tol": tol, "n_steps": n_steps, "n_rejected": n_rejected,
-        "n_rhs": stepper.n_rhs,
+        "n_rhs": stepper.n_rhs, "n_force_evals": feval.n_evals,
         "max_b_orthogonality": max_b_rel, "t0": t0, "t1": t1,
         "u0_l2": u0.l2(), "guard_scale": guard_scale,
         "nonlinear": nonlinear, "step_growth": step_growth,

@@ -29,14 +29,15 @@ Quarteroni and Zang, Spectral Methods), so the result is the exact
 truncated convolution, not a dealiased approximation, and the
 finite-dimensional system is the exact Galerkin reduction.  A dense field
 gets 3K + 1 points per axis, and a field on the k3 = 0 plane a single k3
-point.  The support indicators ride in the same transforms: their
-pointwise products, summed over the pairs, transform to the number of
-pairs p + q = k, and every mode with no such pair is set to exactly zero,
-so transform rounding never fills modes no convolution can reach.  The
-Leray projection runs on the output box only.  The sizes, index maps and
-box geometry are cached per support extents and the extents per pair of
-supports, and a small pair of supports whose sums all miss the cube away
-from k = 0 is dropped with no transform.
+point, over which no transform pass is made.  The support indicators ride
+in the same transforms: their pointwise products, summed over the pairs,
+transform to the number of pairs p + q = k, and every mode with no such
+pair is set to exactly zero, so transform rounding never fills modes no
+convolution can reach.  The Leray projection runs on the output box
+only.  The sizes, index maps and box geometry are cached per support
+extents and the extents per pair of supports, and a small pair of
+supports whose sums all miss the cube away from k = 0 is dropped with no
+transform.
 """
 
 from __future__ import annotations
@@ -261,15 +262,18 @@ class SpectralField:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON form storing only lexicographically positive k (conjugates implied)."""
-        out = []
-        for k, amp in self.modes():
-            if not _lex_positive(k):
-                continue
-            out.append({"k": list(k), "re": [float(x) for x in amp.real],
-                        "im": [float(x) for x in amp.imag]})
-        out.sort(key=lambda m: m["k"])
-        return {"cutoff": self.cutoff, "modes": out}
+        """JSON form storing only lexicographically positive k (conjugates implied),
+        in ascending k."""
+        K = self.cutoff
+        shape = self.coeffs.shape[:3]
+        live = np.argwhere(np.max(np.abs(self.coeffs), axis=-1) > 0.0)
+        # C order is ascending in k, and k is lexicographically positive
+        # exactly when it comes after k = 0, the centre of the cube
+        live = live[np.ravel_multi_index(live.T, shape) > math.prod(shape) // 2]
+        amps = self.coeffs[tuple(live.T)]
+        out = [{"k": k, "re": re, "im": im} for k, re, im in
+               zip((live - K).tolist(), amps.real.tolist(), amps.imag.tolist())]
+        return {"cutoff": K, "modes": out}
 
     @classmethod
     def from_json(cls, data: dict) -> "SpectralField":
@@ -483,6 +487,34 @@ def _batches(pairs: list, limit: int) -> Iterator[tuple[list, list]]:
     yield list(local_of), local
 
 
+def _irfftn(spec: np.ndarray, sizes: tuple) -> np.ndarray:
+    """``np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")``,
+    byte for byte, with no pass over an axis of one point: numpy's passes in
+    numpy's order (axis 1, axis 2, then the real transform of axis 3), where
+    a one-point complex pass is the identity and a one-point real pass keeps
+    the real part."""
+    for axis, n in ((1, sizes[0]), (2, sizes[1])):
+        if n > 1:
+            spec = np.fft.ifft(spec, n, axis=axis, norm="forward")
+    if sizes[2] > 1:
+        return np.fft.irfft(spec, sizes[2], axis=3, norm="forward")
+    return spec.real
+
+
+def _rfftn(phys: np.ndarray) -> np.ndarray:
+    """``np.fft.rfftn(phys, axes=(1, 2, 3), norm="forward")``, byte for byte,
+    with no pass over an axis of one point: the real transform of axis 3
+    (a one-point one is the cast to complex), then axis 2, then axis 1."""
+    if phys.shape[3] > 1:
+        spec = np.fft.rfft(phys, axis=3, norm="forward")
+    else:
+        spec = phys.astype(np.complex128)
+    for axis in (2, 1):
+        if phys.shape[axis] > 1:
+            spec = np.fft.fft(spec, axis=axis, norm="forward")
+    return spec
+
+
 def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> SpectralField:
     """The sum of B(u, v) = P((u . grad) v) over (u, v) pairs, with one
     forward transform, one spectral divergence and one Leray projection.
@@ -509,7 +541,10 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     |k_a| <= o[a] = min(K, s[a]) (nothing outside it can be reached) and
     the axis gets N_a >= s + o + 1 points, rounded up to even above 1, so no
     alias of any product lands in the output box.  Sizes, index maps and the
-    output box's wave vectors are cached per extents (``_layout``).
+    output box's wave vectors are cached per extents (``_layout``).  The
+    transforms (``_irfftn``, ``_rfftn``) make numpy's 1-D passes in numpy's
+    order but none over an axis of one point, so a state on a k_a = 0 plane
+    is transformed in 2-D, byte for byte as by the 3-D numpy transforms.
 
     The support indicator of each field, real and even like the fields,
     goes through the same transforms: the products ind_u ind_v, summed over
@@ -562,7 +597,7 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
         spec = np.zeros((4 * len(batch),) + sizes[:2] + (sizes[2] // 2 + 1,),
                         dtype=np.complex128)
         spec[layout.scatter] = np.concatenate(rows)
-        phys = np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")
+        phys = _irfftn(spec, sizes)
         del spec
         ind = 3 * len(batch)                                 # first indicator row
         for a, b in local:
@@ -576,7 +611,7 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
                     row += term
             first = False
         del phys
-    half = np.fft.rfftn(prod, axes=(1, 2, 3), norm="forward")[layout.gather]
+    half = _rfftn(prod)[layout.gather]
     del prod, term
     flux = 1j * np.einsum("jxyz,jcxyz->cxyz", layout.k_rows, half[table])   # i k_j T_jc
     flux[:, half[-1].real <= 0.5] = 0.0                   # no pair p + q = k

@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 the advection oracle works through physical-space quadrature on a grid,
-and the closure oracle is a plain breadth-first search.
+the closure oracle is a plain breadth-first search, and the phi oracle
+evaluates both branches over the whole array.
 """
+
+import math
 
 import numpy as np
 
@@ -74,3 +77,25 @@ def bfs_closure(vee, wedge, generators, cutoff, tol=1e-9):
                     nxt.append(w)
         frontier = nxt
     return tuple(sorted(found))
+
+
+def phi_trio_blend(z):
+    """phi_0..phi_3 at real z <= 0 as a whole-array blend: the direct
+    formulas (with -1 in place of |z| < 0.5) and the 21-term series (with 0
+    in place of |z| >= 0.5) over every element, picked by ``np.where``."""
+    small = np.abs(z) < 0.5
+    zb = np.where(small, -1.0, z)
+    e = np.exp(zb)
+    direct = [(e - 1.0) / zb, (e - 1.0 - zb) / (zb * zb),
+              (e - 1.0 - zb - 0.5 * zb * zb) / (zb * zb * zb)]
+    zs = np.where(small, z, 0.0)
+    out = [np.exp(z)]
+    for j, d in zip((1, 2, 3), direct):
+        acc = np.zeros_like(zs)
+        term = np.full_like(zs, 1.0 / math.factorial(j))
+        acc += term
+        for n in range(1, 22):
+            term = term * zs / (n + j)
+            acc += term
+        out.append(np.where(small, acc, d))
+    return tuple(out)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from nsasym.lattice import closure
 from nsasym.solver import (
     BlowUpError,
     ForceSpec,
+    _FORCE_MEMO,
+    _ForceEval,
+    _phi_trio,
     energy_budget,
     evaluate_force,
     integrate_linearized,
@@ -22,6 +26,7 @@ from nsasym.spectral import (
     random_solenoidal_field,
 )
 from nsasym.systems import PowerSystem
+from oracles import phi_trio_blend
 
 RNG = np.random.default_rng(2718)
 
@@ -71,6 +76,72 @@ class TestForceEvaluation:
         force = ForceSpec(normalize_force([(1.0, shear())], lat))
         with pytest.raises(Exception):
             evaluate_force(force, 0.25)
+
+    @staticmethod
+    def spied(monkeypatch, force):
+        """The times at which the force's system is evaluated, one per term."""
+        seen = []
+        system = force.expansion.lattice.system
+        inner = system.eval
+        monkeypatch.setattr(system, "eval", lambda lam, t: seen.append(t) or inner(lam, t))
+        return seen
+
+    def test_repeated_time_is_evaluated_once(self, monkeypatch):
+        lat = power_lattice()
+        force = ForceSpec(normalize_force(
+            [(1.0, shear()), (2.0, random_solenoidal_field(3, RNG, amplitude=0.05))], lat))
+        times = [3.0, 3.0, 4.5, 3.0, 4.5, 3.0 + 2 ** -51, 4.5, np.float64(3.0)]
+        want = {t: evaluate_force(force, t).coeffs.tobytes() for t in times}
+        seen = self.spied(monkeypatch, force)
+        feval = _ForceEval(force)
+        for t in times:
+            got = feval(t)
+            assert got.tobytes() == want[t]
+            assert not got.flags.writeable
+        assert Counter(seen) == {3.0: 2, 4.5: 2, 3.0 + 2 ** -51: 2}
+        assert feval.n_evals == 3
+
+    def test_memo_starts_over_when_full(self, monkeypatch):
+        lat = power_lattice()
+        force = ForceSpec(normalize_force([(1.0, shear())], lat))
+        times = [1.0 + 0.5 * n for n in range(_FORCE_MEMO + 3)]
+        want = {t: evaluate_force(force, t).coeffs.tobytes() for t in times}
+        seen = self.spied(monkeypatch, force)
+        feval = _ForceEval(force)
+        for t in times + times[-3:] + times[:1]:
+            assert feval(t).tobytes() == want[t]
+        # the last three are still held; the first was dropped with the full memo
+        assert len(seen) == feval.n_evals == len(times) + 1
+
+    def test_counter_matches_system_evaluations(self, monkeypatch):
+        lat = power_lattice()
+        xi1 = random_solenoidal_field(3, np.random.default_rng(5), amplitude=0.05)
+        force = manual_manufactured(xi1, lat)
+        seen = self.spied(monkeypatch, force)
+        stats = integrate_nse((1.0 / 5.0) * xi1, force, 5.0, 20.0, 1e-8).stats
+        # two terms per evaluation; each distinct time is evaluated about once
+        assert len(seen) == 2 * stats["n_force_evals"]
+        assert 0 < stats["n_force_evals"] < stats["n_rhs"]
+
+
+class TestPhiTrio:
+    @pytest.mark.parametrize("shape", [(6,), (3, 7, 7, 7)], ids=["edges", "solver_stack"])
+    def test_equals_whole_array_blend_byte_for_byte(self, shape):
+        # the series runs on |z| < 0.5 alone: each element gets the same
+        # operations as in the blend of both branches over the whole array
+        edges = np.array([0.0, -0.4999999, -0.5, -0.5000001, -1e-3, -1e6])
+        if shape == edges.shape:
+            z = edges
+        else:
+            ksq = np.sum(np.stack(np.meshgrid(*3 * [np.arange(-3.0, 4.0)], indexing="ij")) ** 2,
+                         axis=0)
+            z = -0.3 * ksq * np.array([1.0, 0.5, 0.25])[:, None, None, None]
+            z.ravel()[:edges.size] = edges
+        got, want = _phi_trio(z), phi_trio_blend(z)
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestNseIntegration:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsasym.spectral import (
+    _irfftn,
+    _rfftn,
     GevreyIndex,
     SpectralField,
     SpectralRangeError,
@@ -239,12 +241,32 @@ class TestBilinearForm:
             # modes() yields every coefficient that is not exactly zero
             assert {k for k, _ in bilinear_form(left, right).modes()} <= support_sum(left, right)
 
+    @pytest.mark.parametrize("cutoff", [2, 3, 4])
+    @pytest.mark.parametrize("plane", [0, 2], ids=["k1_plane", "k3_plane"])
+    def test_plane_states_match_quadrature_oracle(self, plane, cutoff):
+        # a state on a k_a = 0 plane gets a one-point axis a, which no 1-D
+        # pass touches
+        rng = np.random.default_rng([cutoff, plane, 43])
+        box = (slice(None),) * plane + (cutoff,)
+        fields = []
+        for _ in range(2):
+            f = random_solenoidal_field(cutoff, rng)
+            kept = np.zeros_like(f.coeffs)
+            kept[box] = f.coeffs[box]
+            fields.append(leray_project(kept, cutoff))
+        u, v = fields
+        for left, right in ((u, v), (u, u)):
+            got = bilinear_form(left, right)
+            want = bilinear_quadrature(left, right, n=3 * cutoff + 1)
+            assert want.l2() > 0
+            assert (got - want).l2() <= 1e-12 * want.l2()
+
     @pytest.mark.parametrize("same", [True, False], ids=["u_is_v", "u_ne_v"])
     def test_one_transform_pair_per_call(self, same, fft_calls):
         # the support mask rides in the product transforms: no second pipeline
         u = supported_field(3, "planar", np.random.default_rng(5))
         bilinear_form(u, u if same else shear_field(3))
-        assert [name for name, _ in fft_calls] == ["irfftn", "rfftn"]
+        assert [c.name for c in fft_calls] == ["irfftn", "rfftn"]
 
     @pytest.mark.parametrize("support, cutoff, grid", [
         ("planar", 3, (10, 10, 1)), ("opposed_pairs", 4, (14, 10, 6)), ("dense", 4, (14, 14, 14)),
@@ -253,14 +275,20 @@ class TestBilinearForm:
         # axis a gets e_u + e_v + min(K, e_u + e_v) + 1 points, rounded up to
         # even above 1: a planar state keeps one k3 point, the pairs
         # +-(4, 2, 1) and +-(-4, 2, 1) have extents (4, 2, 1) and reach
-        # (0, 4, 2), and a dense field keeps 3K + 1 -> 14 at K = 4
+        # (0, 4, 2), and a dense field keeps 3K + 1 -> 14 at K = 4; an axis
+        # of one point gets no 1-D pass, so a planar state makes none over k3
         if support == "opposed_pairs":
             u = SpectralField.from_modes(cutoff, {(4, 2, 1): (0.1, -0.2, 0.0),
                                                   (-4, 2, 1): (0.1, 0.2, 0.0)})
         else:
             u = supported_field(cutoff, support, np.random.default_rng(cutoff))
         bilinear_form(u, u)
-        assert [s for name, s in fft_calls if name == "irfftn"] == [grid]
+        assert [c.name for c in fft_calls] == ["irfftn", "rfftn"]
+        assert [c.grid for c in fft_calls] == [grid, grid]
+        axes = tuple(a + 1 for a, n in enumerate(grid) if n > 1)
+        assert [c.passes for c in fft_calls] == [axes, axes[::-1]]
+        if support == "planar":
+            assert all(3 not in c.passes for c in fft_calls)
 
     @pytest.mark.parametrize("case", ["criterion2_pair_K4", "diagonals_K3", "zero_left",
                                       "zero_right"])
@@ -297,7 +325,7 @@ class TestBilinearForm:
             v = SpectralField.from_modes(3, {(2, 1, 0): (0.0, 0.0, 1.0)})
             reached = {(1, -1, 0), (-1, 1, 0)}
         got = bilinear_form(u, v)
-        assert [name for name, _ in fft_calls] == ["irfftn", "rfftn"]
+        assert [c.name for c in fft_calls] == ["irfftn", "rfftn"]
         assert {k for k, _ in got.modes()} == reached
         want = bilinear_quadrature(u, v, n=3 * u.cutoff + 1)
         assert (got - want).l2() <= 1e-12 * want.l2()
@@ -336,6 +364,29 @@ def reaches(u, v):
     return bool(np.any(np.all(np.abs(sums) <= u.cutoff, axis=1) & np.any(sums != 0, axis=1)))
 
 
+class TestTransformPair:
+    @pytest.mark.parametrize("flat", [1, 2, 3])
+    def test_equals_numpy_byte_for_byte(self, flat):
+        # numpy's own passes in numpy's order, less the one-point ones, so
+        # every pass that is made rounds as before
+        rng = np.random.default_rng([flat, 41])
+        for _ in range(40):
+            sizes = [int(n) for n in rng.integers(1, 39, size=3)]
+            sizes[flat - 1] = 1
+            rows = int(rng.integers(1, 8))
+            shape = (rows, sizes[0], sizes[1], sizes[2] // 2 + 1)
+            spec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            spec[rng.random(shape) < 0.2] = -0.0
+            want = np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")
+            got = _irfftn(spec, tuple(sizes))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            phys = rng.standard_normal((rows, *sizes))
+            phys[rng.random(phys.shape) < 0.2] = -0.0
+            want = np.fft.rfftn(phys, axes=(1, 2, 3), norm="forward")
+            got = _rfftn(phys)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestAdvectionSum:
     @staticmethod
     def pair_lists(cutoff):
@@ -366,7 +417,7 @@ class TestAdvectionSum:
             want, scale = want + piece, scale + piece.l2()
         before = len(fft_calls)
         got = advection_sum(pairs)
-        assert [name for name, _ in fft_calls[before:]].count("rfftn") == 1
+        assert [c.name for c in fft_calls[before:]].count("rfftn") == 1
         assert (got - want).l2() <= 1e-14 * scale
         np.testing.assert_array_equal(leray_project(got.coeffs, cutoff).coeffs, got.coeffs)
         got.validate()
@@ -415,7 +466,7 @@ class TestAdvectionSum:
                 if any(reaches(xi.field(i), xi.field(j)) for i, j in lat.wedge_pairs(n))]
         wedged = [n for n in range(1, len(lat) + 1) if lat.wedge_pairs(n)]
         assert 0 < len(live) < len(wedged)
-        assert [name for name, _ in fft_calls].count("rfftn") == len(live)
+        assert [c.name for c in fft_calls].count("rfftn") == len(live)
 
 
 class TestTrilinearForm:
