@@ -49,7 +49,6 @@ from .expansion import (
     Expansion,
     ExpansionError,
     compute_coefficients,
-    compute_coefficients_discrete,
     evaluate_expansion,
     normalize_force,
     recursion_residual,

@@ -29,7 +29,7 @@ from .expansion import (
     Expansion,
     ExpansionError,
     compute_coefficients,
-    compute_coefficients_discrete,
+    compute_coefficients_discrete,  # alias only: perfbench/layers.py TRACED patches it here
     evaluate_expansion,
     normalize_force,
 )
@@ -386,14 +386,13 @@ def _expand(cfg: ExperimentConfig, rng: np.random.Generator):
         if field.l2() <= COEFF_FLOOR * max((abs(x) for a in amplitudes for x in a), default=0.0):
             raise ConfigError(f"config.force.terms[{i}].field is zero after the Leray projection "
                               "(no mode whose re or im is off the direction of k)")
-    compute = compute_coefficients_discrete if cfg.system.discrete else compute_coefficients
     checks: list[dict] = []
 
     if cfg.force_type == "manufactured":
         target = normalize_force(raw_terms, lat)
         n_terms = max(lat.index_of(e) for e, _ in raw_terms)
         force = manufacture_force(target, n_terms)
-        coeffs = compute(force.expansion)
+        coeffs = compute_coefficients(force.expansion)
         reference = target
         if cfg.verifying:
             # the recursion must reproduce the targets from the force expansion
@@ -406,7 +405,7 @@ def _expand(cfg: ExperimentConfig, rng: np.random.Generator):
     else:
         force_exp = normalize_force(raw_terms, lat)
         force = ForceSpec(force_exp)
-        coeffs = compute(force_exp)
+        coeffs = compute_coefficients(force_exp)
         reference = coeffs
     return lat, coeffs, reference, force, checks
 

@@ -8,7 +8,9 @@ force expansion, the solution coefficients are produced entry by entry:
     xi_n = A^-1 ( phi_n - chi_n - sum_{wedge(i,j) = n} B(xi_i, xi_j) )
 
 where chi_n collects c_{p,k} xi_p over all vee routes (p, k) landing on
-entry n.  Wedge and vee route sets come from lattice provenance, and each
+entry n.  ``compute_coefficients`` runs it for every system, continuum or
+discrete: the force's expansion alone fixes the solution's, so there is one
+recursion.  Wedge and vee route sets come from lattice provenance, and each
 c_{p,k} from the vee terms the lattice computed for entry p at closure.
 ``coupling_terms`` yields the pieces of chi_n and then the whole wedge
 sum of entry n as one piece, formed in physical space and transformed
@@ -46,13 +48,10 @@ __all__ = [
     "ExpansionError",
     "normalize_force",
     "compute_coefficients",
-    "compute_coefficients_discrete",
     "coupling_terms",
     "evaluate_expansion",
     "recursion_residual",
 ]
-
-MAX_VEE_ROUTES = 10 ** 4
 
 
 class ExpansionError(ValueError):
@@ -166,10 +165,6 @@ def _recursion(force: Expansion, N: int) -> Expansion:
     out: list[SpectralField] = []
     for n in range(1, N + 1):
         acc = force.field(n)
-        routes = lat.vee_sources(n)
-        if len(routes) > MAX_VEE_ROUTES:
-            raise ExpansionError(
-                f"{len(routes)} vee routes land on entry {n}; system too exotic")
         for piece in coupling_terms(lat, out, n):
             acc = acc - piece
         out.append(apply_inverse_stokes(acc))
@@ -178,28 +173,23 @@ def _recursion(force: Expansion, N: int) -> Expansion:
 
 
 def compute_coefficients(force: Expansion, N: Optional[int] = None) -> Expansion:
-    """Solution coefficients for a force expansion over a continuum system."""
-    if force.gevrey.alpha < 0.5:
-        raise ExpansionError("the recursion requires Gevrey order alpha >= 1/2")
-    return _recursion(force, len(force) if N is None else N)
+    """Solution coefficients xi_1..xi_N of a force expansion (all by default).
 
-
-def compute_coefficients_discrete(force: Expansion, N: Optional[int] = None) -> Expansion:
-    """Same recursion keyed by exact exponent pairs (background-system case).
-
-    Wedge matches are index-level (pairs adding to the entry's pair) and the
-    vee weights aggregate every finite route between pairs; both are already
-    encoded in the provenance of a pair-indexed lattice, which is required
-    here.
+    One recursion serves every system: wedge pairs and vee routes come from
+    the lattice's provenance.  On a discrete (background) system those are
+    index-level, keyed by exact exponent pairs, so every entry must carry
+    its pair.
     """
     lat = force.lattice
-    if not lat.system.discrete:
-        raise ExpansionError("discrete recursion requires a discrete (background) system")
-    if any(e.exponent.pair is None for e in lat.entries):
+    if lat.system.discrete and any(e.exponent.pair is None for e in lat.entries):
         raise ExpansionError("discrete recursion requires pair metadata on every entry")
     if force.gevrey.alpha < 0.5:
         raise ExpansionError("the recursion requires Gevrey order alpha >= 1/2")
     return _recursion(force, len(force) if N is None else N)
+
+
+# Old name, kept as a plain alias while perfbench/layers.py and workloads.py look it up.
+compute_coefficients_discrete = compute_coefficients
 
 
 def evaluate_expansion(exp: Expansion, t: float, upto: Optional[int] = None) -> SpectralField:

@@ -64,6 +64,8 @@ __all__ = [
     "energy_budget",
 ]
 
+ENERGY_THRESHOLD_FACTOR = 100.0  # the energy identity's gate is this times the run's tol
+
 
 class SolverError(RuntimeError):
     pass
@@ -536,7 +538,7 @@ def _exp_kernel_convolution(times: np.ndarray, values: np.ndarray, sigma: float)
     return out
 
 
-def energy_budget(trace: SimulationTrace, threshold_factor: float = 100.0) -> Report:
+def energy_budget(trace: SimulationTrace) -> Report:
     """Audit one trace against the exact Galerkin energy relations.
 
     Checks the energy identity
@@ -555,13 +557,14 @@ def energy_budget(trace: SimulationTrace, threshold_factor: float = 100.0) -> Re
     scale = float(np.max(0.5 * u2 + trace.dissipation + np.abs(trace.injection)))
     scale = max(scale, 1e-300)
     rel = float(np.max(np.abs(resid)) / scale)
-    checks.append(CheckResult("energy_identity", rel <= threshold_factor * tol,
-                              {"max_rel_residual": rel, "threshold": threshold_factor * tol}))
+    threshold = ENERGY_THRESHOLD_FACTOR * tol
+    checks.append(CheckResult("energy_identity", rel <= threshold,
+                              {"max_rel_residual": rel, "threshold": threshold}))
 
     J = _exp_kernel_convolution(t, trace.force_l2 ** 2, 1.0)
     bound = np.exp(-(t - t[0])) * u2[0] + J
     margin = float(np.max((u2 - bound) / np.maximum(bound + u2, 1e-300)))
-    checks.append(CheckResult("apriori_energy_bound", margin <= 1e-6 + threshold_factor * tol,
+    checks.append(CheckResult("apriori_energy_bound", margin <= 1e-6 + threshold,
                               {"worst_margin": margin}))
 
     sigma, theta = 1.0, 0.5

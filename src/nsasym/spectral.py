@@ -43,7 +43,6 @@ transform.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -291,9 +290,6 @@ class SpectralField:
         f.validate()
         return f
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 def _lex_positive(k: WaveVector) -> bool:
     for x in k:
@@ -306,24 +302,19 @@ def _lex_positive(k: WaveVector) -> bool:
 # operators
 # ---------------------------------------------------------------------------
 
-def leray_project(raw, cutoff: int) -> SpectralField:
-    """Project arbitrary coefficients onto the divergence-free subspace.
+def leray_project(raw: np.ndarray, cutoff: int) -> SpectralField:
+    """Project a dense (W, W, W, 3) coefficient array onto the
+    divergence-free subspace.
 
-    Accepts either a dense (W, W, W, 3) complex array or a {k: amplitude}
-    mapping whose keys pass ``wave_vector``.  The k = 0 mode is dropped, each remaining mode is replaced by
+    The k = 0 mode is dropped, each remaining mode is replaced by
     u_hat(k) - (k . u_hat(k)) k / |k|^2, and the reality condition is
-    enforced by symmetrization.
+    enforced by symmetrization.  A field from a {k: amplitude} mapping is
+    built by ``SpectralField.from_modes``, which fills in mirror modes first.
     """
     W = 2 * cutoff + 1
-    if isinstance(raw, Mapping):
-        arr = np.zeros((W, W, W, 3), dtype=np.complex128)
-        for k, amp in raw.items():
-            arr[tuple(x + cutoff for x in wave_vector(k, cutoff))] = np.asarray(
-                amp, dtype=np.complex128)
-    else:
-        arr = np.array(raw, dtype=np.complex128)
-        if arr.shape != (W, W, W, 3):
-            raise ValueError(f"array shape {arr.shape} does not match cutoff {cutoff}")
+    arr = np.array(raw, dtype=np.complex128)
+    if arr.shape != (W, W, W, 3):
+        raise ValueError(f"array shape {arr.shape} does not match cutoff {cutoff}")
     kvec, ksq, kabs = _grid(cutoff)
     return SpectralField(cutoff, _project_box(arr, kvec, np.where(ksq == 0.0, 1.0, ksq), kabs))
 

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 UNDERFLOW_FLOOR = 1e-300
+BILINEAR_GROWTH_FACTOR = 1.1  # most the sup ratio may grow from the smallest to the largest cutoff
 
 
 class FitError(ValueError):
@@ -155,11 +156,11 @@ class BilinearReport(Report):
 
 def check_bilinear_estimate(ensemble: int = 100, cutoffs: Sequence[int] = (4, 8),
                             indices: Sequence[tuple[float, float]] = ((0.5, 0.0), (1.0, 0.1)),
-                            seed: int = 0, growth_factor: float = 1.1) -> BilinearReport:
+                            seed: int = 0) -> BilinearReport:
     """Empirical sup of |B(u,v)|_{a,s} / (|u|_{a+1/2,s} |v|_{a+1/2,s}).
 
     The sup over a random smooth ensemble must stay bounded as the cutoff
-    doubles (growth at most ``growth_factor``); zero-norm draws are skipped.
+    doubles (growth at most ``BILINEAR_GROWTH_FACTOR``); zero-norm draws are skipped.
     """
     if ensemble < 1:
         raise ValueError("ensemble size must be at least 1")
@@ -189,7 +190,7 @@ def check_bilinear_estimate(ensemble: int = 100, cutoffs: Sequence[int] = (4, 8)
         growth[(alpha, sigma)] = g
         checks.append(CheckResult(
             f"bounded_growth[alpha={alpha:g},sigma={sigma:g}]",
-            g <= growth_factor,
+            g <= BILINEAR_GROWTH_FACTOR,
             {"sup_small": sup[(k_lo, alpha, sigma)], "sup_large": sup[(k_hi, alpha, sigma)],
              "growth": g}))
     return BilinearReport(tuple(checks), sup, growth, ensemble)

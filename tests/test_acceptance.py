@@ -13,7 +13,6 @@ import pytest
 from nsasym.expansion import (
     Expansion,
     compute_coefficients,
-    compute_coefficients_discrete,
     evaluate_expansion,
     normalize_force,
     recursion_residual,
@@ -305,7 +304,7 @@ def test_criterion_9_discrete_background_recursion():
     phi3 = random_solenoidal_field(2, rng, amplitude=0.05)
     force = normalize_force(
         [(sys.exponent_from_pair(1, 1), phi1), (lat.exponent(3), phi3)], lat)
-    xi = compute_coefficients_discrete(force)
+    xi = compute_coefficients(force)
     worst_resid = max(recursion_residual(xi, force, n) for n in range(1, 7))
     # exhaustive pair-scan oracle for the vee weights c_{p,n}
     pairs = [e.exponent.pair for e in lat.entries]

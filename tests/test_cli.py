@@ -227,6 +227,30 @@ class TestPipeline:
         for name in ("report.json", "coefficients.json", "lattice.json", "states.json"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
+    def test_random_fields_and_falsify_byte_identical(self, tmp_path):
+        # a random force field and a random u0 both draw from the run's seed,
+        # and the falsify block adds its own row
+        cfg = ExperimentConfig.from_json({
+            "schema": 1,
+            "system": {"kind": "power", "params": {}},
+            "cutoff": 2,
+            "lattice_cutoff": 3.5,
+            "generators": [1.0],
+            "force": {"type": "explicit",
+                      "terms": [{"exponent": 1.0, "field": {"random": {"amplitude": 0.05}}}]},
+            "solver": {"t0": 5.0, "t1": 300.0, "tol": 1e-8, "sample_ratio": 1.2,
+                       "u0": {"random": {"amplitude": 0.01}}},
+            "verification": {"orders": [], "gevrey": [[0.0, 0.0]], "window": [50.0, 300.0],
+                             "falsify": {"n": 1}},
+            "seed": 11,
+        })
+        results = [run_experiment(cfg), run_experiment(cfg)]
+        assert [c["case"] for c in results[0].checks].count("falsify[n=1]") == 1
+        written = [emit_report(r, tmp_path / name) for r, name in zip(results, "ab")]
+        assert [p.name for p in written[0]] == [p.name for p in written[1]]
+        for a, b in zip(*written):
+            assert a.read_bytes() == b.read_bytes(), a.name
+
     def test_empty_verification_list(self):
         data = json.loads((CONFIG_DIR / "power_two_term.json").read_text())
         data["verification"] = {"orders": [], "gevrey": [[0.0, 0.0]]}

@@ -4,10 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import nsasym
+from nsasym import expansion
 from nsasym.expansion import (
     ExpansionError,
     compute_coefficients,
-    compute_coefficients_discrete,
     evaluate_expansion,
     normalize_force,
     recursion_residual,
@@ -21,7 +22,7 @@ from nsasym.spectral import (
     bilinear_form,
     random_solenoidal_field,
 )
-from nsasym.systems import IteratedLogSystem, PowerSystem, ProductSystem
+from nsasym.systems import Exponent, IteratedLogSystem, PowerSystem, ProductSystem
 
 from test_lattice import provenance_lattices
 
@@ -158,15 +159,26 @@ class TestDiscreteRecursion:
     def test_single_generator_first_coefficient(self):
         phi = small_field(81)
         force = normalize_force([(self.sys.exponent_from_pair(1, 1), phi)], self.lat)
-        xi = compute_coefficients_discrete(force, 1)
+        xi = compute_coefficients(force, 1)
         want = apply_inverse_stokes(phi)
         np.testing.assert_array_equal(xi.field(1).coeffs, want.coeffs)
 
-    def test_requires_discrete_system(self):
-        lat = power_lattice()
-        force = normalize_force([(1.0, small_field(82))], lat)
-        with pytest.raises(ExpansionError):
-            compute_coefficients_discrete(force, 1)
+    def test_requires_pair_metadata(self):
+        # the discrete recursion keys wedges and vees by exact pairs, so an
+        # entry without its pair is refused before any work
+        phi = small_field(82)
+        force = normalize_force([(self.sys.exponent_from_pair(1, 1), phi)], self.lat)
+        entries = list(self.lat.entries)
+        entries[1] = replace(entries[1], exponent=Exponent(entries[1].value))
+        stripped = replace(force, lattice=replace(self.lat, entries=tuple(entries)))
+        with pytest.raises(ExpansionError, match="pair metadata"):
+            compute_coefficients(stripped, 1)
+
+    def test_one_entry_point(self):
+        # the old discrete name is the same function, never a second path
+        assert expansion.compute_coefficients_discrete is expansion.compute_coefficients
+        assert "compute_coefficients_discrete" not in expansion.__all__
+        assert "compute_coefficients_discrete" not in vars(nsasym)
 
     def test_vee_weights_match_pair_scan_oracle(self):
         # c_{p,n} from provenance vs exhaustive scan over pair shifts
@@ -199,7 +211,7 @@ class TestDiscreteRecursion:
         force = normalize_force(
             [(self.sys.exponent_from_pair(1, 1), phi1),
              (self.lat.exponent(3), phi3)], self.lat)
-        xi = compute_coefficients_discrete(force)
+        xi = compute_coefficients(force)
         for n in range(1, 7):
             assert recursion_residual(xi, force, n) <= 1e-12
 
@@ -221,11 +233,6 @@ def generator_force(lat, seed):
     return normalize_force(raw, lat)
 
 
-def solve(force):
-    discrete = force.lattice.system.discrete
-    return (compute_coefficients_discrete if discrete else compute_coefficients)(force)
-
-
 class TestResidualAudit:
     @pytest.mark.parametrize("tag", ["wedge", "vee"])
     def test_catches_a_dropped_origin(self, tag):
@@ -240,7 +247,7 @@ class TestResidualAudit:
         origins.remove(next(o for o in origins if o[0] == tag))
         entries[n - 1] = replace(entries[n - 1], origins=tuple(origins))
         force = generator_force(replace(lat, entries=tuple(entries)), 110)
-        xi = solve(force)
+        xi = compute_coefficients(force)
         for m in range(1, n):
             assert recursion_residual(xi, force, m) <= 1e-12
         assert recursion_residual(xi, force, n) > 1e-6
@@ -257,7 +264,7 @@ class TestResidualAudit:
                     return _method(*args)
                 monkeypatch.setattr(sys, name, spy)
             force = generator_force(lat, 120)
-            xi = solve(force)
+            xi = compute_coefficients(force)
             calls["wedge"] = 0
             for n in range(1, len(lat) + 1):
                 assert recursion_residual(xi, force, n) <= 1e-12

@@ -57,6 +57,21 @@ class TestEval:
             trig = math.sin if cls is SinLogSystem else math.tan
             assert sys.eval(Exponent(2.0), t) == pytest.approx(trig(x) ** 2, rel=1e-14)
 
+    @pytest.mark.parametrize("make", [
+        lambda: (PowerSystem(), Exponent(1.5)),
+        lambda: (SqrtShiftSystem(), Exponent(1.5)),
+        lambda: (plain_log_system(m=2), Exponent(1.5)),
+        lambda: (SinLogSystem(1), Exponent(1.5)),
+        lambda: (TanLogSystem(2), Exponent(1.5)),
+        lambda: (ProductSystem(GAMMA), ProductSystem(GAMMA).exponent_from_pair(1, 2)),
+    ], ids=["power", "sqrt_shift", "iterated_log", "sin_log", "tan_log", "product"])
+    def test_psi_prime_matches_central_difference(self, make):
+        sys, lam = make()
+        t = 50.0
+        h = 1e-5 * t
+        diff = (sys.eval(lam, t + h) - sys.eval(lam, t - h)) / (2.0 * h)
+        assert sys.psi_prime(lam, t) == pytest.approx(diff, rel=1e-7)
+
     def test_domain_guard(self):
         with pytest.raises(DomainError):
             PowerSystem().eval(Exponent(1.0), 0.5)
