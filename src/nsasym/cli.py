@@ -34,7 +34,8 @@ from .expansion import (
     normalize_force,
 )
 from .lattice import ClosureError, ExponentLattice, closure
-from .solver import ForceSpec, SimulationTrace, SolverError, energy_budget, integrate_nse
+from .solver import (ForceSpec, SimulationTrace, SolverError, energy_budget, integrate_nse,
+                     least_steps)
 from .spectral import (
     GevreyIndex,
     SpectralField,
@@ -50,13 +51,14 @@ __all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult",
 
 SCHEMA_VERSION = 1
 COEFF_FLOOR = 1e-13  # below this (relative) a coefficient counts as zero
-# Most steps a horizon may demand at the least.  A step has h <= step_growth * t
-# and ends at or before the next sample, so a run needs
-# log(t1 / t0) / log(min(1 + step_growth, sample_ratio)) steps or more.  The
+# Most steps a horizon may demand at the least (solver.least_steps).  The
 # shipped configs and the perfbench workloads need at most 201
 # (criterion4_logarithmic and longhaul_planar); t1 = 1e300 from t0 = 5 needs
 # 8,955 and would only stop at the solver's step budget, after more than a minute.
 MAX_HORIZON_STEPS = 5_000
+ORDER_TOLERANCE = 0.1      # a remainder passes at a fitted order >= (1 - this) x expected
+FALSIFY_RELATIVE = 0.01    # falsify scales coefficient n by 1 + this
+FALSIFY_MAX_ORDER_FRACTION = 0.7   # ... and its remainder must fit an order <= this x expected
 
 
 class ConfigError(ValueError):
@@ -75,14 +77,12 @@ _TOP_KEYS = {"schema", "system", "cutoff", "lattice_cutoff", "generators",
 _SYSTEM_KEYS = {"kind", "params"}
 _FORCE_KEYS = {"type", "terms"}
 _TERM_KEYS = {"exponent", "field"}
-_SOLVER_KEYS = {"t0", "t1", "tol", "sample_ratio", "step_growth", "u0"}
-_VERIF_KEYS = {"orders", "gevrey", "window", "order_tolerance", "falsify"}
-_FALSIFY_FIELDS = (("n", _integer, 0), ("relative", float, 0.01),
-                   ("max_order_fraction", float, 0.7))
-_FALSIFY_KEYS = {key for key, _, _ in _FALSIFY_FIELDS}
+_SOLVER_KEYS = {"t0", "t1", "tol", "sample_ratio", "u0"}
+_VERIF_KEYS = {"orders", "gevrey", "window", "falsify"}
+_FALSIFY_KEYS = {"n"}
 _FIELD_KEYS = {"modes", "random"}
 _MODE_KEYS = {"k", "re", "im"}
-_RANDOM_DEFAULTS = {"amplitude": 0.1, "radius": 0.4, "order": 2.0}
+_RANDOM_DEFAULTS = {"amplitude": 0.1}
 
 
 def _object(data, where: str) -> dict:
@@ -140,13 +140,11 @@ class ExperimentConfig:
     t1: float
     tol: float
     sample_ratio: float
-    step_growth: float
     u0_spec: object
     orders: list[int]
     gevrey: list[GevreyIndex]
     window: tuple[float, float]
-    order_tolerance: float
-    falsify: Optional[dict]
+    falsify: Optional[int]     # the coefficient the falsify check perturbs
     seed: int
 
     @classmethod
@@ -207,18 +205,13 @@ class ExperimentConfig:
                              lambda: float(sol.get("sample_ratio", 1.1)))
         if not sample_ratio > 1.0:
             raise ConfigError(f"config.solver.sample_ratio must exceed 1, got {sample_ratio!r}")
-        step_growth = _read("config.solver.step_growth",
-                            lambda: float(sol.get("step_growth", 0.08)))
-        if not step_growth > 0.0:
-            raise ConfigError(f"config.solver.step_growth must be positive, got {step_growth!r}")
         # a t0 <= 0 lies below every system's t_min and fails when the run starts
-        least = (math.log(t1) - math.log(t0)) / min(math.log1p(step_growth),
-                                                    math.log(sample_ratio)) if t0 > 0 else 0.0
+        least = least_steps(t0, t1, sample_ratio) if t0 > 0 else 0.0
         if least > MAX_HORIZON_STEPS:
             raise ConfigError(
-                f"config.solver.t1 = {t1:g} is out of reach: from t0 = {t0:g} at step_growth "
-                f"{step_growth} and sample_ratio {sample_ratio} the run needs at least "
-                f"{least:,.0f} steps, more than {MAX_HORIZON_STEPS:,}")
+                f"config.solver.t1 = {t1:g} is out of reach: from t0 = {t0:g} at sample_ratio "
+                f"{sample_ratio} the run needs at least {least:,.0f} steps, "
+                f"more than {MAX_HORIZON_STEPS:,}")
         u0_spec = sol.get("u0", "expansion" if ftype == "manufactured" else "zero")
         if u0_spec not in ("zero", "expansion"):
             u0_spec = _field_spec(u0_spec, cutoff, "config.solver.u0")
@@ -240,22 +233,18 @@ class ExperimentConfig:
             "config.verification.window", lambda: (float(window[0]), float(window[1])))
         if not window[0] < window[1]:
             raise ConfigError(f"config.verification.window must be increasing, got {list(window)}")
-        order_tolerance = _read("config.verification.order_tolerance",
-                                lambda: float(verif.get("order_tolerance", 0.1)))
         falsify_spec, falsify = verif.get("falsify"), None
         if falsify_spec is not None:
             _reject_unknown(falsify_spec, _FALSIFY_KEYS, "config.verification.falsify")
-            falsify = {key: _read(f"config.verification.falsify.{key}",
-                                  lambda: kind(falsify_spec.get(key, default)))
-                       for key, kind, default in _FALSIFY_FIELDS}
-            if falsify["n"] < 1:
+            falsify = _read("config.verification.falsify.n",
+                            lambda: _integer(falsify_spec.get("n", 0)))
+            if falsify < 1:
                 raise ConfigError("config.verification.falsify.n must be >= 1")
         seed = _read("config.seed", lambda: _integer(data.get("seed", 0)))
         if seed < 0:
             raise ConfigError(f"config.seed must be nonnegative, got {seed}")
         return cls(data, system, cutoff, lattice_cutoff, generators, ftype, force_terms,
-                   t0, t1, tol, sample_ratio, step_growth, u0_spec,
-                   orders, gevrey, window, order_tolerance, falsify, seed)
+                   t0, t1, tol, sample_ratio, u0_spec, orders, gevrey, window, falsify, seed)
 
     @property
     def verifying(self) -> bool:
@@ -264,7 +253,7 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
 
 
@@ -420,8 +409,7 @@ def _simulate(cfg: ExperimentConfig, reference: Expansion, force: ForceSpec,
     else:
         u0 = _make_field(cfg.u0_spec, cfg.cutoff, rng)
     return integrate_nse(u0, force, cfg.t0, cfg.t1, cfg.tol,
-                         sample_ratio=cfg.sample_ratio, step_growth=cfg.step_growth,
-                         norm_indices=cfg.gevrey)
+                         sample_ratio=cfg.sample_ratio, norm_indices=cfg.gevrey)
 
 
 def _rng(cfg: ExperimentConfig, seed: Optional[int]) -> np.random.Generator:
@@ -451,22 +439,22 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
                 checks.append(_check(case, "noise_floor", noise, worst, worst <= noise))
                 continue
             fit = fit_decay_order(series, sys_, cfg.window)
-            floor = expected * (1.0 - cfg.order_tolerance)
+            floor = expected * (1.0 - ORDER_TOLERANCE)
             checks.append(_check(case, "fitted_order_at_least", floor, fit.slope,
                                  fit.slope >= floor))
 
     if cfg.falsify is not None:
-        n, rel, frac = (cfg.falsify[key] for key, _, _ in _FALSIFY_FIELDS)
+        n = cfg.falsify
         expected = _next_nonzero_exponent(reference, n)
         if expected is None:
             raise ConfigError(f"config.verification.falsify.n = {n}: "
                               "no nonzero coefficient beyond it")
         fields = list(reference.fields)
-        fields[n - 1] = (1.0 + rel) * fields[n - 1]
+        fields[n - 1] = (1.0 + FALSIFY_RELATIVE) * fields[n - 1]
         perturbed = Expansion(reference.lattice, tuple(fields), reference.gevrey)
         idx = cfg.gevrey[0]
         fit = fit_decay_order(remainder_series(trace, perturbed, n, idx), sys_, cfg.window)
-        cap = frac * expected
+        cap = FALSIFY_MAX_ORDER_FRACTION * expected
         checks.append(_check(f"falsify[n={n}]", "perturbed_order_at_most",
                              cap, fit.slope, fit.slope <= cap))
 
@@ -547,15 +535,26 @@ _LIBRARY_ERRORS = (ClosureError, FitError, DomainError, SolverError, ExpansionEr
 
 def main(argv=None) -> int:
     """Exit 0 when every check passes, 1 when a check fails, 2 on a config
-    error and 3 when the library fails (_LIBRARY_ERRORS)."""
+    error or an output directory that cannot be made, and 3 when the
+    library fails (_LIBRARY_ERRORS)."""
     args = _parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError,
+            RecursionError) as exc:  # RecursionError: a config nested too deep to read
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # the dumps write a file only on request, the other commands always do
+    out = args.out or (None if args.command in ("lattice", "coeffs") else "out")
+    if out is not None:
+        try:
+            Path(out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory {out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     try:
-        return _command(args, cfg)
+        return _command(args, cfg, None if out is None else Path(out))
     except ConfigError as exc:  # found only once the run starts, e.g. falsify.n
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -564,39 +563,36 @@ def main(argv=None) -> int:
         return 3
 
 
-def _print_json(payload, out: Optional[str], name: str) -> int:
+def _print_json(payload, out: Optional[Path], name: str) -> int:
     """Print a dump, and write it as ``name`` when an output directory is given."""
-    if out:
-        Path(out).mkdir(parents=True, exist_ok=True)
-        _write_json(Path(out) / name, payload)
+    if out is not None:
+        _write_json(out / name, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
-def _command(args: argparse.Namespace, cfg: ExperimentConfig) -> int:
+def _command(args: argparse.Namespace, cfg: ExperimentConfig, out: Optional[Path]) -> int:
+    """One subcommand; ``out`` is the output directory, already made (None:
+    a dump without --out)."""
     if args.command == "lattice":
-        return _print_json(_closure(cfg).to_json(), args.out, "lattice.json")
+        return _print_json(_closure(cfg).to_json(), out, "lattice.json")
 
     if args.command in ("coeffs", "simulate"):
         rng = _rng(cfg, args.seed)
         _, coeffs, reference, force, _ = _expand(cfg, rng)
         if args.command == "coeffs":
-            return _print_json(coeffs.to_json(), args.out, "coefficients.json")
+            return _print_json(coeffs.to_json(), out, "coefficients.json")
         trace = _simulate(cfg, reference, force, rng)
-        outdir = Path(args.out or "out")
-        outdir.mkdir(parents=True, exist_ok=True)
-        trace.to_csv(outdir / "trace.csv")
-        _write_json(outdir / "states.json", trace.states_json())
-        print(f"trace written to {outdir}")
+        trace.to_csv(out / "trace.csv")
+        _write_json(out / "states.json", trace.states_json())
+        print(f"trace written to {out}")
         return 0
 
     result = run_experiment(cfg, seed=args.seed)
-    outdir = Path(args.out or "out")
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.command == "run":
-        emit_report(result, outdir)
+        emit_report(result, out)
     else:  # verify
-        _write_json(outdir / "report.json", result.report_json())
+        _write_json(out / "report.json", result.report_json())
     for c in result.checks:
         status = "PASS" if c["pass"] else "FAIL"
         print(f"{status} {c['case']}: {c['property']} measured={c['measured']} "

@@ -61,10 +61,12 @@ __all__ = [
     "evaluate_force",
     "integrate_nse",
     "integrate_linearized",
+    "least_steps",
     "energy_budget",
 ]
 
 ENERGY_THRESHOLD_FACTOR = 100.0  # the energy identity's gate is this times the run's tol
+STEP_GROWTH = 0.08  # an adaptive step has h <= STEP_GROWTH * t
 
 
 class SolverError(RuntimeError):
@@ -266,18 +268,19 @@ class _Integrator:
     """
 
     def __init__(self, cutoff: int, force_eval: Callable[[float], np.ndarray],
-                 xi_arr: Optional[np.ndarray], nonlinear: bool):
+                 xi_arr: Optional[np.ndarray]):
+        """The nonlinear rhs f - B(u, u) when ``xi_arr`` is None, else the
+        linearized f + xi."""
         self.K = cutoff
         _, self.ksq, _ = _grid(cutoff)
         self.force_eval = force_eval
         self.xi = xi_arr
-        self.nonlinear = nonlinear
         self.n_rhs = 0
 
     def rhs(self, t: float, u_arr: np.ndarray) -> np.ndarray:
         self.n_rhs += 1
         f = self.force_eval(t)
-        if self.nonlinear:
+        if self.xi is None:
             u = SpectralField(self.K, u_arr)
             buu = bilinear_form(u, u).coeffs
             self.last_b = buu  # clean copy for the energy-orthogonality monitor
@@ -318,10 +321,21 @@ def _l2(arr: np.ndarray) -> float:
     return math.sqrt(VOLUME) * float(np.linalg.norm(arr.ravel()))
 
 
-def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: float,
-           tol: float, *, nonlinear: bool, xi: Optional[SpectralField],
-           sample_ratio: float, step_growth: float, norm_indices: Sequence[GevreyIndex],
-           fixed_step: Optional[float]) -> SimulationTrace:
+def least_steps(t0: float, t1: float, sample_ratio: float) -> float:
+    """The fewest steps an adaptive run from t0 > 0 to t1 can take.
+
+    A step has h <= STEP_GROWTH * t and ends at or before the next sample
+    t * sample_ratio, so each step grows t by at most
+    min(1 + STEP_GROWTH, sample_ratio)."""
+    return (math.log(t1) - math.log(t0)) / min(math.log1p(STEP_GROWTH), math.log(sample_ratio))
+
+
+def _drive(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float, *,
+           xi: Optional[SpectralField], sample_ratio: float,
+           norm_indices: Sequence[GevreyIndex], fixed_step: Optional[float]) -> SimulationTrace:
+    """The run of integrate_nse (xi None) or integrate_linearized."""
+    cutoff = force.cutoff
+    nonlinear = xi is None
     if u0.cutoff != cutoff:
         raise SolverError(f"initial state cutoff {u0.cutoff} != force cutoff {cutoff}")
     if t0 < force.t_min:
@@ -331,12 +345,12 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
 
     feval = _ForceEval(force)
     ksq = _grid(cutoff)[1]
-    stepper = _Integrator(cutoff, feval, xi.coeffs if xi is not None else None, nonlinear)
+    stepper = _Integrator(cutoff, feval, None if nonlinear else xi.coeffs)
     samples = _geometric_samples(t0, t1, sample_ratio)
     norm_indices = list(norm_indices)
 
     f0_l2 = _l2(feval(t0))
-    xi_l2 = xi.l2() if xi is not None else 0.0
+    xi_l2 = 0.0 if nonlinear else xi.l2()
     guard_scale = 1e3 * max(u0.l2(), f0_l2, xi_l2, 1e-30)
 
     # snapshot accumulators; the energy ledger accumulates per accepted step
@@ -391,17 +405,18 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
     h = fixed_step if fixed_step is not None else min(1e-3 * max(t0, 1.0), (t1 - t0) / 2)
     while t < t1 * (1 - 1e-14):
         target = samples[sample_idx]
-        h_cap = min(step_growth * t, target - t) if fixed_step is None \
+        h_cap = min(STEP_GROWTH * t, target - t) if fixed_step is None \
             else min(fixed_step, target - t)
         h_try = min(h, h_cap) if fixed_step is None else h_cap
+        if t + h_try == t:
+            raise SolverError(f"step size {h_try:.3e} no longer advances t = {t:g}")
         hit_sample = (t + h_try >= target * (1 - 1e-14)) or abs(t + h_try - target) < 1e-12 * target
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing trial step shows up as a non-finite error norm
             # and is rejected (adaptive) or caught by the guard (fixed step)
             u_new, err_field, mid, n_mid = stepper.step(t, h_try, u, k1)
-
-        err = _l2(err_field)
-        ref = max(_l2(u_new), _l2(u))
+            err = _l2(err_field)
+            ref = max(_l2(u_new), _l2(u))
         if fixed_step is not None or err == 0.0 or ref == 0.0:
             ratio = 0.0
         else:
@@ -445,7 +460,9 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
         else:
             n_rejected += 1
         if fixed_step is None:
-            fac = 0.9 * ratio ** (-_CTRL_EXP) if ratio > 0 else 5.0
+            # a NaN ratio (an overflowed trial step) shrinks the step as far as
+            # one rejection may; growing it would only overflow again
+            fac = 0.2 if math.isnan(ratio) else 0.9 * ratio ** (-_CTRL_EXP) if ratio > 0 else 5.0
             h = h_try * min(5.0, max(0.2, fac))
         if n_steps + n_rejected > 2 * 10 ** 5:
             raise SolverError("step budget exhausted; tolerance or horizon unreasonable")
@@ -455,10 +472,10 @@ def _drive(cutoff: int, u0: SpectralField, force: ForceSpec, t0: float, t1: floa
         "n_rhs": stepper.n_rhs, "n_force_evals": feval.n_evals,
         "max_b_orthogonality": max_b_rel, "t0": t0, "t1": t1,
         "u0_l2": u0.l2(), "guard_scale": guard_scale,
-        "nonlinear": nonlinear, "step_growth": step_growth,
+        "nonlinear": nonlinear,
     }
 
-    if not nonlinear and xi is not None and feval.stack is None:
+    if not nonlinear and feval.stack is None:
         stats["linear_selfcheck"] = _linear_selfcheck(u0, xi, rec_t, rec_state)
 
     return SimulationTrace(
@@ -479,26 +496,23 @@ def _linear_selfcheck(w0, xi, times, states) -> float:
 
 
 def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float,
-                  *, sample_ratio: float = 1.1, step_growth: float = 0.08,
-                  norm_indices: Sequence[GevreyIndex] = (),
+                  *, sample_ratio: float = 1.1, norm_indices: Sequence[GevreyIndex] = (),
                   fixed_step: Optional[float] = None) -> SimulationTrace:
     """Advance du/dt = -A u - B(u, u) + f(t) from u0 over [t0, t1].
 
     Step doubling keeps the local error per unit step below ``tol``
-    relative; snapshots land exactly on the geometric grid
-    t0 * sample_ratio^j.
+    relative, and a step is at most STEP_GROWTH * t; snapshots land exactly
+    on the geometric grid t0 * sample_ratio^j.
     Passing ``fixed_step`` disables error control (used by convergence
     tests).  Raises BlowUpError if |u| exceeds 1e3 times the initial scale.
     """
-    return _drive(force.cutoff, u0, force, t0, t1, tol, nonlinear=True, xi=None,
-                  sample_ratio=sample_ratio, step_growth=step_growth,
+    return _drive(u0, force, t0, t1, tol, xi=None, sample_ratio=sample_ratio,
                   norm_indices=norm_indices, fixed_step=fixed_step)
 
 
 def integrate_linearized(w0: SpectralField, xi: SpectralField, force: ForceSpec,
                          t0: float, t1: float, tol: float,
-                         *, sample_ratio: float = 1.1, step_growth: float = 0.08,
-                         norm_indices: Sequence[GevreyIndex] = (),
+                         *, sample_ratio: float = 1.1, norm_indices: Sequence[GevreyIndex] = (),
                          fixed_step: Optional[float] = None) -> SimulationTrace:
     """Advance the linearized equation dw/dt = -A w + xi + f(t).
 
@@ -508,8 +522,7 @@ def integrate_linearized(w0: SpectralField, xi: SpectralField, force: ForceSpec,
     """
     if w0.cutoff != xi.cutoff:
         raise SolverError("w0 and xi must share one cutoff")
-    return _drive(force.cutoff, w0, force, t0, t1, tol, nonlinear=False, xi=xi,
-                  sample_ratio=sample_ratio, step_growth=step_growth,
+    return _drive(w0, force, t0, t1, tol, xi=xi, sample_ratio=sample_ratio,
                   norm_indices=norm_indices, fixed_step=fixed_step)
 
 

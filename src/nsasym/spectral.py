@@ -661,16 +661,21 @@ def smoothing_constant(alpha: float, sigma: float) -> float:
     return (alpha / (math.e * sigma)) ** alpha
 
 
-def random_solenoidal_field(cutoff: int, rng: np.random.Generator, amplitude: float = 1.0,
-                            radius: float = 0.4, order: float = 2.0) -> SpectralField:
-    """Random divergence-free field with spectrum ~ e^{-radius |k|} |k|^(-order).
+RANDOM_RADIUS = 0.4   # exponential rate of a random field's spectrum
+RANDOM_ORDER = 2.0    # algebraic order of a random field's spectrum
 
-    The exponential tail keeps every Gevrey norm with sigma < radius
+
+def random_solenoidal_field(cutoff: int, rng: np.random.Generator,
+                            amplitude: float = 1.0) -> SpectralField:
+    """Random divergence-free field with spectrum
+    ~ e^{-RANDOM_RADIUS |k|} |k|^(-RANDOM_ORDER).
+
+    The exponential tail keeps every Gevrey norm with sigma < RANDOM_RADIUS
     well-behaved as the cutoff grows, which ensemble estimates rely on.
     """
     W = 2 * cutoff + 1
     _, ksq, kabs = _grid(cutoff)
     raw = rng.standard_normal((W, W, W, 3)) + 1j * rng.standard_normal((W, W, W, 3))
     ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
-    profile = amplitude * np.exp(-radius * kabs) * ksq_safe ** (-order / 2.0)
+    profile = amplitude * np.exp(-RANDOM_RADIUS * kabs) * ksq_safe ** (-RANDOM_ORDER / 2.0)
     return leray_project(raw * profile[..., None], cutoff)

@@ -1,16 +1,20 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nsasym import cli
+from nsasym import cli, solver
 from nsasym.cli import ConfigError, ExperimentConfig, emit_report, main, run_experiment
 from nsasym.solver import energy_budget
 
@@ -88,11 +92,11 @@ MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(MODE_TARGETS), st.sampled_from([("mirror",), ("repeat",)])))
 
 
-def apply_mutation(case) -> dict:
-    """A shipped config with one key dropped, one value replaced, or one
-    mode appended again (as is, or mirrored to -k)."""
+def apply_mutation(case, configs=SHIPPED) -> dict:
+    """A shipped config (taken from ``configs``) with one key dropped, one
+    value replaced, or one mode appended again (as is, or mirrored to -k)."""
     (name, path), (kind, *value) = case
-    data = copy.deepcopy(SHIPPED[name])
+    data = copy.deepcopy(configs[name])
     *parents, key = path
     section = data
     for part in parents:
@@ -109,6 +113,30 @@ def apply_mutation(case) -> dict:
     return data
 
 
+def _short_run(data: dict) -> dict:
+    """``data`` with solver.t1 cut to at most 3 t0 and the fit window set to
+    [t0, t1], so that a full run costs a fraction of a second."""
+    data = copy.deepcopy(data)
+    sol = data["solver"]
+    sol["t1"] = min(sol["t1"], 3.0 * sol["t0"])
+    data["verification"]["window"] = [sol["t0"], sol["t1"]]
+    return data
+
+
+SHORT_RUNS = {name: _short_run(data) for name, data in SHIPPED.items()}
+# re[1] of power_two_term's first mode: every trial step overflows
+HUGE_FORCE = (("power_two_term.json", ("force", "terms", 0, "field", "modes", 0, "re", 1)),
+              ("set", 10 ** 18))
+
+
+class _Overtime(Exception):
+    pass
+
+
+def _overtime(signum, frame):
+    raise _Overtime("a run took longer than its alarm")
+
+
 @pytest.fixture(scope="module")
 def two_term_result():
     return run_experiment(load_config("power_two_term.json"))
@@ -122,7 +150,7 @@ class TestConfigValidation:
 
     def test_falsify_block_validated(self):
         data = json.loads((CONFIG_DIR / "criterion3_falsification.json").read_text())
-        assert ExperimentConfig.from_json(data).falsify["n"] == 2
+        assert ExperimentConfig.from_json(data).falsify == 2
         data["verification"]["falsify"]["n"] = 0
         with pytest.raises(ConfigError, match="falsify"):
             ExperimentConfig.from_json(data)
@@ -188,6 +216,15 @@ class TestConfigValidation:
             ExperimentConfig.from_json(apply_mutation(case))
         except ConfigError:
             pass
+
+    def test_every_accepted_key_is_set_by_a_shipped_config(self):
+        # a key that no shipped config sets is a setting that no run exercises;
+        # system.params belong to the paper's systems and are left out
+        accepted = (cli._TOP_KEYS | cli._SYSTEM_KEYS | cli._FORCE_KEYS | cli._TERM_KEYS
+                    | cli._SOLVER_KEYS | cli._VERIF_KEYS | cli._FALSIFY_KEYS | cli._FIELD_KEYS
+                    | cli._MODE_KEYS | set(cli._RANDOM_DEFAULTS))
+        used = {key for _, path in TARGETS for key in path if isinstance(key, str)}
+        assert sorted(accepted - used) == []
 
 
 class TestPipeline:
@@ -341,12 +378,6 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("path, value, field", [
         (("seed",), -1, "config.seed"),
-        (("verification", "falsify"), {"n": 1, "relative": "x"},
-         "config.verification.falsify.relative"),
-        (("verification", "falsify"), {"n": 1, "max_order_fraction": "x"},
-         "config.verification.falsify.max_order_fraction"),
-        (("solver", "step_growth"), 0, "config.solver.step_growth"),
-        (("solver", "step_growth"), -1, "config.solver.step_growth"),
         (("solver", "sample_ratio"), 1.0, "config.solver.sample_ratio"),
         (("verification", "window"), [500.0, 50.0], "config.verification.window"),
         (("verification", "orders"), "1", "config.verification.orders"),
@@ -357,8 +388,7 @@ class TestCommandLine:
         (("cutoff",), True, "config.cutoff"),
         (("schema",), True, "config.schema"),
         (("verification", "gevrey"), [], "config.verification.gevrey"),
-    ], ids=["seed_negative", "falsify_relative_text", "falsify_fraction_text",
-            "step_growth_zero", "step_growth_negative", "sample_ratio_one",
+    ], ids=["seed_negative", "sample_ratio_one",
             "window_reversed", "orders_text", "seed_fraction", "falsify_n_fraction",
             "mode_k_infinite", "cutoff_bool", "schema_bool", "gevrey_empty"])
     def test_malformed_field_fails_on_load(self, path, value, field, tmp_path, capsys):
@@ -369,6 +399,49 @@ class TestCommandLine:
         assert rc == 2
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config error: {field} ")
+
+    @pytest.mark.parametrize("path, value, key", [
+        (("solver", "step_growth"), 0.08, "step_growth"),
+        (("verification", "order_tolerance"), 0.1, "order_tolerance"),
+        (("verification", "falsify"), {"n": 1, "relative": 0.01}, "relative"),
+        (("verification", "falsify"), {"n": 1, "max_order_fraction": 0.7}, "max_order_fraction"),
+        (("force", "terms", 0, "field", "random", "radius"), 0.4, "radius"),
+        (("force", "terms", 0, "field", "random", "order"), 2.0, "order"),
+    ], ids=["step_growth", "order_tolerance", "falsify_relative", "falsify_max_order_fraction",
+            "random_radius", "random_order"])
+    def test_removed_key_refused_on_load(self, path, value, key, tmp_path, capsys):
+        # these settings are constants now; a config that still sets one, even
+        # to the constant's value, is refused instead of running without it
+        rc = main(["lattice", "--config", mutated_config(tmp_path, path, value)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith(f"config error: unknown key(s) ['{key}'] ")
+
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe" + json.dumps(TWO_TERM).encode(),
+        b'{"schema": 1, "seed": ' + b"[" * 990 + b"]" * 990 + b"}",
+    ], ids=["not_utf8", "nested_990_deep"])
+    def test_unreadable_config_exit_two(self, text, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        rc = main(["lattice", "--config", str(bad)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("under", [False, True], ids=["existing_file", "under_a_file"])
+    def test_unusable_out_exit_two_before_running(self, under, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the output directory must be made before the run")
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "out" if under else tmp_path / "taken"
+        rc = main(["verify", "--config", str(CONFIG_DIR / "power_two_term.json"),
+                   "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith(
+            f"error: cannot create output directory {out}: ")
 
     @pytest.mark.parametrize("name, lattice_cutoff", [
         ("power_two_term.json", 1e6), ("power_two_term.json", 1e300), ("product_pair.json", 1e6),
@@ -399,7 +472,7 @@ class TestCommandLine:
         ("t1", 1e300, "8,955"), ("sample_ratio", 1.000001, "2,995,734"),
     ], ids=["t1_1e300", "sample_ratio_near_one"])
     def test_unreachable_horizon_exits_two_promptly(self, key, value, steps, tmp_path):
-        # a horizon that needs more steps than the bound, by step_growth 0.08
+        # a horizon that needs more steps than the bound, by solver.STEP_GROWTH
         # or by one step per sample, is refused on load instead of running
         # into the solver's step budget
         data = copy.deepcopy(SHIPPED["power_two_term.json"])
@@ -412,10 +485,39 @@ class TestCommandLine:
 
     def test_shipped_horizons_far_inside_the_step_bound(self):
         # the bound leaves every shipped config a factor of 10 or more
-        least = [math.log(cfg.t1 / cfg.t0)
-                 / min(math.log1p(cfg.step_growth), math.log(cfg.sample_ratio))
+        least = [solver.least_steps(cfg.t0, cfg.t1, cfg.sample_ratio)
                  for cfg in (ExperimentConfig.from_json(data) for data in SHIPPED.values())]
         assert 10 * max(least) <= cli.MAX_HORIZON_STEPS
+
+    def test_overflowing_run_exits_three_promptly(self, tmp_path):
+        # every trial step overflows to a NaN error estimate, which once grew
+        # the step 5-fold per rejection until the 2e5-attempt budget ran out
+        data = apply_mutation(HUGE_FORCE, SHORT_RUNS)
+        rc, lines = cli_in_subprocess(data, tmp_path, timeout=20,
+                                      command=("verify", "--out", str(tmp_path / "out")))
+        assert rc == 3
+        assert len(lines) == 1 and lines[0].startswith("error: SolverError: ")
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=MUTATIONS)
+    @example(case=HUGE_FORCE)
+    def test_mutated_config_runs_or_fails_closed(self, case):
+        # the full pipeline on a short horizon: every mutation that loads runs
+        # to an exit code, never to a traceback or a hang
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "mutated.json"
+            config.write_text(json.dumps(apply_mutation(case, SHORT_RUNS)))
+            err = io.StringIO()
+            previous = signal.signal(signal.SIGALRM, _overtime)
+            signal.alarm(30)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = main(["verify", "--config", str(config), "--out", str(Path(tmp) / "out")])
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+        assert rc in (0, 1, 2, 3)
+        assert len(err.getvalue().splitlines()) == (rc >= 2)
 
     def test_negative_seed_option_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
