@@ -16,7 +16,6 @@ from .spectral import (
     gevrey_norm,
     inner_product,
     leray_project,
-    low_mode_project,
     random_solenoidal_field,
     smoothing_constant,
     trilinear_form,

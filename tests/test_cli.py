@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -92,15 +93,19 @@ MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(MODE_TARGETS), st.sampled_from([("mirror",), ("repeat",)])))
 
 
+def _value(data, path):
+    for part in path:
+        data = data[part]
+    return data
+
+
 def apply_mutation(case, configs=SHIPPED) -> dict:
     """A shipped config (taken from ``configs``) with one key dropped, one
     value replaced, or one mode appended again (as is, or mirrored to -k)."""
     (name, path), (kind, *value) = case
     data = copy.deepcopy(configs[name])
     *parents, key = path
-    section = data
-    for part in parents:
-        section = section[part]
+    section = _value(data, parents)
     if kind == "drop":
         del section[key]
     elif kind == "set":
@@ -114,19 +119,56 @@ def apply_mutation(case, configs=SHIPPED) -> dict:
 
 
 def _short_run(data: dict) -> dict:
-    """``data`` with solver.t1 cut to at most 3 t0 and the fit window set to
+    """``data`` with solver.t1 cut to at most 3 t0, solver.tol raised to at
+    least 1e-7 (the loosest shipped tolerance) and the fit window set to
     [t0, t1], so that a full run costs a fraction of a second."""
     data = copy.deepcopy(data)
     sol = data["solver"]
     sol["t1"] = min(sol["t1"], 3.0 * sol["t0"])
+    sol["tol"] = max(sol["tol"], 1e-7)
     data["verification"]["window"] = [sol["t0"], sol["t1"]]
     return data
 
 
 SHORT_RUNS = {name: _short_run(data) for name, data in SHIPPED.items()}
+NUMERIC_TARGETS = [(name, path) for name, path in TARGETS
+                   if type(_value(SHORT_RUNS[name], path)) in (int, float)]
+
+
+@st.composite
+def nudges(draw):
+    """A numeric field of a short run set to a finite number near its value:
+    an int moves by one, a float is scaled (a zero one is set to the scale
+    minus one), so that most nudged configs load and reach the solver."""
+    name, path = target = draw(st.sampled_from(NUMERIC_TARGETS))
+    value = _value(SHORT_RUNS[name], path)
+    if type(value) is int:
+        return target, ("set", value + draw(st.sampled_from([-1, 1])))
+    scale = draw(st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+    return target, ("set", value * scale if value else scale - 1.0)
+
+
 # re[1] of power_two_term's first mode: every trial step overflows
 HUGE_FORCE = (("power_two_term.json", ("force", "terms", 0, "field", "modes", 0, "re", 1)),
               ("set", 10 ** 18))
+
+
+# JSON trees for the artifact writer: every scalar kind json writes, the
+# float edge cases, a float subclass, strings json must escape, tuples, and
+# lists of plain floats, plain ints or both (the writer's joined lists)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2 ** 63, 2 ** 80), st.floats(),
+    st.sampled_from(EDGE_FLOATS), st.floats().map(np.float64), st.text(),
+    st.sampled_from(['"', "\\", "\x00\n\x1f\x7f", "caf\u00e9 \u2211 \U0001f600", ""]))
+JSON_TREES = st.recursive(
+    st.one_of(JSON_SCALARS, st.lists(st.floats()), st.lists(st.integers()),
+              st.lists(st.integers() | st.floats())),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.integers() | st.floats(allow_nan=False), children)),
+    max_leaves=12)
 
 
 class _Overtime(Exception):
@@ -296,6 +338,40 @@ class TestPipeline:
         assert result.report_json()["checks"] == [] and result.ok
 
 
+class TestArtifactFormat:
+    @settings(max_examples=100, deadline=None)
+    @given(tree=JSON_TREES)
+    @example(tree=[[1.5, math.nan], [2, 3.0], [True, 1], [], {}, [[]], {"a": {}}, ()])
+    @example(tree={1: "int", 2.5: "float", -3: "negative"})
+    @example(tree={True: "true", False: "false"})
+    @example(tree=[{"k": [i, -i], "re": [i / 7, -i / 3]} for i in range(3000)])
+    def test_writer_equals_json_dumps(self, tree):
+        # json stays the reference: same text for every tree, flushes included
+        written = io.StringIO()
+        cli._dump(tree, written.write)
+        assert written.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", np.int64(1), {(1, 2): 3}],
+                             ids=["object", "set", "bytes", "numpy_int64", "tuple_key"])
+    def test_writer_refuses_what_json_refuses(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._dump([value], io.StringIO().write)
+
+    def test_artifacts_equal_json_dump(self, two_term_result, tmp_path):
+        emit_report(two_term_result, tmp_path / "out")
+        payloads = {"report.json": two_term_result.report_json(),
+                    "lattice.json": two_term_result.lattice.to_json(),
+                    "coefficients.json": two_term_result.coefficients.to_json(),
+                    "states.json": two_term_result.trace.states_json()}
+        for name, payload in payloads.items():
+            with open(tmp_path / name, "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
 class TestCommandLine:
     def test_lattice_subcommand(self, capsys):
         rc = main(["lattice", "--config", str(CONFIG_DIR / "power_two_term.json")])
@@ -443,6 +519,19 @@ class TestCommandLine:
         assert len(lines) == 1 and lines[0].startswith(
             f"error: cannot create output directory {out}: ")
 
+    @pytest.mark.parametrize("command, name, make", [
+        ("lattice", "lattice.json", Path.mkdir),
+        ("coeffs", "coefficients.json", Path.mkdir),
+        ("lattice", "lattice.json", lambda path: path.symlink_to("/dev/full")),
+    ], ids=["lattice_directory", "coeffs_directory", "lattice_disk_full"])
+    def test_unwritable_artifact_exit_two(self, command, name, make, tmp_path, capsys):
+        make(tmp_path / name)
+        rc = main([command, "--config", str(CONFIG_DIR / "power_two_term.json"),
+                   "--out", str(tmp_path)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {tmp_path / name}: ")
+
     @pytest.mark.parametrize("name, lattice_cutoff", [
         ("power_two_term.json", 1e6), ("power_two_term.json", 1e300), ("product_pair.json", 1e6),
     ], ids=["power_1e6", "power_1e300", "product_1e6"])
@@ -499,7 +588,7 @@ class TestCommandLine:
         assert len(lines) == 1 and lines[0].startswith("error: SolverError: ")
 
     @settings(max_examples=25, deadline=None, derandomize=True)
-    @given(case=MUTATIONS)
+    @given(case=st.one_of(nudges(), MUTATIONS))
     @example(case=HUGE_FORCE)
     def test_mutated_config_runs_or_fails_closed(self, case):
         # the full pipeline on a short horizon: every mutation that loads runs

@@ -19,7 +19,6 @@ from nsasym.spectral import (
     gevrey_norm,
     inner_product,
     leray_project,
-    low_mode_project,
     random_solenoidal_field,
     smoothing_constant,
     trilinear_form,
@@ -526,28 +525,6 @@ def test_bilinear_form_bilinear_and_real(cutoff, seed, a, b):
         np.testing.assert_array_equal(f.coeffs, np.conj(f.coeffs[::-1, ::-1, ::-1]))
         np.testing.assert_array_equal(leray_project(f.coeffs, cutoff).coeffs, f.coeffs)
         f.validate()
-
-
-class TestLowModeProjection:
-    def test_keeps_unit_sphere(self):
-        f = random_solenoidal_field(2, RNG)
-        g = low_mode_project(f, 1)
-        assert g.max_mode_sq() <= 1
-
-    def test_full_for_large_n(self):
-        f = random_solenoidal_field(2, RNG)
-        g = low_mode_project(f, 3 * 2 ** 2)
-        np.testing.assert_array_equal(f.coeffs, g.coeffs)
-
-    def test_exact_shell_split(self):
-        f = SpectralField.from_modes(3, {
-            (1, 0, 0): (0, 1.0, 0),
-            (1, 1, 0): (1.0, -1.0, 0),
-            (1, 1, 1): (1.0, 0.0, -1.0),
-        })
-        g = low_mode_project(f, 2)
-        kept = {k for k, _ in g.modes()}
-        assert kept == {(1, 0, 0), (-1, 0, 0), (1, 1, 0), (-1, -1, 0)}
 
 
 class TestSerialization:
