@@ -14,7 +14,6 @@ from .spectral import (
     apply_multiplier,
     bilinear_form,
     gevrey_norm,
-    inner_product,
     leray_project,
     random_solenoidal_field,
     smoothing_constant,
@@ -42,7 +41,6 @@ from .lattice import (
     ExponentLattice,
     LatticeEntry,
     closure,
-    decompose_product_exponent,
 )
 from .expansion import (
     Expansion,
@@ -59,7 +57,6 @@ from .solver import (
     SimulationTrace,
     energy_budget,
     evaluate_force,
-    integrate_linearized,
     integrate_nse,
 )
 from .verify import (

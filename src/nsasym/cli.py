@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -541,15 +542,33 @@ def _dump(payload, write) -> None:
     write("".join(pieces))
 
 
+_STDOUT = "standard output"
+
+
 @contextmanager
 def _writing(path):
     """Name ``path`` on an OSError raised while writing it (a failed write
-    on a full disk carries no file name of its own)."""
+    on a full disk carries no file name of its own).  Standard output is
+    flushed before leaving, so that its failures are named here too."""
     try:
         yield
+        if path == _STDOUT:
+            sys.stdout.flush()
     except OSError as exc:
         exc.filename = str(path)
         raise
+
+
+def _drop_stdout() -> None:
+    """Point standard output at the null device, so that the text still
+    buffered in it is not written again, and fails again, at exit."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no file descriptor behind it
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 def _write_json(path: Path, payload) -> Path:
@@ -648,6 +667,8 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:  # an artifact that cannot be written; _writing names it
         print(f"error: cannot write {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        if exc.filename == _STDOUT:
+            _drop_stdout()
         return 2
 
 
@@ -655,7 +676,7 @@ def _print_json(payload, out: Optional[Path], name: str) -> int:
     """Print a dump, and write it as ``name`` when an output directory is given."""
     if out is not None:
         _write_json(out / name, payload)
-    with _writing("standard output"):
+    with _writing(_STDOUT):
         _dump(payload, sys.stdout.write)
     return 0
 
@@ -675,7 +696,8 @@ def _command(args: argparse.Namespace, cfg: ExperimentConfig, out: Optional[Path
         with _writing(out / "trace.csv"):
             trace.to_csv(out / "trace.csv")
         _write_json(out / "states.json", trace.states_json())
-        print(f"trace written to {out}")
+        with _writing(_STDOUT):
+            print(f"trace written to {out}")
         return 0
 
     result = run_experiment(cfg, seed=args.seed)
@@ -683,10 +705,11 @@ def _command(args: argparse.Namespace, cfg: ExperimentConfig, out: Optional[Path
         emit_report(result, out)
     else:  # verify
         _write_json(out / "report.json", result.report_json())
-    for c in result.checks:
-        status = "PASS" if c["pass"] else "FAIL"
-        print(f"{status} {c['case']}: {c['property']} measured={c['measured']} "
-              f"expected={c['expected']}")
+    with _writing(_STDOUT):
+        for c in result.checks:
+            status = "PASS" if c["pass"] else "FAIL"
+            print(f"{status} {c['case']}: {c['property']} measured={c['measured']} "
+                  f"expected={c['expected']}")
     return 0 if result.ok else 1
 
 

@@ -20,19 +20,16 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import Optional, Sequence
 
-from .systems import VALUE_TOL, DecaySystem, Exponent, ProductSystem, VeeTerm
+from .systems import VALUE_TOL, DecaySystem, Exponent, VeeTerm
 
 __all__ = [
     "LatticeEntry",
     "ExponentLattice",
     "ClosureError",
     "closure",
-    "decompose_product_exponent",
-    "enumerate_pair_components",
 ]
 
 MAX_ENTRIES = 1000  # the cursor pass is quadratic: ~5 s to build a lattice this size
@@ -207,67 +204,3 @@ def closure(sys: DecaySystem, generators: Sequence, cutoff: float) -> ExponentLa
                     for exp, tags in zip(items, origins))
     return ExponentLattice(sys, cutoff, entries, tuple(vees))
 
-
-# ---------------------------------------------------------------------------
-# product-exponent decomposition
-# ---------------------------------------------------------------------------
-
-def enumerate_pair_components(generators: Sequence[Fraction], bound: Fraction) -> list[Fraction]:
-    """All values (sum of >= 1 generators) + nonnegative integer <= bound.
-
-    This is one factor of the candidate grid E1 x E2 on which product
-    exponents decompose.
-    """
-    gens = sorted(Fraction(g) for g in generators)
-    if not gens or gens[0] <= 0:
-        raise ValueError("pair component generators must be positive")
-    bound = Fraction(bound)
-    sums = set()
-    frontier = [Fraction(0)]
-    while frontier:
-        nxt = []
-        for base in frontier:
-            for g in gens:
-                s = base + g
-                if s <= bound and s not in sums:
-                    sums.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    out = set()
-    for s in sums:
-        k = Fraction(0)
-        while s + k <= bound:
-            out.add(s + k)
-            k += 1
-    return sorted(out)
-
-
-def decompose_product_exponent(sys: ProductSystem, mu: float,
-                               alpha_gens: Sequence, beta_gens: Sequence) -> Exponent:
-    """Recover the unique pair (a, b) with mu = g a + (1-g) b on the
-    candidate grid generated by the given pair components.
-
-    An exhaustive scan is used; zero matches means mu is off the grid, two
-    or more matches means the mixing weight resolves rationals too poorly
-    to separate pairs (both are errors).
-    """
-    if not isinstance(sys, ProductSystem):
-        raise TypeError("pair decomposition only applies to product systems")
-    g = sys.gamma
-    mu = float(mu)
-    bound_a = Fraction(int(mu / g) + 2)
-    bound_b = Fraction(int(mu / (1.0 - g)) + 2)
-    e1 = enumerate_pair_components(alpha_gens, bound_a)
-    e2 = enumerate_pair_components(beta_gens, bound_b)
-    matches = []
-    for a in e1:
-        for b in e2:
-            if abs(g * float(a) + (1 - g) * float(b) - mu) <= 1e-9:
-                matches.append((a, b))
-    if not matches:
-        raise ClosureError(f"value {mu:g} does not decompose on the candidate pair grid")
-    if len(matches) > 1:
-        raise ClosureError(
-            f"value {mu:g} decomposes ambiguously ({matches[:4]}); "
-            "the mixing weight is too close to a rational")
-    return sys.exponent_from_pair(*matches[0])

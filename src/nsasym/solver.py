@@ -24,11 +24,7 @@ next step) and combines the three nodes by a Richardson-corrected cubic
 Hermite rule.
 
 Steps are allowed to grow proportionally to elapsed time (decaying
-dynamics relax on the scale of t itself).  The linearized equation
-dw/dt = -A w + xi + f replaces B by a constant inhomogeneity, for which
-the scheme reduces to the exact variation-of-constants formula; with
-f = 0 the closed-form solution is evaluated at every snapshot as a
-self-check.
+dynamics relax on the scale of t itself).
 """
 
 from __future__ import annotations
@@ -45,8 +41,6 @@ from .spectral import (
     GevreyIndex,
     SpectralField,
     _grid,
-    apply_inverse_stokes,
-    apply_multiplier,
     bilinear_form,
     gevrey_norm,
 )
@@ -60,7 +54,6 @@ __all__ = [
     "SolverError",
     "evaluate_force",
     "integrate_nse",
-    "integrate_linearized",
     "least_steps",
     "energy_budget",
 ]
@@ -119,7 +112,7 @@ class ForceSpec:
 
     @classmethod
     def zero(cls, lattice, cutoff: int) -> "ForceSpec":
-        """An identically-zero force (handy for decay and linearized runs)."""
+        """An identically-zero force (handy for decay runs)."""
         exp = Expansion(lattice, (SpectralField.zero(cutoff),), GevreyIndex(0.5, 0.0))
         return cls(exp)
 
@@ -267,25 +260,20 @@ class _Integrator:
     every regime.
     """
 
-    def __init__(self, cutoff: int, force_eval: Callable[[float], np.ndarray],
-                 xi_arr: Optional[np.ndarray]):
-        """The nonlinear rhs f - B(u, u) when ``xi_arr`` is None, else the
-        linearized f + xi."""
+    def __init__(self, cutoff: int, force_eval: Callable[[float], np.ndarray]):
         self.K = cutoff
         _, self.ksq, _ = _grid(cutoff)
         self.force_eval = force_eval
-        self.xi = xi_arr
         self.n_rhs = 0
 
     def rhs(self, t: float, u_arr: np.ndarray) -> np.ndarray:
+        """f - B(u, u) at (t, u)."""
         self.n_rhs += 1
         f = self.force_eval(t)
-        if self.xi is None:
-            u = SpectralField(self.K, u_arr)
-            buu = bilinear_form(u, u).coeffs
-            self.last_b = buu  # clean copy for the energy-orthogonality monitor
-            return f - buu
-        return f + self.xi
+        u = SpectralField(self.K, u_arr)
+        buu = bilinear_form(u, u).coeffs
+        self.last_b = buu  # clean copy for the energy-orthogonality monitor
+        return f - buu
 
     def krogstad(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray,
                  full: tuple, half: tuple) -> np.ndarray:
@@ -330,12 +318,18 @@ def least_steps(t0: float, t1: float, sample_ratio: float) -> float:
     return (math.log(t1) - math.log(t0)) / min(math.log1p(STEP_GROWTH), math.log(sample_ratio))
 
 
-def _drive(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float, *,
-           xi: Optional[SpectralField], sample_ratio: float,
-           norm_indices: Sequence[GevreyIndex], fixed_step: Optional[float]) -> SimulationTrace:
-    """The run of integrate_nse (xi None) or integrate_linearized."""
+def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float,
+                  *, sample_ratio: float = 1.1, norm_indices: Sequence[GevreyIndex] = (),
+                  fixed_step: Optional[float] = None) -> SimulationTrace:
+    """Advance du/dt = -A u - B(u, u) + f(t) from u0 over [t0, t1].
+
+    Step doubling keeps the local error per unit step below ``tol``
+    relative, and a step is at most STEP_GROWTH * t; snapshots land exactly
+    on the geometric grid t0 * sample_ratio^j.
+    Passing ``fixed_step`` disables error control (used by convergence
+    tests).  Raises BlowUpError if |u| exceeds 1e3 times the initial scale.
+    """
     cutoff = force.cutoff
-    nonlinear = xi is None
     if u0.cutoff != cutoff:
         raise SolverError(f"initial state cutoff {u0.cutoff} != force cutoff {cutoff}")
     if t0 < force.t_min:
@@ -345,13 +339,12 @@ def _drive(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float
 
     feval = _ForceEval(force)
     ksq = _grid(cutoff)[1]
-    stepper = _Integrator(cutoff, feval, None if nonlinear else xi.coeffs)
+    stepper = _Integrator(cutoff, feval)
     samples = _geometric_samples(t0, t1, sample_ratio)
     norm_indices = list(norm_indices)
 
     f0_l2 = _l2(feval(t0))
-    xi_l2 = 0.0 if nonlinear else xi.l2()
-    guard_scale = 1e3 * max(u0.l2(), f0_l2, xi_l2, 1e-30)
+    guard_scale = 1e3 * max(u0.l2(), f0_l2, 1e-30)
 
     # snapshot accumulators; the energy ledger accumulates per accepted step
     rec_t, rec_state, rec_l2, rec_fl2, rec_h = [], [], [], [], []
@@ -435,13 +428,13 @@ def _drive(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float
             # one fresh rhs at the accepted endpoint closes the ledger slopes
             # and seeds the next step's first stage
             k1 = stepper.rhs(t + h_try, u_new)
-            if nonlinear:
-                # the rhs just stashed B(u_new, u_new): check its energy
-                # orthogonality against the state it advects
-                b_inner = VOLUME * float(np.real(np.vdot(u_new, stepper.last_b)))
-                half = gevrey_norm(SpectralField(cutoff, u_new.copy()), GevreyIndex(0.5, 0.0))
-                if half > 0:
-                    max_b_rel = max(max_b_rel, abs(b_inner) / half ** 3)
+            # the rhs just stashed B(u_new, u_new): check its energy
+            # orthogonality against the state it advects (a cube that
+            # underflows to 0 leaves nothing to divide by)
+            b_inner = VOLUME * float(np.real(np.vdot(u_new, stepper.last_b)))
+            cube = gevrey_norm(SpectralField(cutoff, u_new.copy()), GevreyIndex(0.5, 0.0)) ** 3
+            if cube > 0:
+                max_b_rel = max(max_b_rel, abs(b_inner) / cube)
             # ledger: Hermite on the two halves, Richardson-corrected by the
             # full-step rule (same trusted nodes, error drops to h^7)
             middle = node(t + 0.5 * h_try, mid, n_mid)
@@ -472,58 +465,13 @@ def _drive(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float
         "n_rhs": stepper.n_rhs, "n_force_evals": feval.n_evals,
         "max_b_orthogonality": max_b_rel, "t0": t0, "t1": t1,
         "u0_l2": u0.l2(), "guard_scale": guard_scale,
-        "nonlinear": nonlinear,
     }
-
-    if not nonlinear and feval.stack is None:
-        stats["linear_selfcheck"] = _linear_selfcheck(u0, xi, rec_t, rec_state)
 
     return SimulationTrace(
         times=np.array(rec_t), states=tuple(rec_state), l2=np.array(rec_l2),
         norms={idx: np.array(v) for idx, v in rec_norms.items()},
         dissipation=np.array(rec_diss), injection=np.array(rec_inj),
         force_l2=np.array(rec_fl2), steps=np.array(rec_h), stats=stats)
-
-
-def _linear_selfcheck(w0, xi, times, states) -> float:
-    """Max relative deviation from w(t) = e^{-(t-t0)A} (w0 - A^-1 xi) + A^-1 xi."""
-    rest = apply_inverse_stokes(xi)
-    worst = 0.0
-    for t, state in zip(times, states):
-        exact = apply_multiplier(w0 - rest, "heat", t - times[0]) + rest
-        worst = max(worst, (state - exact).l2() / max(exact.l2(), 1e-300))
-    return worst
-
-
-def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol: float,
-                  *, sample_ratio: float = 1.1, norm_indices: Sequence[GevreyIndex] = (),
-                  fixed_step: Optional[float] = None) -> SimulationTrace:
-    """Advance du/dt = -A u - B(u, u) + f(t) from u0 over [t0, t1].
-
-    Step doubling keeps the local error per unit step below ``tol``
-    relative, and a step is at most STEP_GROWTH * t; snapshots land exactly
-    on the geometric grid t0 * sample_ratio^j.
-    Passing ``fixed_step`` disables error control (used by convergence
-    tests).  Raises BlowUpError if |u| exceeds 1e3 times the initial scale.
-    """
-    return _drive(u0, force, t0, t1, tol, xi=None, sample_ratio=sample_ratio,
-                  norm_indices=norm_indices, fixed_step=fixed_step)
-
-
-def integrate_linearized(w0: SpectralField, xi: SpectralField, force: ForceSpec,
-                         t0: float, t1: float, tol: float,
-                         *, sample_ratio: float = 1.1, norm_indices: Sequence[GevreyIndex] = (),
-                         fixed_step: Optional[float] = None) -> SimulationTrace:
-    """Advance the linearized equation dw/dt = -A w + xi + f(t).
-
-    With f = 0 the variation-of-constants solution is evaluated at every
-    snapshot and the worst relative deviation is stored under
-    ``stats["linear_selfcheck"]``.
-    """
-    if w0.cutoff != xi.cutoff:
-        raise SolverError("w0 and xi must share one cutoff")
-    return _drive(w0, force, t0, t1, tol, xi=xi, sample_ratio=sample_ratio,
-                  norm_indices=norm_indices, fixed_step=fixed_step)
 
 
 # ---------------------------------------------------------------------------

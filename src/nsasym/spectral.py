@@ -65,7 +65,6 @@ __all__ = [
     "apply_multiplier",
     "apply_inverse_stokes",
     "gevrey_norm",
-    "inner_product",
     "bilinear_form",
     "advection_sum",
     "trilinear_form",
@@ -385,13 +384,6 @@ def gevrey_norm(u: SpectralField, idx: GevreyIndex) -> float:
     w = 2.0 * logm[mask]
     peak = float(w.max())
     return _NORM_FACTOR * math.exp(0.5 * peak) * math.sqrt(float(np.sum(np.exp(w - peak) * amp2[mask])))
-
-
-def inner_product(u: SpectralField, v: SpectralField) -> float:
-    """Real L^2(Omega) inner product <u, v>."""
-    if u.cutoff != v.cutoff:
-        raise CutoffMismatchError(f"cutoffs {u.cutoff} != {v.cutoff}")
-    return VOLUME * float(np.real(np.vdot(v.coeffs, u.coeffs)))
 
 
 _SUM_PAIRS = 64   # largest |supp u| |supp v| (k3 >= 0 halves) whose sums are listed

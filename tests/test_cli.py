@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
@@ -169,6 +170,13 @@ JSON_TREES = st.recursive(
         st.dictionaries(st.text(), children),
         st.dictionaries(st.integers() | st.floats(allow_nan=False), children)),
     max_leaves=12)
+
+
+class _FullDisk:
+    """A standard output on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class _Overtime(Exception):
@@ -531,6 +539,42 @@ class TestCommandLine:
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 2
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {tmp_path / name}: ")
+
+    @pytest.mark.parametrize("command", ["lattice", "coeffs", "simulate", "verify", "run"])
+    def test_unwritable_stdout_exit_two(self, command, two_term_result, tmp_path, monkeypatch):
+        # the run itself is the fixture's; only what each command prints matters
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg, seed=None: two_term_result)
+        monkeypatch.setattr(cli, "_simulate", lambda *args: two_term_result.trace)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_FullDisk()), contextlib.redirect_stderr(err):
+            rc = main([command, "--config", str(CONFIG_DIR / "power_two_term.json"),
+                       "--out", str(tmp_path)])
+        lines = err.getvalue().splitlines()
+        assert rc == 2
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write standard output: ")
+
+    @pytest.mark.parametrize("sink", ["disk_full", "closed_pipe"])
+    def test_unwritable_stdout_fails_once_at_exit(self, sink, tmp_path):
+        # a buffered standard output still holds the text that failed; it
+        # must not be flushed again, and fail again, when the interpreter exits
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+        env.pop("PYTHONUNBUFFERED", None)
+        if sink == "disk_full":
+            out = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, out = os.pipe()
+            os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "nsasym.cli", "lattice",
+                 "--config", str(CONFIG_DIR / "power_two_term.json")],
+                stdout=out, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        finally:
+            os.close(out)
+        lines = done.stderr.splitlines()
+        assert done.returncode == 2
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write standard output: ")
 
     @pytest.mark.parametrize("name, lattice_cutoff", [
         ("power_two_term.json", 1e6), ("power_two_term.json", 1e300), ("product_pair.json", 1e6),

@@ -17,7 +17,6 @@ from nsasym.spectral import (
     apply_multiplier,
     bilinear_form,
     gevrey_norm,
-    inner_product,
     leray_project,
     random_solenoidal_field,
     smoothing_constant,
@@ -540,15 +539,6 @@ class TestSerialization:
 
 
 class TestAlgebra:
-    def test_inner_product_symmetric(self):
-        u = random_solenoidal_field(2, RNG)
-        v = random_solenoidal_field(2, RNG)
-        assert inner_product(u, v) == pytest.approx(inner_product(v, u), rel=1e-12)
-
-    def test_norm_consistency(self):
-        u = random_solenoidal_field(2, RNG)
-        assert inner_product(u, u) == pytest.approx(u.l2() ** 2, rel=1e-12)
-
     def test_linearity(self):
         u = random_solenoidal_field(2, RNG)
         v = random_solenoidal_field(2, RNG)
