@@ -16,12 +16,12 @@ Parseval factor is included so |u|_{0,0} equals the plain L^2 norm.
 
 The advective bilinear form B(u, v) = P((u . grad) v) is evaluated in
 divergence form, P(div(u (x) v)), which is the same for divergence-free u,
-with real FFTs on a grid sized per axis from the supports.  Its one
-implementation, ``advection_sum``, forms the sum of B(u, v) over a list of
-pairs with one forward transform: the distinct fields are transformed in,
-a few at a time, the products u_j v_c of all pairs are accumulated on one
-grid, and one divergence and one Leray projection follow.
-``bilinear_form`` is its one-pair case.  If e_u and e_v are the largest |k_a| in the supports of a
+on a grid sized per axis from the supports.  Its one implementation,
+``advection_sum``, forms the sum of B(u, v) over a list of pairs with one
+forward transform: the distinct fields are transformed in, a few at a
+time, the products u_j v_c of all pairs are accumulated on one grid, and
+one divergence and one Leray projection follow.  ``bilinear_form`` is its
+one-pair case.  If e_u and e_v are the largest |k_a| in the supports of a
 pair, s the largest e_u + e_v over the pairs, and the output keeps
 |k_a| <= o = min(K, s), an axis of N_a >= s + o + 1 points puts no alias
 of any product inside the output box (Orszag 1971; Canuto, Hussaini,
@@ -29,15 +29,17 @@ Quarteroni and Zang, Spectral Methods), so the result is the exact
 truncated convolution, not a dealiased approximation, and the
 finite-dimensional system is the exact Galerkin reduction.  A dense field
 gets 3K + 1 points per axis, and a field on the k3 = 0 plane a single k3
-point, over which no transform pass is made.  The support indicators ride
-in the same transforms: their pointwise products, summed over the pairs,
-transform to the number of pairs p + q = k, and every mode with no such
-pair is set to exactly zero, so transform rounding never fills modes no
-convolution can reach.  The Leray projection runs on the output box
-only.  The sizes, index maps and box geometry are cached per support
-extents and the extents per pair of supports, and a small pair of
-supports whose sums all miss the cube away from k = 0 is dropped with no
-transform.
+point.  The transforms are partial DFTs: per-axis matrices that take the
+input box of modes straight to the grid and the grid straight to the
+output box, equal to numpy's real FFTs, zero-filled and cropped, to
+rounding.  The support indicators ride in the same transforms: their
+pointwise products, summed over the pairs, transform to the number of
+pairs p + q = k, and every mode with no such pair is set to exactly zero,
+so transform rounding never fills modes no convolution can reach.  The
+Leray projection runs on the output box only.  The sizes, DFT matrices
+and box geometry are cached per support extents and the extents per pair
+of supports, and a small pair of supports whose sums all miss the cube
+away from k = 0 is dropped with no transform.
 """
 
 from __future__ import annotations
@@ -391,15 +393,42 @@ _BATCH = 4        # most distinct fields inverse-transformed together by ``advec
 
 
 class _Layout(NamedTuple):
-    """Grids and boxes of ``advection_sum`` for given support extents."""
+    """Grids, boxes and partial DFT matrices of ``advection_sum`` for given
+    support extents."""
 
     sizes: tuple[int, int, int]   # padded grid N_a
     box_in: tuple                 # half box of the fields' extent, transformed in
-    scatter: tuple                # its place on the rfft half grid, all rows
-    gather: tuple                 # the k3 >= 0 half of the output box on the rfft half grid
-    k_rows: np.ndarray            # k_j on that half, component-major
+    to_grid: tuple                # its matrices along axes 1, 2, 3 (``_to_grid``)
+    from_grid: tuple              # the output half box's along axes 3, 2, 1 (``_from_grid``)
+    k_rows: np.ndarray            # k_j on the k3 >= 0 half of the output box, component-major
     box_out: tuple                # the output box |k_a| <= o[a] in a coefficient array
     geometry: tuple               # k, |k|^2 (1 at k = 0) and |k| on the output box
+
+
+def _phases(n: int, x: np.ndarray, k: np.ndarray, sign: int) -> np.ndarray:
+    """exp(sign 2 pi i x k / n) over the outer product of x and k.  x k is
+    reduced mod n first, so every argument is below 2 pi and the rounding of
+    a phase does not grow with |x k|."""
+    return np.exp((sign * 2j * np.pi / n) * (np.multiply.outer(x, k) % n))
+
+
+def _dft_matrices(sizes: tuple, e_in: tuple, e_out: tuple) -> tuple[tuple, tuple]:
+    """The per-axis matrices of ``_to_grid`` (axes 1, 2, 3) and ``_from_grid``
+    (axes 3, 2, 1) on grids of ``sizes`` points, from the input half box
+    |k_a| <= e_in[a], k3 >= 0, and to the output half box of e_out."""
+    (n1, n2, n3), (e1, e2, e3), (o1, o2, o3) = sizes, e_in, e_out
+    # c2r along axis 3: x = sum_k w_k Re(X_k e^{2 pi i k x / N3}) with w = 1 at
+    # k3 = 0 and 2 above, a real matrix on the interleaved (re, im) rows of X
+    weight = np.where(np.arange(e3 + 1) == 0, 1.0, 2.0)[:, None]
+    phase = _phases(n3, np.arange(e3 + 1), np.arange(n3), 1)
+    c2r = np.stack([weight * phase.real, -weight * phase.imag], axis=1).reshape(-1, n3)
+    # r2c along axis 3: interleaved (re, im) columns, read back as complex
+    r2c = (_phases(n3, np.arange(n3), np.arange(o3 + 1), -1) / n3).view(np.float64)
+    inverse = tuple(_phases(n, np.arange(n), np.arange(-e, e + 1), 1)
+                    for n, e in ((n1, e1), (n2, e2))) + (c2r,)
+    forward = (r2c,) + tuple(_phases(n, np.arange(-o, o + 1), np.arange(n), -1) / n
+                             for n, o in ((n2, o2), (n1, o1)))
+    return inverse, forward
 
 
 @functools.lru_cache(maxsize=64)
@@ -409,33 +438,30 @@ def _layout(cutoff: int, e_in: tuple, e_sum: tuple) -> _Layout:
     e_out = [min(cutoff, s) for s in e_sum]
     sizes = [s + o + 1 for s, o in zip(e_sum, e_out)]
     sizes = tuple(n + n % 2 if n > 1 else n for n in sizes)
-    # grid index k mod N_a of each k on an axis; the rfft half axis keeps k >= 0
-    index_in, index_out = (
-        np.ix_(*(np.arange(-e, e + 1) % n for e, n in zip(ext, sizes)))
-        for ext in (e_in, e_out))
     box_out = tuple(slice(cutoff - e, cutoff + e + 1) for e in e_out)
     kvec, ksq, kabs = (g[box_out] for g in _grid(cutoff))
+    to_grid, from_grid = _dft_matrices(sizes, e_in, e_out)
     return _Layout(
-        sizes=sizes, box_in=_half_box(cutoff, e_in),
-        scatter=(slice(None),) + index_in[:2] + (index_in[2][..., e_in[2]:],),
-        gather=(slice(None),) + index_out[:2] + (index_out[2][..., e_out[2]:],),
+        sizes=sizes, box_in=_half_box(cutoff, e_in), to_grid=to_grid, from_grid=from_grid,
         k_rows=np.moveaxis(kvec[:, :, e_out[2]:], -1, 0), box_out=box_out,
         geometry=(kvec, np.where(ksq == 0.0, 1.0, ksq), kabs))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=1024)
 def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> tuple[tuple, tuple] | None:
-    """For supp(u) and supp(v), given as k3 >= 0 half masks (``tobytes``),
-    the largest |k_a| per axis of either support and of their sums:
-    max(e_u, e_v) and e_u + e_v, with e_u, e_v the extents of the supports.
-    None when no p + q with p in supp(u), q in supp(v) lands in the cube
-    away from k = 0.  That is tested by listing p +- q over the half masks
-    when they hold at most _SUM_PAIRS pairs; larger supports always get
-    extents, so the listing stays small.  The solver's support rarely
-    changes between calls, so a few plans serve a whole run."""
-    W = 2 * cutoff + 1
-    masks = [np.frombuffer(m, dtype=bool).reshape(W, W, cutoff + 1)
-             for m in ((mask_u,) if same else (mask_u, mask_v))]
+    """For supp(u) and supp(v), given as k3 >= 0 half masks packed to bits
+    (``np.packbits``), the largest |k_a| per axis of either support and of
+    their sums: max(e_u, e_v) and e_u + e_v, with e_u, e_v the extents of
+    the supports.  None when no p + q with p in supp(u), q in supp(v) lands
+    in the cube away from k = 0.  That is tested by listing p +- q over the
+    half masks when they hold at most _SUM_PAIRS pairs; larger supports
+    always get extents, so the listing stays small.  The solver's support
+    rarely changes between calls, so a few plans serve a whole run; a
+    lattice pass meets a few hundred support pairs, which the cache holds,
+    and packed keys keep it under 5 MB even at K = 16."""
+    shape = (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
+    masks = [np.unpackbits(np.frombuffer(m, dtype=np.uint8), count=math.prod(shape))
+             .reshape(shape) for m in ((mask_u,) if same else (mask_u, mask_v))]
     centre = (cutoff, cutoff, 0)
     points = [np.nonzero(m) for m in masks]        # index arrays per axis
     if len(points[0][0]) * len(points[-1][0]) <= _SUM_PAIRS:
@@ -463,32 +489,31 @@ def _batches(pairs: list, limit: int) -> Iterator[tuple[list, list]]:
     yield list(local_of), local
 
 
-def _irfftn(spec: np.ndarray, sizes: tuple) -> np.ndarray:
-    """``np.fft.irfftn(spec, s=sizes, axes=(1, 2, 3), norm="forward")``,
-    byte for byte, with no pass over an axis of one point: numpy's passes in
-    numpy's order (axis 1, axis 2, then the real transform of axis 3), where
-    a one-point complex pass is the identity and a one-point real pass keeps
-    the real part."""
-    for axis, n in ((1, sizes[0]), (2, sizes[1])):
-        if n > 1:
-            spec = np.fft.ifft(spec, n, axis=axis, norm="forward")
-    if sizes[2] > 1:
-        return np.fft.irfft(spec, sizes[2], axis=3, norm="forward")
-    return spec.real
+def _to_grid(matrices: tuple, spec: np.ndarray) -> np.ndarray:
+    """The real rows on the padded grid whose k3 >= 0 half spectra on the
+    input half box are the rows of ``spec``: ``np.fft.irfftn`` with
+    norm="forward" of those spectra zero-filled to the grid.  Three matrix
+    products (``_dft_matrices``), along axes 1, 2 and 3, the last a real
+    c2r matrix on the interleaved (re, im) view."""
+    m1, m2, c2r = matrices
+    rows, _, b, c = spec.shape
+    x = np.matmul(m1, spec.reshape(rows, -1, b * c))
+    x = np.matmul(m2, x.reshape(-1, b, c))
+    grid = (rows, len(m1), len(m2), c2r.shape[1])
+    return np.matmul(x.view(np.float64).reshape(-1, 2 * c), c2r).reshape(grid)
 
 
-def _rfftn(phys: np.ndarray) -> np.ndarray:
-    """``np.fft.rfftn(phys, axes=(1, 2, 3), norm="forward")``, byte for byte,
-    with no pass over an axis of one point: the real transform of axis 3
-    (a one-point one is the cast to complex), then axis 2, then axis 1."""
-    if phys.shape[3] > 1:
-        spec = np.fft.rfft(phys, axis=3, norm="forward")
-    else:
-        spec = phys.astype(np.complex128)
-    for axis in (2, 1):
-        if phys.shape[axis] > 1:
-            spec = np.fft.fft(spec, axis=axis, norm="forward")
-    return spec
+def _from_grid(matrices: tuple, phys: np.ndarray) -> np.ndarray:
+    """The k3 >= 0 half of the output box of the spectra of the real rows of
+    ``phys``: ``np.fft.rfftn`` with norm="forward", cropped.  Three matrix
+    products (``_dft_matrices``), along axes 3, 2 and 1, the first a real
+    r2c matrix whose interleaved (re, im) columns are read as complex."""
+    r2c, f2, f1 = matrices
+    rows, n1, n2, n3 = phys.shape
+    x = np.matmul(phys.reshape(-1, n3), r2c).view(np.complex128)
+    c = x.shape[-1]
+    x = np.matmul(f2, x.reshape(-1, n2, c))
+    return np.matmul(f1, x.reshape(rows, n1, -1)).reshape(rows, len(f1), len(f2), c)
 
 
 def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> SpectralField:
@@ -516,11 +541,16 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     the largest |k_a| in supp(u), supp(v)), the output box is
     |k_a| <= o[a] = min(K, s[a]) (nothing outside it can be reached) and
     the axis gets N_a >= s + o + 1 points, rounded up to even above 1, so no
-    alias of any product lands in the output box.  Sizes, index maps and the
-    output box's wave vectors are cached per extents (``_layout``).  The
-    transforms (``_irfftn``, ``_rfftn``) make numpy's 1-D passes in numpy's
-    order but none over an axis of one point, so a state on a k_a = 0 plane
-    is transformed in 2-D, byte for byte as by the 3-D numpy transforms.
+    alias of any product lands in the output box.  Sizes, the output box's
+    wave vectors and the partial DFT matrices of the transforms are cached
+    per extents (``_layout``).  The transforms are three small matrix
+    products each (``_to_grid``, ``_from_grid``): the inverse takes the
+    input half box straight to the grid and the forward takes the grid
+    straight to the k3 >= 0 half of the output box, so no zero-filled
+    spectrum is built and no mode outside the boxes is computed.  They equal
+    numpy's ``irfftn`` and ``rfftn`` on the same grid, zero-filled and
+    cropped, to rounding, so the sum is still the exact truncated
+    convolution.
 
     The support indicator of each field, real and even like the fields,
     goes through the same transforms: the products ind_u ind_v, summed over
@@ -542,10 +572,10 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     if any(f.cutoff != K for f in fields):
         raise CutoffMismatchError(f"cutoffs {sorted({f.cutoff for f in fields})} differ")
     slot = {id(f): i for i, f in enumerate(fields)}
-    upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: the rfft half
+    upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: a real field's half spectrum
     halves = [f.coeffs[upper] for f in fields]
     masks = [h.any(axis=-1) for h in halves]
-    keys = [m.tobytes() for m in masks]
+    keys = [np.packbits(m).tobytes() for m in masks]
     kept, extents = [], None      # the largest extent of a field, of a pair's sum
     for u, v in pairs:
         a, b = slot[id(u)], slot[id(v)]
@@ -570,11 +600,7 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
         # then the support indicator of each field
         rows = [halves[f][layout.box_in].transpose(3, 0, 1, 2) for f in batch]
         rows.append(np.array([masks[f][layout.box_in] for f in batch], dtype=np.complex128))
-        spec = np.zeros((4 * len(batch),) + sizes[:2] + (sizes[2] // 2 + 1,),
-                        dtype=np.complex128)
-        spec[layout.scatter] = np.concatenate(rows)
-        phys = _irfftn(spec, sizes)
-        del spec
+        phys = _to_grid(layout.to_grid, np.concatenate(rows))
         ind = 3 * len(batch)                                 # first indicator row
         for a, b in local:
             factors = [(phys[3 * a + j], phys[3 * b + c]) for j, c in products]
@@ -587,7 +613,7 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
                     row += term
             first = False
         del phys
-    half = _rfftn(prod)[layout.gather]
+    half = _from_grid(layout.from_grid, prod)
     del prod, term
     flux = 1j * np.einsum("jxyz,jcxyz->cxyz", layout.k_rows, half[table])   # i k_j T_jc
     flux[:, half[-1].real <= 0.5] = 0.0                   # no pair p + q = k
@@ -607,8 +633,8 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     The one-pair case of ``advection_sum``, which documents the method: one
     inverse transform of u, v and their support indicators (u and its
     indicator alone, and 6 products instead of 9, when v is u), one forward
-    transform of the products and their pair count, and the Leray
-    projection on the output box.  A pair of small supports with no sum in
+    transform of the products and their pair count, each three partial DFT
+    matrix products, and the Leray projection on the output box.  A pair of small supports with no sum in
     the cube away from k = 0 gives the zero field with no transform.
     """
     return advection_sum([(u, v)])

@@ -7,51 +7,44 @@ from nsasym import spectral
 
 
 class Transform(NamedTuple):
-    """One recorded transform: "irfftn" or "rfftn", its physical grid
-    (N1, N2, N3) and the axes of the 1-D passes it made, in order."""
+    """One recorded transform: "to_grid" (inverse) or "from_grid" (forward)
+    with its physical grid (N1, N2, N3), or a numpy FFT by its numpy name
+    with grid None."""
 
     name: str
     grid: Optional[tuple]
-    passes: tuple
 
 
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Record every 3-D transform of ``spectral``, in order, as a Transform.
 
-    The transforms go through the helper pair ``spectral._irfftn`` and
-    ``spectral._rfftn``, whose 1-D numpy passes are recorded with them.  A
-    numpy transform called anywhere else is recorded as well, under its
-    numpy name with grid None, so a transform outside the pair cannot hide.
+    The transforms are the helper pair ``spectral._to_grid`` and
+    ``spectral._from_grid``, each a few matrix products.  A numpy FFT called
+    anywhere is recorded as well, under its numpy name with grid None, so a
+    transform outside the pair cannot hide.
     """
-    calls, open_passes = [], []
+    calls = []
 
     def spy_numpy(name):
         inner = getattr(np.fft, name)
 
         def call(*args, **kwargs):
-            if open_passes:
-                open_passes[-1].append(kwargs.get("axis", -1))
-            else:
-                calls.append(Transform(name, None, ()))
+            calls.append(Transform(name, None))
             return inner(*args, **kwargs)
         return call
 
     def spy_helper(name, grid):
         inner = getattr(spectral, "_" + name)
 
-        def call(*args):
-            open_passes.append([])
-            try:
-                out = inner(*args)
-            finally:
-                passes = tuple(open_passes.pop())
-            calls.append(Transform(name, grid(*args), passes))
+        def call(matrices, array):
+            out = inner(matrices, array)
+            calls.append(Transform(name, grid(array, out)))
             return out
         return call
 
-    for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, spy_numpy(name))
-    monkeypatch.setattr(spectral, "_irfftn", spy_helper("irfftn", lambda spec, sizes: tuple(sizes)))
-    monkeypatch.setattr(spectral, "_rfftn", spy_helper("rfftn", lambda phys: phys.shape[1:]))
+    monkeypatch.setattr(spectral, "_to_grid", spy_helper("to_grid", lambda spec, phys: phys.shape[1:]))
+    monkeypatch.setattr(spectral, "_from_grid", spy_helper("from_grid", lambda phys, half: phys.shape[1:]))
     return calls

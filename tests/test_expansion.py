@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nsasym
-from nsasym import expansion
+from nsasym import expansion, spectral
 from nsasym.expansion import (
     ExpansionError,
     compute_coefficients,
@@ -271,6 +271,31 @@ class TestResidualAudit:
             pairs = sum(len(lat.wedge_pairs(n)) for n in range(1, len(lat) + 1))
             assert calls["wedge"] <= 2 * pairs + len(lat), sys.kind
             assert calls["vee"] == 0, sys.kind
+
+
+def test_repeated_lattice_pass_rebuilds_no_plan():
+    # one pass over the 62-entry product lattice, forced on sparse low modes,
+    # meets over a hundred support pairs; the plan cache must hold them all,
+    # so the same closure, recursion and residual audit again misses none
+    product = ProductSystem(GAMMA)
+    gens = (product.exponent_from_pair(1, 1), product.exponent_from_pair(1, 2))
+    rng = np.random.default_rng(61)
+    forces = [SpectralField.from_modes(3, {k: 0.05 * (rng.standard_normal(3)
+                                                     + 1j * rng.standard_normal(3))
+                                           for k in modes})
+              for modes in ([(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                            [(1, 1, 0), (0, 1, 1), (1, 0, 1)])]
+
+    def lattice_pass():
+        lat = closure(product, gens, 6.5)
+        force = normalize_force(list(zip(gens, forces)), lat)
+        xi = compute_coefficients(force)
+        return max(recursion_residual(xi, force, n) for n in range(1, len(lat) + 1))
+
+    assert lattice_pass() <= 1e-12
+    misses = spectral._plan.cache_info().misses
+    assert lattice_pass() <= 1e-12
+    assert spectral._plan.cache_info().misses == misses
 
 
 class TestEvaluate:
