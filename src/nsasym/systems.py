@@ -418,24 +418,6 @@ class IteratedLogSystem(DecaySystem):
     def order_abscissa(self, t):
         return self.omega(t)
 
-    def eval_at_log_time(self, lam: Exponent, log_t: float) -> float:
-        """psi_lambda at t = e^(log_t), for times beyond floating range.
-
-        Only the evaluation path supports extended-range times; the solver
-        itself is limited to representable t.
-        """
-        log_s = self.beta * log_t
-        # ln Q1(e^x) = d*x + ln(lead + lower-order corrections)
-        corr = sum(self.q1[j] * math.exp(min((j - self.q1_degree) * log_s, 0.0))
-                   for j in range(self.q1_degree + 1))
-        if corr <= 0.0:
-            raise DomainError("Q1 not positive at requested log-time")
-        L1 = self.q1_degree * log_s + math.log(corr)
-        w = self._q0_at(_iterated_log_vector(self.m, L1))
-        if w <= 0.0:
-            raise DomainError("omega not positive at requested log-time")
-        return w ** (-lam.value)
-
     def params_json(self):
         return {"m": self.m, "beta": self.beta,
                 "q0": [[list(alpha), c] for alpha, c in self.q0],
@@ -466,7 +448,8 @@ class _TrigLogSystem(DecaySystem):
 
     def eval(self, lam, t):
         self.check_domain(t)
-        return self.eval_at_log_time(lam, math.log(t))
+        L = _iterated_log_vector(self.m, math.log(t))
+        return self.trig(1.0 / L[-1]) ** lam.value
 
     def psi_prime(self, lam, t):
         self.check_domain(t)
@@ -480,10 +463,6 @@ class _TrigLogSystem(DecaySystem):
 
     def order_abscissa(self, t):
         return 1.0 / self.trig(1.0 / iterated_log(self.m, t))
-
-    def eval_at_log_time(self, lam: Exponent, log_t: float) -> float:
-        L = _iterated_log_vector(self.m, log_t)
-        return self.trig(1.0 / L[-1]) ** lam.value
 
     def params_json(self):
         return {"m": self.m}

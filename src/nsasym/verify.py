@@ -64,13 +64,8 @@ class FitError(ValueError):
 class DecayFit:
     """Least-squares decay order of a remainder series on one window."""
 
-    window: tuple[float, float]
     slope: float        # fitted decay order (positive for decaying data)
-    intercept: float
     r2: float
-    reference: str      # "time" or "background"
-    n_points: int
-    n_clipped: int = 0  # samples at the underflow floor, excluded
 
 
 def manufacture_force(target: Expansion, N: Optional[int] = None) -> ForceSpec:
@@ -122,14 +117,12 @@ def fit_decay_order(series: Sequence[tuple[float, float]], sys: DecaySystem,
     The abscissa is log of the system's order scale (t for power-law-like
     kinds, the slowly varying height function for logarithmic kinds), so
     the negated slope estimates the effective decay exponent directly.
-    Remainders at the underflow floor are excluded and counted.
+    Remainders at the underflow floor are excluded.
     """
     lo, hi = window
     if not hi > lo:
         raise FitError("empty fit window")
-    pts = [(t, r) for t, r in series if lo <= t <= hi]
-    clipped = sum(1 for _, r in pts if r <= UNDERFLOW_FLOOR)
-    pts = [(t, r) for t, r in pts if r > UNDERFLOW_FLOOR]
+    pts = [(t, r) for t, r in series if lo <= t <= hi and r > UNDERFLOW_FLOOR]
     if len(pts) < 8:
         raise FitError(f"need at least 8 usable samples in the window, have {len(pts)}")
     x = np.log([sys.order_abscissa(t) for t, _ in pts])
@@ -138,9 +131,7 @@ def fit_decay_order(series: Sequence[tuple[float, float]], sys: DecaySystem,
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    reference = "time" if sys.kind in ("power", "sqrt_shift", "product") else "background"
-    return DecayFit((lo, hi), float(-slope), float(intercept), r2, reference,
-                    len(pts), clipped)
+    return DecayFit(float(-slope), r2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,39 @@
+import time
+from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
 
 from nsasym import spectral
+from nsasym.cli import ExperimentConfig, ExperimentResult, run_experiment
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+class ShippedRuns:
+    """``run_experiment`` on a shipped config, by file name, run at most once.
+
+    ``seconds`` holds the wall time of each run.  Callers read the results
+    and never change them.
+    """
+
+    def __init__(self):
+        self._results = {}
+        self.seconds = {}
+
+    def __call__(self, name: str) -> ExperimentResult:
+        if name not in self._results:
+            start = time.monotonic()
+            self._results[name] = run_experiment(ExperimentConfig.load(CONFIG_DIR / name))
+            self.seconds[name] = time.monotonic() - start
+        return self._results[name]
+
+
+@pytest.fixture(scope="session")
+def shipped():
+    """The one cache of shipped-config runs for a test session."""
+    return ShippedRuns()
 
 
 class Transform(NamedTuple):

@@ -2,23 +2,25 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` (the verbose test names are
 the per-criterion lines; with ``-s`` each criterion also prints a summary).
+
+Criteria 1-5 and 7 read the runs of the shipped ``configs/criterion*.json``
+from the session cache (``shipped`` in conftest.py): each criterion asserts
+on the check rows that ``nsasym verify`` prints for its config, so the
+contract and the command line share one definition of each experiment.
 """
 
 import math
-import time
 
 import numpy as np
 import pytest
 
 from nsasym.expansion import (
-    Expansion,
     compute_coefficients,
     evaluate_expansion,
     normalize_force,
     recursion_residual,
 )
 from nsasym.lattice import closure
-from nsasym.solver import ForceSpec, energy_budget, integrate_nse
 from nsasym.spectral import (
     GevreyIndex,
     SpectralField,
@@ -26,163 +28,89 @@ from nsasym.spectral import (
     random_solenoidal_field,
     trilinear_form,
 )
-from nsasym.systems import IteratedLogSystem, PowerSystem, ProductSystem, SqrtShiftSystem
-from nsasym.verify import (
-    check_bilinear_estimate,
-    check_series_expansion,
-    fit_decay_order,
-    manufacture_force,
-    remainder_series,
-)
+from nsasym.systems import PowerSystem, ProductSystem, SqrtShiftSystem
+from nsasym.verify import check_bilinear_estimate, check_series_expansion
 
 from oracles import bfs_closure
 
-L2 = GevreyIndex(0.0, 0.0)
+ROUND_TRIP = "criterion1_round_trip.json"
+FIRST_ORDERS = "criterion2_first_orders.json"      # criterion 3's falsify row as well
+LOGARITHMIC = "criterion4_logarithmic.json"
+RANDOM_START = "criterion5_random_start.json"      # FIRST_ORDERS' force from a random state
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"\n{'PASS' if passed else 'FAIL'} criterion {criterion}: {detail}")
 
 
-def two_mode_field(cutoff, spec):
-    return SpectralField.from_modes(cutoff, spec)
+def row(result, case: str, prop: str) -> dict:
+    """The one check row of ``result`` with this case and property."""
+    (found,) = [c for c in result.checks if c["case"] == case and c["property"] == prop]
+    return found
 
 
-# -- shared expensive runs ---------------------------------------------------
-
-@pytest.fixture(scope="module")
-def manufactured_round_trip():
-    """Criterion 1 setup: power system, 2 targets, K = 4, t in [5, 500]."""
-    t_start = time.monotonic()
-    lat = closure(PowerSystem(), [1.0, 2.0], 4.0)
-    xi1 = two_mode_field(4, {
-        (1, 0, 0): (0.0, 0.06, 0.02j), (0, 1, 0): (0.05, 0.0, 0.01 + 0.02j)})
-    xi2 = two_mode_field(4, {(1, 1, 0): (0.03, -0.03, 0.01j)})
-    zero = SpectralField.zero(4)
-    target = Expansion(lat, (xi1, xi2, zero, zero), GevreyIndex(0.5, 0.0))
-    force = manufacture_force(target, 2)
-    back = compute_coefficients(force.expansion)
-    tol = 1e-8
-    trace = integrate_nse(evaluate_expansion(target, 5.0, 2), force, 5.0, 500.0, tol)
-    elapsed = time.monotonic() - t_start
-    return dict(lat=lat, target=target, force=force, back=back, trace=trace,
-                tol=tol, elapsed=elapsed)
-
-
-SINGLE_PAIR_K = (4, 2, 1)          # |k|^2 = 21: deep vee cascade, B identically 0
-SINGLE_PAIR_AMP = (1.0, -2.0, 0.0)  # integer-exact perpendicular to k
-
-
-@pytest.fixture(scope="module")
-def power_single_term():
-    """Criterion 2/3/5 setup: power system, one force term at lambda = 1."""
-    lat = closure(PowerSystem(), [1.0], 4.5)
-    phi1 = two_mode_field(4, {SINGLE_PAIR_K: tuple(0.1 * a for a in SINGLE_PAIR_AMP)})
-    force_exp = normalize_force([(1.0, phi1)], lat)
-    coeffs = compute_coefficients(force_exp)
-    tol = 1e-10
-    trace = integrate_nse(SpectralField.zero(4), ForceSpec(force_exp), 5.0, 500.0, tol)
-    return dict(lat=lat, coeffs=coeffs, trace=trace, tol=tol, force_exp=force_exp)
-
-
-@pytest.fixture(scope="module")
-def power_single_term_random_start(power_single_term):
-    """Criterion 5 companion run: same force, small random initial state."""
-    u0 = random_solenoidal_field(4, np.random.default_rng(99))
-    u0 = (0.01 / u0.l2()) * u0
-    tol = power_single_term["tol"]
-    trace = integrate_nse(u0, ForceSpec(power_single_term["force_exp"]),
-                          5.0, 500.0, tol)
-    return dict(trace=trace, tol=tol)
-
-
-@pytest.fixture(scope="module")
-def log_single_term():
-    """Criterion 4 setup: omega = ln t, one force term, long horizon."""
-    t_start = time.monotonic()
-    sys = IteratedLogSystem(m=1, q0=[((1,), 1.0)], q1=[0.0, 1.0])
-    lat = closure(sys, [1.0], 3.5)
-    phi1 = two_mode_field(4, {
-        (1, 0, 0): (0.0, 0.05, 0.03), (0, 1, 0): (0.04, 0.0, 0.02 + 0.01j)})
-    force_exp = normalize_force([(1.0, phi1)], lat)
-    coeffs = compute_coefficients(force_exp)
-    tol = 1e-8
-    trace = integrate_nse(SpectralField.zero(4), ForceSpec(force_exp), 2.0, 1.0e7, tol,
-                          sample_ratio=1.15)
-    elapsed = time.monotonic() - t_start
-    return dict(sys=sys, lat=lat, coeffs=coeffs, trace=trace, tol=tol, elapsed=elapsed)
+def order_row(result, N: int) -> dict:
+    """The fitted-order row of remainder N in the L2 norm."""
+    return row(result, f"remainder[N={N},a0_s0]", "fitted_order_at_least")
 
 
 # -- criteria ----------------------------------------------------------------
 
-def test_criterion_1_manufactured_round_trip(manufactured_round_trip):
-    run = manufactured_round_trip
-    scale = max(f.l2() for f in run["target"].fields)
-    worst_coeff = max((run["back"].field(n) - run["target"].field(n)).l2() / scale
-                      for n in range(1, len(run["lat"]) + 1))
-    u_end = run["trace"].states[-1]
-    exact_end = evaluate_expansion(run["target"], run["trace"].times[-1], 2)
+def test_criterion_1_manufactured_round_trip(shipped):
+    result = shipped(ROUND_TRIP)
+    worst_coeff = row(result, "manufactured", "round_trip_residual")["measured"]
+    t_end, u_end = result.trace.times[-1], result.trace.states[-1]
+    exact_end = evaluate_expansion(result.reference, t_end, 2)
     end_err = (u_end - exact_end).l2() / exact_end.l2()
-    ok = worst_coeff <= 1e-10 and end_err <= 1e-6 and run["elapsed"] < 120.0
+    seconds = shipped.seconds[ROUND_TRIP]
+    ok = worst_coeff <= 1e-10 and end_err <= 1e-6 and seconds < 120.0
     report(1, ok, f"round trip {worst_coeff:.2e} (<=1e-10), endpoint {end_err:.2e} "
-                  f"(<=1e-6), runtime {run['elapsed']:.0f}s (<120s)")
+                  f"(<=1e-6), runtime {seconds:.0f}s (<120s)")
     assert worst_coeff <= 1e-10
     assert end_err <= 1e-6
-    assert run["elapsed"] < 120.0
+    assert seconds < 120.0
 
 
-def test_criterion_2_first_order_remainders(power_single_term):
-    run = power_single_term
-    window = (50.0, 500.0)
-    r1 = remainder_series(run["trace"], run["coeffs"], 1, L2)
-    r0 = remainder_series(run["trace"], run["coeffs"], 0, L2)
-    fit1 = fit_decay_order(r1, PowerSystem(), window)
-    fit0 = fit_decay_order(r0, PowerSystem(), window)
-    ok = fit1.slope >= 1.8 and fit0.slope >= 0.9
-    report(2, ok, f"r1 order {fit1.slope:.3f} (>=1.8, target 2), "
-                  f"r0 order {fit0.slope:.3f} (>=0.9)")
-    assert fit1.slope >= 1.8
-    assert fit0.slope >= 0.9
+def test_criterion_2_first_order_remainders(shipped):
+    result = shipped(FIRST_ORDERS)
+    r1, r0 = order_row(result, 1), order_row(result, 0)
+    ok = r1["measured"] >= 1.8 and r0["measured"] >= 0.9
+    report(2, ok, f"r1 order {r1['measured']:.3f} (>=1.8, target 2), "
+                  f"r0 order {r0['measured']:.3f} (>=0.9)")
+    assert (r1["expected"], r0["expected"]) == pytest.approx((1.8, 0.9))
+    assert r1["measured"] >= 1.8
+    assert r0["measured"] >= 0.9
 
 
-def test_criterion_3_coefficient_falsification(power_single_term):
-    run = power_single_term
-    window = (50.0, 500.0)
-    coeffs = run["coeffs"]
-    r2 = remainder_series(run["trace"], coeffs, 2, L2)
-    fit_true = fit_decay_order(r2, PowerSystem(), window)
-    fields = list(coeffs.fields)
-    fields[1] = 1.01 * fields[1]
-    perturbed = Expansion(coeffs.lattice, tuple(fields), coeffs.gevrey)
-    r2p = remainder_series(run["trace"], perturbed, 2, L2)
-    fit_pert = fit_decay_order(r2p, PowerSystem(), window)
-    ok = fit_true.slope >= 2.7 and fit_pert.slope <= 2.1
-    report(3, ok, f"true r2 order {fit_true.slope:.3f} (>=2.7), perturbed "
-                  f"{fit_pert.slope:.3f} (<=2.1)")
-    assert fit_true.slope >= 2.7
-    assert fit_pert.slope <= 2.1
+def test_criterion_3_coefficient_falsification(shipped):
+    result = shipped(FIRST_ORDERS)
+    true = order_row(result, 2)
+    perturbed = row(result, "falsify[n=2]", "perturbed_order_at_most")
+    ok = true["measured"] >= 2.7 and perturbed["measured"] <= 2.1
+    report(3, ok, f"true r2 order {true['measured']:.3f} (>=2.7), perturbed "
+                  f"{perturbed['measured']:.3f} (<=2.1)")
+    assert (true["expected"], perturbed["expected"]) == pytest.approx((2.7, 2.1))
+    assert true["measured"] >= 2.7
+    assert perturbed["measured"] <= 2.1
 
 
-def test_criterion_4_logarithmic_decay(log_single_term):
-    run = log_single_term
-    assert run["coeffs"].field(2).l2() > 0  # quadratic interaction present
-    r1 = remainder_series(run["trace"], run["coeffs"], 1, L2)
-    fit = fit_decay_order(r1, run["sys"], (1.0e3, 1.0e7))
-    ok = fit.slope >= 1.8 and run["elapsed"] < 300.0
-    report(4, ok, f"r1 order vs log ln t {fit.slope:.3f} (>=1.8, target 2), "
-                  f"runtime {run['elapsed']:.0f}s (<300s)")
-    assert fit.slope >= 1.8
-    assert run["elapsed"] < 300.0
+def test_criterion_4_logarithmic_decay(shipped):
+    result = shipped(LOGARITHMIC)
+    assert result.coefficients.field(2).l2() > 0  # quadratic interaction present
+    r1 = order_row(result, 1)
+    seconds = shipped.seconds[LOGARITHMIC]
+    ok = r1["measured"] >= 1.8 and seconds < 300.0
+    report(4, ok, f"r1 order vs log ln t {r1['measured']:.3f} (>=1.8, target 2), "
+                  f"runtime {seconds:.0f}s (<300s)")
+    assert r1["expected"] == pytest.approx(1.8)
+    assert r1["measured"] >= 1.8
+    assert seconds < 300.0
 
 
-def test_criterion_5_initial_data_independence(power_single_term,
-                                               power_single_term_random_start):
-    window = (50.0, 500.0)
-    coeffs = power_single_term["coeffs"]
-    fits = []
-    for run in (power_single_term, power_single_term_random_start):
-        r1 = remainder_series(run["trace"], coeffs, 1, L2)
-        fits.append(fit_decay_order(r1, PowerSystem(), window).slope)
+def test_criterion_5_initial_data_independence(shipped):
+    runs = [shipped(FIRST_ORDERS), shipped(RANDOM_START)]
+    assert runs[0].trace.states[0].l2() == 0.0 < runs[1].trace.states[0].l2()
+    fits = [order_row(result, 1)["measured"] for result in runs]
     diff = abs(fits[0] - fits[1])
     ok = diff <= 0.1
     report(5, ok, f"r1 orders {fits[0]:.4f} vs {fits[1]:.4f}, diff {diff:.2e} (<=0.1)")
@@ -218,19 +146,16 @@ def test_criterion_6_lattice_oracle():
     assert failures == 0
 
 
-def test_criterion_7_spectral_invariants(manufactured_round_trip, power_single_term,
-                                         power_single_term_random_start, log_single_term):
-    runs = [manufactured_round_trip, power_single_term,
-            power_single_term_random_start, log_single_term]
+def test_criterion_7_spectral_invariants(shipped):
     worst_identity = worst_b = 0.0
     energy_ok = True
-    for run in runs:
-        rep = energy_budget(run["trace"])
-        identity = rep["energy_identity"]
-        energy_ok &= identity.passed
-        worst_identity = max(worst_identity,
-                             identity.measured["max_rel_residual"] / (100 * run["tol"]))
-        worst_b = max(worst_b, run["trace"].stats["max_b_orthogonality"])
+    for name in (ROUND_TRIP, FIRST_ORDERS, RANDOM_START, LOGARITHMIC):
+        result = shipped(name)
+        identity = row(result, "energy", "energy_identity")
+        assert identity["expected"] == 100 * result.config.tol
+        energy_ok &= identity["pass"]
+        worst_identity = max(worst_identity, identity["measured"] / identity["expected"])
+        worst_b = max(worst_b, row(result, "energy", "advective_energy_orthogonality")["measured"])
     rng = np.random.default_rng(5150)
     tri_ok = True
     for _ in range(10):

@@ -188,8 +188,8 @@ def _overtime(signum, frame):
 
 
 @pytest.fixture(scope="module")
-def two_term_result():
-    return run_experiment(load_config("power_two_term.json"))
+def two_term_result(shipped):
+    return shipped("power_two_term.json")
 
 
 class TestConfigValidation:
@@ -199,7 +199,7 @@ class TestConfigValidation:
             assert cfg.cutoff >= 1
 
     def test_falsify_block_validated(self):
-        data = json.loads((CONFIG_DIR / "criterion3_falsification.json").read_text())
+        data = json.loads((CONFIG_DIR / "criterion2_first_orders.json").read_text())
         assert ExperimentConfig.from_json(data).falsify == 2
         data["verification"]["falsify"]["n"] = 0
         with pytest.raises(ConfigError, match="falsify"):
@@ -281,6 +281,13 @@ class TestPipeline:
     def test_bundled_power_config_passes(self, two_term_result):
         assert two_term_result.ok, [c for c in two_term_result.checks if not c["pass"]]
 
+    @pytest.mark.parametrize("name", list(SHIPPED))
+    def test_shipped_config_passes(self, name, shipped):
+        # every shipped config runs in full once per session; the criteria
+        # read the same runs
+        result = shipped(name)
+        assert result.ok, [c for c in result.checks if not c["pass"]]
+
     def test_report_schema_valid(self, two_term_result, tmp_path):
         emit_report(two_term_result, tmp_path)
         report = json.loads((tmp_path / "report.json").read_text())
@@ -304,10 +311,9 @@ class TestPipeline:
         csv = (tmp_path / "remainder_N0_a0_s0.csv").read_text().strip().splitlines()
         assert len(csv) - 1 == len(two_term_result.trace.times)
 
-    def test_determinism_byte_identical(self, tmp_path):
-        cfg = load_config("power_two_term.json")
-        a = run_experiment(cfg)
-        b = run_experiment(cfg)
+    def test_determinism_byte_identical(self, two_term_result, tmp_path):
+        a = two_term_result
+        b = run_experiment(load_config("power_two_term.json"))
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
         emit_report(a, dir_a)
         emit_report(b, dir_b)
@@ -386,6 +392,16 @@ class TestCommandLine:
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert [e["value"] for e in data["entries"]] == [1.0, 2.0, 3.0, 4.0]
+
+    def test_verify_subcommand_exit_zero(self, two_term_result, tmp_path, capsys):
+        rc = main(["verify", "--config", str(CONFIG_DIR / "power_two_term.json"),
+                   "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "PASS" in out and "FAIL" not in out
+        want = io.StringIO()
+        cli._dump(two_term_result.report_json(), want.write)
+        assert (tmp_path / "report.json").read_text() == want.getvalue()
 
     def test_run_subcommand_exit_zero(self, tmp_path, capsys):
         rc = main(["run", "--config", str(CONFIG_DIR / "power_two_term.json"),
@@ -692,13 +708,3 @@ class TestCommandLine:
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 3
         assert len(lines) == 1 and lines[0].startswith(f"error: {error}: ")
-
-    def test_criterion2_config_passes(self, tmp_path, capsys):
-        rc = main(["verify", "--config", str(CONFIG_DIR / "criterion2_first_orders.json"),
-                   "--out", str(tmp_path)])
-        out = capsys.readouterr().out
-        assert rc == 0, out
-        report = json.loads((tmp_path / "report.json").read_text())
-        fitted = {c["case"]: c for c in report["checks"]}
-        assert fitted["remainder[N=1,a0_s0]"]["measured"] >= 1.8
-        assert fitted["remainder[N=0,a0_s0]"]["measured"] >= 0.9

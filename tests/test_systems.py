@@ -91,20 +91,6 @@ class TestIteratedLog:
         with pytest.raises(DomainError):
             iterated_log(2, 2.0)
 
-    def test_log_time_evaluation_beyond_float_range(self):
-        # t = e^(1e10) is unrepresentable; psi must still evaluate
-        sys = plain_log_system(m=3)
-        got = sys.eval_at_log_time(Exponent(1.0), 1e10)
-        want = 1.0 / math.log(math.log(1e10))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_log_time_matches_direct_in_range(self):
-        sys = plain_log_system(m=2)
-        t = 1e8
-        a = sys.eval(Exponent(1.5), t)
-        b = sys.eval_at_log_time(Exponent(1.5), math.log(t))
-        assert a == pytest.approx(b, rel=1e-12)
-
     def test_q0_admissibility(self):
         with pytest.raises(SystemSpecError):
             IteratedLogSystem(m=1, q0=[((0,), 3.0)], q1=[0, 1])  # degree 0
