@@ -21,7 +21,11 @@ The energy ledger evaluates the dissipation rate |A^(1/2) u|^2, the
 injection rate <f, u> and their time derivatives once per converged node
 (start, midpoint and end of an accepted step; the end node starts the
 next step) and combines the three nodes by a Richardson-corrected cubic
-Hermite rule.
+Hermite rule.  The derivatives are kept per |k|^2 shell, and the Hermite
+derivative term counts only the shells with h |k|^2 <= LEDGER_SHELL_LIMIT:
+D' and I' come from du/dt = -A u + N at the computed state, so their error
+grows like |A| times the state's error, and on shells where h |k|^2 is
+large the h^2 factor would turn that error into the ledger's largest term.
 
 Steps are allowed to grow proportionally to elapsed time (decaying
 dynamics relax on the scale of t itself).
@@ -60,6 +64,7 @@ __all__ = [
 
 ENERGY_THRESHOLD_FACTOR = 100.0  # the energy identity's gate is this times the run's tol
 STEP_GROWTH = 0.08  # an adaptive step has h <= STEP_GROWTH * t
+LEDGER_SHELL_LIMIT = 10.0  # the ledger's Hermite derivative term keeps shells with h |k|^2 <= this
 
 
 class SolverError(RuntimeError):
@@ -153,7 +158,8 @@ class _ForceEval:
             if np.any(extra.field.coeffs):
                 stacks.append(extra.field.coeffs)
                 evals.append(extra.envelope(sys))
-        self.stack = np.stack(stacks) if stacks else None
+        # one row per term: the contraction is one vector-matrix product
+        self.stack = np.stack(stacks).reshape(len(stacks), -1) if stacks else None
         self.evals = evals
 
     def __call__(self, t: float) -> np.ndarray:
@@ -173,7 +179,7 @@ class _ForceEval:
         if self.stack is None:
             return np.zeros((W, W, W, 3), dtype=np.complex128)
         w = np.array([fn(t) for fn in self.evals])
-        return np.tensordot(w, self.stack, axes=(0, 0))
+        return (w @ self.stack).reshape(W, W, W, 3)
 
 
 @dataclass(frozen=True)
@@ -222,14 +228,16 @@ def _phi_trio(z: np.ndarray) -> tuple[np.ndarray, ...]:
             (e - 1.0 - zb) / (zb * zb),
             (e - 1.0 - zb - 0.5 * zb * zb) / (zb * zb * zb)]
     zs = z[small]
-    for j, phi in enumerate(phis, 1):
-        acc = np.zeros_like(zs)
-        term = np.full_like(zs, 1.0 / math.factorial(j))
+    # the three series side by side, one row per j = 1, 2, 3; where every
+    # small z is 0 (k = 0 alone, once h is large) they are their first term
+    j = np.arange(1.0, 4.0)[:, None]
+    term = np.ones((3, zs.size)) / np.array([[1.0], [2.0], [6.0]])    # 1 / j!
+    acc = term.copy()
+    for n in range(1, 22 if zs.any() else 1):
+        term = term * zs / (n + j)
         acc += term
-        for n in range(1, 22):
-            term = term * zs / (n + j)
-            acc += term
-        phi[small] = acc
+    for phi, series in zip(phis, acc):
+        phi[small] = series
     return (np.exp(z), *phis)
 
 
@@ -258,11 +266,21 @@ class _Integrator:
     fraction of t on smooth strongly-forced decays.  The doubling estimate
     compares two genuine propagations, so it tracks the real error in
     every regime.
+
+    The phi tables and Krogstad's weight combinations depend on k only
+    through |k|^2, so they are formed on the distinct |k|^2 shells and
+    gathered back to the coefficients by ``shell_of``: every element gets
+    the same operations as on the whole cube.
     """
 
     def __init__(self, cutoff: int, force_eval: Callable[[float], np.ndarray]):
         self.K = cutoff
-        _, self.ksq, _ = _grid(cutoff)
+        ksq = _grid(cutoff)[1]
+        shells, shell_of = np.unique(ksq, return_inverse=True)
+        self.shells = shells                  # the distinct |k|^2, ascending
+        # the shell of each coefficient, components included, so gathered
+        # weights need no broadcast
+        self.shell_of = np.repeat(shell_of.reshape(ksq.shape)[..., None], 3, axis=-1)
         self.force_eval = force_eval
         self.n_rhs = 0
 
@@ -276,33 +294,46 @@ class _Integrator:
         return f - buu
 
     def krogstad(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray,
-                 full: tuple, half: tuple) -> np.ndarray:
-        """One fourth-order step from (t, u0) with k1 = rhs(t, u0); ``full``
-        and ``half`` are the phi tables at h and h/2."""
-        e1, p1, p2, p3 = full
-        eh, q1, q2, _ = half
-        U2 = eh * u0 + (0.5 * h) * q1 * k1
+                 weights: np.ndarray) -> np.ndarray:
+        """One fourth-order step from (t, u0) with k1 = rhs(t, u0), given the
+        cube weights of ``_krogstad_weights`` for h."""
+        eh, q1, a3, q2, e1, a4, b4, c1, c23, c4 = weights
+        eu = eh * u0
+        U2 = eu + (0.5 * h) * q1 * k1
         k2 = self.rhs(t + 0.5 * h, U2)
-        U3 = eh * u0 + h * ((0.5 * q1 - q2) * k1 + q2 * k2)
+        U3 = eu + h * (a3 * k1 + q2 * k2)
         k3 = self.rhs(t + 0.5 * h, U3)
-        U4 = e1 * u0 + h * ((p1 - 2.0 * p2) * k1 + 2.0 * p2 * k3)
+        U4 = e1 * u0 + h * (a4 * k1 + b4 * k3)
         k4 = self.rhs(t + h, U4)
-        return e1 * u0 + h * ((p1 - 3.0 * p2 + 4.0 * p3) * k1
-                              + (2.0 * p2 - 4.0 * p3) * (k2 + k3)
-                              + (4.0 * p3 - p2) * k4)
+        return e1 * u0 + h * (c1 * k1 + c23 * (k2 + k3) + c4 * k4)
 
     def step(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray):
         """Doubled step from (t, u0) with k1 = rhs(t, u0); returns the fine
         solution, the error field, the midpoint state and its rhs."""
         # never clamp z: the phi formulas divide by it, and exp just underflows
-        z = -h * self.ksq
-        tables = [m[..., None] for m in _phi_trio(np.stack([z, 0.5 * z, 0.25 * z]))]
-        P1, P2, P4 = (tuple(m[i] for m in tables) for i in range(3))
-        coarse = self.krogstad(t, h, u0, k1, P1, P2)
-        mid = self.krogstad(t, 0.5 * h, u0, k1, P2, P4)
+        z = -h * self.shells
+        P1, P2, P4 = zip(*_phi_trio(np.stack([z, 0.5 * z, 0.25 * z])))
+        # the weights at h and at h/2, gathered to the cube in one index
+        weights = np.concatenate([_krogstad_weights(P1, P2), _krogstad_weights(P2, P4)])
+        weights = weights[:, self.shell_of]
+        full, half = weights[:10], weights[10:]
+        coarse = self.krogstad(t, h, u0, k1, full)
+        mid = self.krogstad(t, 0.5 * h, u0, k1, half)
         n_mid = self.rhs(t + 0.5 * h, mid)
-        fine = self.krogstad(t + 0.5 * h, 0.5 * h, mid, n_mid, P2, P4)
+        fine = self.krogstad(t + 0.5 * h, 0.5 * h, mid, n_mid, half)
         return fine, (fine - coarse) / 15.0, mid, n_mid
+
+
+def _krogstad_weights(full: tuple, half: tuple) -> np.ndarray:
+    """The per-shell weights of one Krogstad step, from the phi tables
+    (e^z, phi_1, phi_2, phi_3) at the step and at its half: the stage
+    weights e^(z/2), phi_1(z/2), phi_1(z/2)/2 - phi_2(z/2), phi_2(z/2),
+    e^z, phi_1 - 2 phi_2, 2 phi_2, and the final combination's
+    phi_1 - 3 phi_2 + 4 phi_3, 2 phi_2 - 4 phi_3 and 4 phi_3 - phi_2."""
+    e1, p1, p2, p3 = full
+    eh, q1, q2, _ = half
+    return np.stack([eh, q1, 0.5 * q1 - q2, q2, e1, p1 - 2.0 * p2, 2.0 * p2,
+                     p1 - 3.0 * p2 + 4.0 * p3, 2.0 * p2 - 4.0 * p3, 4.0 * p3 - p2])
 
 
 def _l2(arr: np.ndarray) -> float:
@@ -340,6 +371,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     feval = _ForceEval(force)
     ksq = _grid(cutoff)[1]
     stepper = _Integrator(cutoff, feval)
+    shells = stepper.shells
     samples = _geometric_samples(t0, t1, sample_ratio)
     norm_indices = list(norm_indices)
 
@@ -354,10 +386,16 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     max_b_rel = 0.0
     n_steps = n_rejected = 0
 
-    def node(tau: float, arr: np.ndarray, n_arr: np.ndarray) -> np.ndarray:
-        # [D, I, D', I'] at a converged state (interior stage values are
-        # lower-order and would pollute the ledger): D = |A^(1/2) u|^2,
-        # I = <f, u>, exact du/dt = -A u + N, finite-difference df/dt
+    # the |k|^2 shell of each number of a state's float view, for each of
+    # the four sums of ``node``: one bincount forms them all
+    n_shells = len(shells)
+    bins = (np.repeat(stepper.shell_of.ravel(), 2) + n_shells * np.arange(4)[:, None]).ravel()
+
+    def node(tau: float, arr: np.ndarray, n_arr: np.ndarray) -> tuple:
+        # ([D, I], [D', I'] per shell) at a converged state (interior stage
+        # values are lower-order and would pollute the ledger):
+        # D = |A^(1/2) u|^2, I = <f, u>, exact du/dt = -A u + N,
+        # finite-difference df/dt
         f = feval(tau)
         delta = max(1e-6 * tau, 1e-9)
         if tau - delta >= force.t_min:
@@ -365,15 +403,20 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         else:
             f_dot = (feval(tau + delta) - f) / delta
         udot = -ksq[..., None] * arr + n_arr
-        return VOLUME * np.array([
-            float(np.sum(ksq[..., None] * np.abs(arr) ** 2)),
-            float(np.real(np.vdot(arr, f))),
-            2.0 * float(np.real(np.sum(ksq[..., None] * np.conj(arr) * udot))),
-            float(np.real(np.vdot(udot, f) + np.vdot(arr, f_dot)))])
+        # Re <a, b> = sum of the products of the float views
+        u_, f_, ud_ = (x.view(np.float64).ravel() for x in (arr, f, udot))
+        sums = np.bincount(bins, np.concatenate(
+            [u_ * u_, u_ * ud_, u_ * f_, ud_ * f_ + u_ * f_dot.view(np.float64).ravel()]),
+            4 * n_shells).reshape(4, n_shells)
+        values = VOLUME * np.array([shells @ sums[0], sums[2].sum()])
+        slopes = VOLUME * np.stack([2.0 * shells * sums[1], sums[3]])
+        return values, slopes
 
-    def hermite(a: np.ndarray, b: np.ndarray, h_ab: float) -> np.ndarray:
-        # cubic Hermite of [D, I] over one interval from its two end nodes
-        return 0.5 * h_ab * (a[:2] + b[:2]) + (h_ab * h_ab / 12.0) * (a[2:] - b[2:])
+    def hermite(a: tuple, b: tuple, h_ab: float, kept: np.ndarray) -> np.ndarray:
+        # cubic Hermite of [D, I] over one interval from its two end nodes,
+        # the derivative term summed over the kept shells alone
+        slopes = (a[1] - b[1])[:, kept].sum(axis=1)
+        return 0.5 * h_ab * (a[0] + b[0]) + (h_ab * h_ab / 12.0) * slopes
 
     def record(t: float, arr: np.ndarray, h: float):
         state = SpectralField(cutoff, arr.copy())
@@ -428,19 +471,23 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
             # one fresh rhs at the accepted endpoint closes the ledger slopes
             # and seeds the next step's first stage
             k1 = stepper.rhs(t + h_try, u_new)
+            middle = node(t + 0.5 * h_try, mid, n_mid)
+            end = node(t + h_try, u_new, k1)
             # the rhs just stashed B(u_new, u_new): check its energy
-            # orthogonality against the state it advects (a cube that
-            # underflows to 0 leaves nothing to divide by)
+            # orthogonality against the state it advects, relative to the
+            # cube of |u_new|_{1/2,0}, whose square is the end node's D (a
+            # cube that underflows to 0 leaves nothing to divide by)
             b_inner = VOLUME * float(np.real(np.vdot(u_new, stepper.last_b)))
-            cube = gevrey_norm(SpectralField(cutoff, u_new.copy()), GevreyIndex(0.5, 0.0)) ** 3
+            cube = end[0][0] ** 1.5
             if cube > 0:
                 max_b_rel = max(max_b_rel, abs(b_inner) / cube)
             # ledger: Hermite on the two halves, Richardson-corrected by the
-            # full-step rule (same trusted nodes, error drops to h^7)
-            middle = node(t + 0.5 * h_try, mid, n_mid)
-            end = node(t + h_try, u_new, k1)
-            halves = hermite(start, middle, 0.5 * h_try) + hermite(middle, end, 0.5 * h_try)
-            dd, di = halves + (halves - hermite(start, end, h_try)) / 15.0
+            # full-step rule (same trusted nodes, error drops to h^7); all
+            # three rules keep the derivative term on the same shells
+            kept = h_try * shells <= LEDGER_SHELL_LIMIT
+            halves = hermite(start, middle, 0.5 * h_try, kept) \
+                + hermite(middle, end, 0.5 * h_try, kept)
+            dd, di = halves + (halves - hermite(start, end, h_try, kept)) / 15.0
             diss += dd
             inj += di
             start = end

@@ -20,9 +20,10 @@ on a grid sized per axis from the supports.  Its one implementation,
 ``advection_sum``, forms the sum of B(u, v) over a list of pairs with one
 forward transform: the distinct fields are transformed in, a few at a
 time, the products u_j v_c of all pairs are accumulated on one grid, and
-one divergence and one Leray projection follow.  ``bilinear_form`` is its
-one-pair case.  If e_u and e_v are the largest |k_a| in the supports of a
-pair, s the largest e_u + e_v over the pairs, and the output keeps
+one contraction with a cached linear map takes them to the Leray-projected
+divergence.  ``bilinear_form`` is its one-pair case.  If e_u and e_v are
+the largest |k_a| in the supports of a pair, s the largest e_u + e_v over
+the pairs, and the output keeps
 |k_a| <= o = min(K, s), an axis of N_a >= s + o + 1 points puts no alias
 of any product inside the output box (Orszag 1971; Canuto, Hussaini,
 Quarteroni and Zang, Spectral Methods), so the result is the exact
@@ -36,10 +37,12 @@ rounding.  The support indicators ride in the same transforms: their
 pointwise products, summed over the pairs, transform to the number of
 pairs p + q = k, and every mode with no such pair is set to exactly zero,
 so transform rounding never fills modes no convolution can reach.  The
-Leray projection runs on the output box only.  The sizes, DFT matrices
-and box geometry are cached per support extents and the extents per pair
-of supports, and a small pair of supports whose sums all miss the cube
-away from k = 0 is dropped with no transform.
+divergence and the Leray projection are one precomputed map on the k3 >= 0
+half of the output box, W[c, (j, c'), k] = P_cc'(k) i k_j, cached per
+output box; the k3 < 0 half is the conjugate.  The sizes and DFT matrices
+are cached per support extents and the extents per pair of supports, and
+a small pair of supports whose sums all miss the cube away from k = 0 is
+dropped with no transform.
 """
 
 from __future__ import annotations
@@ -143,14 +146,12 @@ def _half_box(cutoff: int, extents) -> tuple[slice, slice, slice]:
     return tuple(slice(cutoff - e, cutoff + e + 1) for e in extents[:2]) + (slice(extents[2] + 1),)
 
 
-# The products u_j v_c of the divergence form, as (j, c) pairs, and the row of
-# each T_jc among them: all nine in general; for a pair list closed under swap,
-# B(u, u) among them, the tensor is symmetric and only the six with j <= c are
-# formed.
+# The products u_j v_c of the divergence form, as (j, c) pairs: all nine in
+# general; for a pair list closed under swap, B(u, u) among them, the tensor
+# is symmetric and only the six with j <= c are formed.
 _TENSOR = {
-    False: ([(j, c) for j in range(3) for c in range(3)], np.arange(9).reshape(3, 3)),
-    True: ([(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
-           np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])),
+    False: [(j, c) for j in range(3) for c in range(3)],
+    True: [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
 }
 
 
@@ -400,9 +401,7 @@ class _Layout(NamedTuple):
     box_in: tuple                 # half box of the fields' extent, transformed in
     to_grid: tuple                # its matrices along axes 1, 2, 3 (``_to_grid``)
     from_grid: tuple              # the output half box's along axes 3, 2, 1 (``_from_grid``)
-    k_rows: np.ndarray            # k_j on the k3 >= 0 half of the output box, component-major
-    box_out: tuple                # the output box |k_a| <= o[a] in a coefficient array
-    geometry: tuple               # k, |k|^2 (1 at k = 0) and |k| on the output box
+    e_out: tuple                  # the output box is |k_a| <= e_out[a]
 
 
 def _phases(n: int, x: np.ndarray, k: np.ndarray, sign: int) -> np.ndarray:
@@ -435,16 +434,34 @@ def _dft_matrices(sizes: tuple, e_in: tuple, e_out: tuple) -> tuple[tuple, tuple
 def _layout(cutoff: int, e_in: tuple, e_sum: tuple) -> _Layout:
     """The layout for fields whose largest |k_a| are at most e_in[a] and
     products whose largest e_u[a] + e_v[a] is e_sum[a]."""
-    e_out = [min(cutoff, s) for s in e_sum]
+    e_out = tuple(min(cutoff, s) for s in e_sum)
     sizes = [s + o + 1 for s, o in zip(e_sum, e_out)]
     sizes = tuple(n + n % 2 if n > 1 else n for n in sizes)
-    box_out = tuple(slice(cutoff - e, cutoff + e + 1) for e in e_out)
-    kvec, ksq, kabs = (g[box_out] for g in _grid(cutoff))
     to_grid, from_grid = _dft_matrices(sizes, e_in, e_out)
-    return _Layout(
-        sizes=sizes, box_in=_half_box(cutoff, e_in), to_grid=to_grid, from_grid=from_grid,
-        k_rows=np.moveaxis(kvec[:, :, e_out[2]:], -1, 0), box_out=box_out,
-        geometry=(kvec, np.where(ksq == 0.0, 1.0, ksq), kabs))
+    return _Layout(sizes=sizes, box_in=_half_box(cutoff, e_in), to_grid=to_grid,
+                   from_grid=from_grid, e_out=e_out)
+
+
+@functools.lru_cache(maxsize=8)
+def _weights(e_out: tuple, symmetric: bool) -> np.ndarray:
+    """The linear map from the product rows T_r, r = (j, c') of _TENSOR, to
+    the Leray-projected divergence P(k) i k_j T_jc' on the k3 >= 0 half of
+    the box |k_a| <= e_out[a]: W[c, r, k] = P_cc'(k) i k_j, with the rows
+    (j, c') and (c', j) of a symmetric tensor summed into one.  P(k) is
+    I - k k^T / |k|^2, and every weight is 0 at k = 0.  The map depends on
+    the output box alone, so layouts with one output box share it; a dense
+    K = 16 box takes 8 MB for the nine-row map, and the cache holds 8."""
+    axes = [np.arange(-e, e + 1) for e in e_out[:2]] + [np.arange(e_out[2] + 1)]
+    kvec = np.stack(np.meshgrid(*axes, indexing="ij")).astype(float)
+    ksq = np.sum(kvec * kvec, axis=0)
+    eye = np.eye(3)[:, :, None, None, None]
+    proj = eye - kvec[:, None] * kvec / np.where(ksq == 0.0, 1.0, ksq)    # P_cc'(k)
+    weights = np.zeros((3, len(_TENSOR[symmetric])) + ksq.shape, dtype=np.complex128)
+    for r, (j, c) in enumerate(_TENSOR[symmetric]):
+        weights[:, r] = 1j * proj[:, c] * kvec[j]
+        if symmetric and j != c:
+            weights[:, r] += 1j * proj[:, j] * kvec[c]
+    return weights
 
 
 @functools.lru_cache(maxsize=1024)
@@ -494,12 +511,15 @@ def _to_grid(matrices: tuple, spec: np.ndarray) -> np.ndarray:
     input half box are the rows of ``spec``: ``np.fft.irfftn`` with
     norm="forward" of those spectra zero-filled to the grid.  Three matrix
     products (``_dft_matrices``), along axes 1, 2 and 3, the last a real
-    c2r matrix on the interleaved (re, im) view."""
+    c2r matrix on the interleaved (re, im) view; on a one-point axis 3 that
+    product is the real part, and is taken as such."""
     m1, m2, c2r = matrices
     rows, _, b, c = spec.shape
-    x = np.matmul(m1, spec.reshape(rows, -1, b * c))
-    x = np.matmul(m2, x.reshape(-1, b, c))
     grid = (rows, len(m1), len(m2), c2r.shape[1])
+    x = np.matmul(m1, spec.reshape(rows, -1, b * c))
+    if c2r.shape[1] == 1:
+        return (x.reshape(-1, b) @ m2.T).real.reshape(grid)
+    x = np.matmul(m2, x.reshape(-1, b, c))
     return np.matmul(x.view(np.float64).reshape(-1, 2 * c), c2r).reshape(grid)
 
 
@@ -507,18 +527,25 @@ def _from_grid(matrices: tuple, phys: np.ndarray) -> np.ndarray:
     """The k3 >= 0 half of the output box of the spectra of the real rows of
     ``phys``: ``np.fft.rfftn`` with norm="forward", cropped.  Three matrix
     products (``_dft_matrices``), along axes 3, 2 and 1, the first a real
-    r2c matrix whose interleaved (re, im) columns are read as complex."""
+    r2c matrix whose interleaved (re, im) columns are read as complex; on a
+    one-point axis 3 that product is a cast to complex, and is taken as
+    such."""
     r2c, f2, f1 = matrices
     rows, n1, n2, n3 = phys.shape
-    x = np.matmul(phys.reshape(-1, n3), r2c).view(np.complex128)
-    c = x.shape[-1]
-    x = np.matmul(f2, x.reshape(-1, n2, c))
+    if n3 == 1:
+        c = 1
+        x = phys.reshape(-1, n2) @ f2.T
+    else:
+        x = np.matmul(phys.reshape(-1, n3), r2c).view(np.complex128)
+        c = x.shape[-1]
+        x = np.matmul(f2, x.reshape(-1, n2, c))
     return np.matmul(f1, x.reshape(rows, n1, -1)).reshape(rows, len(f1), len(f2), c)
 
 
 def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> SpectralField:
     """The sum of B(u, v) = P((u . grad) v) over (u, v) pairs, with one
-    forward transform, one spectral divergence and one Leray projection.
+    forward transform and one contraction for the divergence and the Leray
+    projection together.
 
     Evaluated in divergence form: the fields are transformed to one
     zero-padded grid, the products T_jc = sum u_j v_c are accumulated there
@@ -541,44 +568,46 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     the largest |k_a| in supp(u), supp(v)), the output box is
     |k_a| <= o[a] = min(K, s[a]) (nothing outside it can be reached) and
     the axis gets N_a >= s + o + 1 points, rounded up to even above 1, so no
-    alias of any product lands in the output box.  Sizes, the output box's
-    wave vectors and the partial DFT matrices of the transforms are cached
-    per extents (``_layout``).  The transforms are three small matrix
-    products each (``_to_grid``, ``_from_grid``): the inverse takes the
-    input half box straight to the grid and the forward takes the grid
-    straight to the k3 >= 0 half of the output box, so no zero-filled
-    spectrum is built and no mode outside the boxes is computed.  They equal
-    numpy's ``irfftn`` and ``rfftn`` on the same grid, zero-filled and
-    cropped, to rounding, so the sum is still the exact truncated
-    convolution.
+    alias of any product lands in the output box.  Sizes and the partial
+    DFT matrices of the transforms are cached per extents (``_layout``).
+    The transforms are three small matrix products each (``_to_grid``,
+    ``_from_grid``): the inverse takes the input half box straight to the
+    grid and the forward takes the grid straight to the k3 >= 0 half of the
+    output box, so no zero-filled spectrum is built and no mode outside the
+    boxes is computed.  They equal numpy's ``irfftn`` and ``rfftn`` on the
+    same grid, zero-filled and cropped, to rounding, so the sum is still the
+    exact truncated convolution.
 
-    The support indicator of each field, real and even like the fields,
-    goes through the same transforms: the products ind_u ind_v, summed over
-    the pairs, come back as the number of pairs p + q = k, and every mode
-    where that count is zero, which no convolution in the sum can reach, is
-    set to exactly zero, so sparse sums stay sparse.
-
-    The k3 < 0 half of the output box is filled with conjugates and the
-    Leray projection runs on the output box alone, with ``leray_project``'s
-    own steps.  Every mode outside the box is zero and stays zero under
-    them, so the result equals ``leray_project`` of the whole cube bit for
-    bit.
+    On that half box, P(k) i k_j T_jc is one precomputed linear map of the
+    product rows (``_weights``, cached per output box).  The support
+    indicator of each field, real and even like the fields, goes through
+    the same transforms: the products ind_u ind_v, summed over the pairs,
+    come back as the number of pairs p + q = k, and every mode where that
+    count is zero, which no convolution in the sum can reach, is set to
+    exactly zero, so sparse sums stay sparse.  The k3 = 0 plane holds both
+    k and -k, and is symmetrized; the k3 < 0 half is filled with the
+    conjugates, so the result is real and divergence free to rounding, and
+    ``leray_project`` leaves it unchanged.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("advection_sum needs at least one (u, v) pair")
-    fields = list({id(f): f for pair in pairs for f in pair}.values())
+    if len(pairs) == 1:
+        u, v = pairs[0]
+        fields, slots = ([u], [(0, 0)]) if u is v else ([u, v], [(0, 1)])
+    else:
+        fields = list({id(f): f for pair in pairs for f in pair}.values())
+        slot = {id(f): i for i, f in enumerate(fields)}
+        slots = [(slot[id(u)], slot[id(v)]) for u, v in pairs]
     K = fields[0].cutoff
     if any(f.cutoff != K for f in fields):
         raise CutoffMismatchError(f"cutoffs {sorted({f.cutoff for f in fields})} differ")
-    slot = {id(f): i for i, f in enumerate(fields)}
     upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: a real field's half spectrum
     halves = [f.coeffs[upper] for f in fields]
     masks = [h.any(axis=-1) for h in halves]
     keys = [np.packbits(m).tobytes() for m in masks]
     kept, extents = [], None      # the largest extent of a field, of a pair's sum
-    for u, v in pairs:
-        a, b = slot[id(u)], slot[id(v)]
+    for a, b in slots:
         ext = _plan(K, a == b, keys[a], keys[b])
         if ext is not None:
             kept.append((a, b))
@@ -587,15 +616,20 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     if not kept:
         return SpectralField.zero(K)
     layout = _layout(K, *extents)
-    sizes = layout.sizes
     symmetric = sorted(kept) == sorted((b, a) for a, b in kept)
-    products, table = _TENSOR[symmetric]
-    prod = np.empty((len(products) + 1,) + sizes)          # T_jc rows, then the pair count
-    term = np.empty(sizes) if len(kept) > 1 else None
-    # the first pair writes its products rather than adding them to zeros
-    # (0.0 + -0.0 is 0.0), so one pair gives B(u, v) bit for bit
-    first = True
-    for batch, local in _batches(kept, _BATCH):
+    products = _TENSOR[symmetric]
+    used = list(dict.fromkeys(f for pair in kept for f in pair))
+    if len(used) <= _BATCH:
+        local_of = {f: i for i, f in enumerate(used)}
+        batches = [(used, [(local_of[a], local_of[b]) for a, b in kept])]
+    else:
+        batches = _batches(kept, _BATCH)
+    # one pair writes its products; more add theirs up
+    accumulate = len(kept) > 1
+    # the T_jc rows, then the pair count
+    prod = (np.zeros if accumulate else np.empty)((len(products) + 1,) + layout.sizes)
+    term = np.empty(layout.sizes) if accumulate else None
+    for batch, local in batches:
         # component-major half spectra on the input box: 3 rows per field,
         # then the support indicator of each field
         rows = [halves[f][layout.box_in].transpose(3, 0, 1, 2) for f in batch]
@@ -606,24 +640,25 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
             factors = [(phys[3 * a + j], phys[3 * b + c]) for j, c in products]
             factors.append((phys[ind + a], phys[ind + b]))   # ind_u * ind_v
             for row, (x, y) in zip(prod, factors):
-                if first:
-                    np.multiply(x, y, out=row)
-                else:
+                if accumulate:
                     np.multiply(x, y, out=term)
                     row += term
-            first = False
+                else:
+                    np.multiply(x, y, out=row)
         del phys
     half = _from_grid(layout.from_grid, prod)
-    del prod, term
-    flux = 1j * np.einsum("jxyz,jcxyz->cxyz", layout.k_rows, half[table])   # i k_j T_jc
-    flux[:, half[-1].real <= 0.5] = 0.0                   # no pair p + q = k
-    o3 = flux.shape[-1] - 1
-    box = np.empty(flux.shape[1:3] + (2 * o3 + 1, 3), dtype=np.complex128)
-    box[:, :, o3:] = flux.transpose(1, 2, 3, 0)
-    box[:, :, :o3] = np.conj(box[::-1, ::-1, :o3:-1])    # u_hat(-k) = conj(u_hat(k))
+    del prod
+    flux = (_weights(layout.e_out, symmetric) * half[:-1]).sum(axis=1)   # P(k) i k_j T_jc
+    np.copyto(flux, 0.0, where=half[-1].real <= 0.5)      # no pair p + q = k
+    plane = flux[..., 0]                                  # k3 = 0 holds k and -k
+    plane[...] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
+    o1, o2, o3 = layout.e_out
     W = 2 * K + 1
     out = np.zeros((W, W, W, 3), dtype=np.complex128)
-    out[layout.box_out] = _project_box(box, *layout.geometry)
+    box = (slice(K - o1, K + o1 + 1), slice(K - o2, K + o2 + 1))
+    out[box + (slice(K, K + o3 + 1),)] = flux.transpose(1, 2, 3, 0)
+    if o3:
+        out[box + (slice(K - o3, K),)] = np.conj(flux[:, ::-1, ::-1, :0:-1]).transpose(1, 2, 3, 0)
     return SpectralField(K, out)
 
 
@@ -634,7 +669,8 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     inverse transform of u, v and their support indicators (u and its
     indicator alone, and 6 products instead of 9, when v is u), one forward
     transform of the products and their pair count, each three partial DFT
-    matrix products, and the Leray projection on the output box.  A pair of small supports with no sum in
+    matrix products, and one contraction for the divergence and the Leray
+    projection on the output box.  A pair of small supports with no sum in
     the cube away from k = 0 gives the zero field with no transform.
     """
     return advection_sum([(u, v)])

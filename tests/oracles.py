@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the library's own evaluation paths:
-the advection oracle works through physical-space quadrature on a grid,
-the closure oracle is a plain breadth-first search, and the phi oracle
-evaluates both branches over the whole array.
+the advection oracles work through physical-space quadrature on a grid
+and through numpy's FFTs in divergence form, the closure oracle is a
+plain breadth-first search, and the phi oracle evaluates both branches
+over the whole array.
 """
 
 import math
@@ -44,6 +45,49 @@ def bilinear_quadrature(u: SpectralField, v: SpectralField, n: int = 16) -> Spec
     e = _phases(K, n, -1)
     raw = np.einsum("ax,by,cz,xyzj->abcj", e, e, e, adv, optimize=True) / n**3
     return leray_project(raw, K)
+
+
+def divergence_form_sum(pairs):
+    """The sum of P(div(u (x) v)) over (u, v) pairs by numpy's real FFTs
+    on one n^3 grid, n >= 3K + 1, projected on the whole cube by
+    ``leray_project``, with every mode that no pair p + q = k reaches set
+    to zero; returns the field and the boolean mask of those modes.
+
+    This is the divergence-form formula: i k_j T_jc with T_jc the sum of the
+    products u_j v_c, and the pair count from the products of the support
+    indicators.  A grid of 3K + 1 points per axis or more puts no alias of
+    a product inside the cube; n is a multiple of 4, which numpy's FFTs
+    take fast.
+    """
+    K = pairs[0][0].cutoff
+    n, W = 4 * -(-(3 * K + 1) // 4), 2 * K + 1      # n: 3K + 1 rounded up to a multiple of 4
+    axis = np.arange(-K, K + 1)
+    kvec = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    rows = (slice(None),)
+
+    # every distinct field and its support indicator, in one inverse FFT
+    # of their k3 >= 0 halves
+    fields = list({id(f): f for pair in pairs for f in pair}.values())
+    slot = {id(f): 4 * i for i, f in enumerate(fields)}
+    spec = np.zeros((4 * len(fields), n, n, n // 2 + 1), dtype=np.complex128)
+    spec[rows + np.ix_(axis % n, axis % n, axis[K:])] = np.concatenate([np.concatenate(
+        [f.coeffs, np.any(f.coeffs != 0, axis=-1, keepdims=True)], axis=-1) for f in fields],
+        axis=-1).transpose(3, 0, 1, 2)[..., K:]
+    grid = np.fft.irfftn(spec, s=(n, n, n), axes=(1, 2, 3), norm="forward")
+    products = np.zeros((10, n, n, n))       # T_jc row-major, then the pair count
+    for u, v in pairs:
+        a, b = slot[id(u)], slot[id(v)]
+        products[:9] += (grid[a:a + 3, None] * grid[None, b:b + 3]).reshape(9, n, n, n)
+        products[9] += grid[a + 3] * grid[b + 3]
+    half = np.fft.rfftn(products, axes=(1, 2, 3), norm="forward")
+    # the cube from the k3 >= 0 half: T_hat(-k) = conj(T_hat(k)) for real T
+    t_hat = np.where(axis >= 0, half[rows + np.ix_(axis % n, axis % n, np.abs(axis))],
+                     np.conj(half[rows + np.ix_(-axis % n, -axis % n, np.abs(axis))]))
+    unreached = t_hat[9].real <= 0.5
+    t_hat = t_hat[:9].reshape(3, 3, W, W, W)
+    flux = 1j * np.einsum("xyzj,jcxyz->xyzc", kvec, t_hat)
+    flux[unreached] = 0.0
+    return leray_project(flux, K), unreached
 
 
 def bfs_closure(vee, wedge, generators, cutoff, tol=1e-9):

@@ -90,6 +90,8 @@ def test_criterion_3_coefficient_falsification(shipped):
     report(3, ok, f"true r2 order {true['measured']:.3f} (>=2.7), perturbed "
                   f"{perturbed['measured']:.3f} (<=2.1)")
     assert (true["expected"], perturbed["expected"]) == pytest.approx((2.7, 2.1))
+    # the gate itself is 2.1, not 0.7 * 3 = 2.0999999999999996
+    assert perturbed["expected"] == 2.1
     assert true["measured"] >= 2.7
     assert perturbed["measured"] <= 2.1
 

@@ -4,6 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from nsasym import solver
+from nsasym.cli import ExperimentConfig, run_experiment
 from nsasym.expansion import normalize_force
 from nsasym.lattice import closure
 from nsasym.solver import (
@@ -11,12 +13,14 @@ from nsasym.solver import (
     ForceSpec,
     _FORCE_MEMO,
     _ForceEval,
+    _Integrator,
     _phi_trio,
     energy_budget,
     evaluate_force,
     integrate_nse,
 )
 from nsasym.spectral import (
+    _grid,
     GevreyIndex,
     SpectralField,
     apply_multiplier,
@@ -24,6 +28,7 @@ from nsasym.spectral import (
     random_solenoidal_field,
 )
 from nsasym.systems import PowerSystem
+from conftest import CONFIG_DIR
 from oracles import phi_trio_blend
 
 RNG = np.random.default_rng(2718)
@@ -123,23 +128,39 @@ class TestForceEvaluation:
 
 
 class TestPhiTrio:
-    @pytest.mark.parametrize("shape", [(6,), (3, 7, 7, 7)], ids=["edges", "solver_stack"])
-    def test_equals_whole_array_blend_byte_for_byte(self, shape):
+    @pytest.mark.parametrize("case", ["edges", "solver_stack", "zero_alone"])
+    def test_equals_whole_array_blend_byte_for_byte(self, case):
         # the series runs on |z| < 0.5 alone: each element gets the same
-        # operations as in the blend of both branches over the whole array
+        # operations as in the blend of both branches over the whole array;
+        # with k = 0 the only small z (a large step) the series is its first
+        # term
         edges = np.array([0.0, -0.4999999, -0.5, -0.5000001, -1e-3, -1e6])
-        if shape == edges.shape:
+        ksq = np.sum(np.stack(np.meshgrid(*3 * [np.arange(-3.0, 4.0)], indexing="ij")) ** 2,
+                     axis=0)
+        if case == "edges":
             z = edges
         else:
-            ksq = np.sum(np.stack(np.meshgrid(*3 * [np.arange(-3.0, 4.0)], indexing="ij")) ** 2,
-                         axis=0)
-            z = -0.3 * ksq * np.array([1.0, 0.5, 0.25])[:, None, None, None]
-            z.ravel()[:edges.size] = edges
+            h = 0.3 if case == "solver_stack" else 37.0
+            z = -h * ksq * np.array([1.0, 0.5, 0.25])[:, None, None, None]
+            if case == "solver_stack":
+                z.ravel()[:edges.size] = edges
         got, want = _phi_trio(z), phi_trio_blend(z)
         assert len(got) == len(want) == 4
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+
+
+    @pytest.mark.parametrize("h", [1e-3, 0.37, 5.0, 1e4])
+    def test_shell_tables_equal_cube_tables_byte_for_byte(self, h):
+        # the solver forms the tables on the distinct |k|^2 and gathers them
+        # to the coefficients: the same bytes as forming them on the cube
+        stepper = _Integrator(4, None)
+        ksq = _grid(4)[1]
+        cube, shells = (_phi_trio(np.stack([z, 0.5 * z, 0.25 * z]))
+                        for z in (-h * ksq, -h * stepper.shells))
+        for c, s in zip(cube, shells):
+            assert s[:, stepper.shell_of].tobytes() == np.repeat(c[..., None], 3, -1).tobytes()
 
 
 class TestNseIntegration:
@@ -269,6 +290,18 @@ class TestEnergyBudget:
         assert report["apriori_energy_bound"].passed
         assert report["force_envelope_convolution"].passed
         assert report["advective_energy_orthogonality"].measured["max_rel"] <= 1e-12
+
+    def test_identity_unmoved_by_one_ulp_of_B(self, monkeypatch):
+        # criterion 4's run takes steps with h |k|^2 far above 1; the ledger
+        # drops the Hermite derivative term on those shells, so its identity
+        # no longer draws on B's low bits: with B scaled by 1 - 2e-16 it
+        # stays within 10% of its gate (without the shell limit: 1.1e-6)
+        inner = solver.bilinear_form
+        monkeypatch.setattr(solver, "bilinear_form", lambda u, v: SpectralField(
+            u.cutoff, (1.0 - 2e-16) * inner(u, v).coeffs))
+        result = run_experiment(ExperimentConfig.load(CONFIG_DIR / "criterion4_logarithmic.json"))
+        (identity,) = [c for c in result.checks if c["property"] == "energy_identity"]
+        assert identity["measured"] <= 0.1 * identity["expected"]
 
     def test_csv_export(self, tmp_path):
         lat = power_lattice()
