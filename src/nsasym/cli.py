@@ -15,8 +15,10 @@ so archived experiment files keep meaning exactly what they meant.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from contextlib import contextmanager
@@ -492,14 +494,69 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
+def _number_format(values: list) -> Optional[str]:
+    """The % format of a column that holds only plain ints ("%d") or only
+    finite plain floats ("%r", which is float.__repr__), else None."""
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        return "%d"
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return "%r"
+    return None
+
+
+def _records(rows: list, pad: str) -> Optional[str]:
+    """The items of a list of dicts at indent ``pad``, joined as json.dumps
+    writes them, by one % template: or None unless the dicts share one set
+    of str keys and each key holds, in every dict, an int, a finite float,
+    or a nonempty list of one length of ints or of finite floats, each
+    column of one type.  The checks are C-level passes over the columns."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    shapes = set(map(tuple, rows))
+    if len(shapes) != 1:
+        return None
+    names = sorted(shapes.pop())
+    if not names or set(map(type, names)) != {str}:
+        return None
+    inner, deeper = pad + "  ", pad + "    "
+    template, columns = [], []
+    for name in names:
+        column = list(map(operator.itemgetter(name), rows))
+        kinds = set(map(type, column))
+        if kinds == {list}:
+            lengths = set(map(len, column))
+            width = lengths.pop()
+            if lengths or not width:
+                return None
+            fmt = _number_format(list(itertools.chain.from_iterable(column)))
+            value = "[" + deeper + ("," + deeper).join([fmt or ""] * width) + inner + "]"
+            columns.extend(zip(*column))
+        else:
+            fmt = value = _number_format(column)
+            columns.append(column)
+        if fmt is None:
+            return None
+        template.append(encode_basestring_ascii(name).replace("%", "%%") + ": " + value)
+    one = "{" + inner + ("," + inner).join(template) + pad + "}"
+    return ("," + pad).join([one] * len(rows)) % tuple(itertools.chain.from_iterable(
+        zip(*columns)))
+
+
 def _dump(payload, write) -> None:
     """Write ``payload`` and a final newline through ``write``, in the bytes
     of ``json.dumps(payload, indent=2, sort_keys=True)``: the one JSON
     artifact format (two-space indent, sorted keys, ASCII).
 
     With an indent json runs its pure-Python encoder, one generator step per
-    token; here a list of plain floats or plain ints is a single join.  The
-    text goes out every _FLUSH_PIECES pieces, never whole."""
+    token.  Here a list of plain floats or plain ints is a single join, and
+    a list of flat records, dicts with one key set whose values are numbers
+    or lists of numbers (the mode lists of states and coefficients, a
+    config's force modes), is a single % format of one record's template
+    (``_records``); anything else (bools, NaN and inf, nested values,
+    ragged lists, non-str keys) takes the item path.  The text goes out
+    every _FLUSH_PIECES pieces, and a records text as soon as it is formed,
+    never whole."""
     pieces = []
 
     def emit(o, pad: str) -> None:
@@ -525,6 +582,14 @@ def _dump(payload, write) -> None:
                 text = ("," + inner).join(map(kind.__repr__, o))
                 if kind is int or "n" not in text:  # "nan" and "inf" take the item path
                     pieces.append("[" + inner + text + pad + "]")
+                    return
+            elif kind is dict:
+                text = _records(o, inner)
+                if text is not None:
+                    pieces.append("[" + inner)
+                    write("".join(pieces))
+                    write(text)
+                    pieces[:] = [pad + "]"]
                     return
             lead = "[" + inner
             for item in o:

@@ -48,9 +48,6 @@ class LatticeEntry:
     def value(self) -> float:
         return self.exponent.value
 
-    def is_generator(self) -> bool:
-        return ("generator",) in self.origins
-
 
 @dataclass(frozen=True)
 class ExponentLattice:

@@ -138,8 +138,10 @@ class _ForceEval:
     twice or more, the ledger nodes again), so the last few results are
     kept, keyed by the exact float t, and the memo is emptied when it holds
     _FORCE_MEMO times.  A repeated t returns the same read-only array, equal
-    bit for bit to a fresh evaluation.  ``n_evals`` counts the contractions
-    actually made.
+    bit for bit to a fresh evaluation.  ``n_evals`` counts these
+    contractions.  ``slope`` takes a difference quotient of f with one
+    contraction of the difference of the term weights, not two of the
+    terms; ``n_slopes`` counts those apart.
     """
 
     def __init__(self, force: ForceSpec):
@@ -148,6 +150,7 @@ class _ForceEval:
         self.cutoff = force.cutoff
         self.memo: dict[float, np.ndarray] = {}
         self.n_evals = 0
+        self.n_slopes = 0
         stacks = []
         evals = []
         for _, lam, f in force.expansion.terms():
@@ -173,12 +176,23 @@ class _ForceEval:
             self.n_evals += 1
         return got
 
+    def slope(self, a: float, b: float) -> np.ndarray:
+        """(f(b) - f(a)) / (b - a), from the weights at a and at b."""
+        self.n_slopes += 1
+        return self._contract(lambda fn: (fn(b) - fn(a)) / (b - a), a, b)
+
     def _evaluate(self, t: float) -> np.ndarray:
-        self.sys.check_domain(t)
+        return self._contract(lambda fn: fn(t), t)
+
+    def _contract(self, weight, *times: float) -> np.ndarray:
+        """The sum of the terms, each weighted by weight(its envelope), at
+        times that must lie in the system's domain."""
+        for t in times:
+            self.sys.check_domain(t)
         W = 2 * self.cutoff + 1
         if self.stack is None:
             return np.zeros((W, W, W, 3), dtype=np.complex128)
-        w = np.array([fn(t) for fn in self.evals])
+        w = np.array([weight(fn) for fn in self.evals])
         return (w @ self.stack).reshape(W, W, W, 3)
 
 
@@ -303,9 +317,10 @@ class _Integrator:
         k2 = self.rhs(t + 0.5 * h, U2)
         U3 = eu + h * (a3 * k1 + q2 * k2)
         k3 = self.rhs(t + 0.5 * h, U3)
-        U4 = e1 * u0 + h * (a4 * k1 + b4 * k3)
+        e1u = e1 * u0
+        U4 = e1u + h * (a4 * k1 + b4 * k3)
         k4 = self.rhs(t + h, U4)
-        return e1 * u0 + h * (c1 * k1 + c23 * (k2 + k3) + c4 * k4)
+        return e1u + h * (c1 * k1 + c23 * (k2 + k3) + c4 * k4)
 
     def step(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray):
         """Doubled step from (t, u0) with k1 = rhs(t, u0); returns the fine
@@ -313,9 +328,11 @@ class _Integrator:
         # never clamp z: the phi formulas divide by it, and exp just underflows
         z = -h * self.shells
         P1, P2, P4 = zip(*_phi_trio(np.stack([z, 0.5 * z, 0.25 * z])))
-        # the weights at h and at h/2, gathered to the cube in one index
+        # the weights at h and at h/2, gathered to the cube in one index; as
+        # complex, since each multiplies a complex state and would otherwise
+        # be cast at every product
         weights = np.concatenate([_krogstad_weights(P1, P2), _krogstad_weights(P2, P4)])
-        weights = weights[:, self.shell_of]
+        weights = weights.astype(np.complex128)[:, self.shell_of]
         full, half = weights[:10], weights[10:]
         coarse = self.krogstad(t, h, u0, k1, full)
         mid = self.krogstad(t, 0.5 * h, u0, k1, half)
@@ -395,13 +412,10 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         # ([D, I], [D', I'] per shell) at a converged state (interior stage
         # values are lower-order and would pollute the ledger):
         # D = |A^(1/2) u|^2, I = <f, u>, exact du/dt = -A u + N,
-        # finite-difference df/dt
+        # finite-difference df/dt (one-sided at the domain's edge)
         f = feval(tau)
         delta = max(1e-6 * tau, 1e-9)
-        if tau - delta >= force.t_min:
-            f_dot = (feval(tau + delta) - feval(tau - delta)) / (2.0 * delta)
-        else:
-            f_dot = (feval(tau + delta) - f) / delta
+        f_dot = feval.slope(tau - delta if tau - delta >= force.t_min else tau, tau + delta)
         udot = -ksq[..., None] * arr + n_arr
         # Re <a, b> = sum of the products of the float views
         u_, f_, ud_ = (x.view(np.float64).ravel() for x in (arr, f, udot))
@@ -510,6 +524,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     stats = {
         "tol": tol, "n_steps": n_steps, "n_rejected": n_rejected,
         "n_rhs": stepper.n_rhs, "n_force_evals": feval.n_evals,
+        "n_force_slopes": feval.n_slopes,
         "max_b_orthogonality": max_b_rel, "t0": t0, "t1": t1,
         "u0_l2": u0.l2(), "guard_scale": guard_scale,
     }

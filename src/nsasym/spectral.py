@@ -33,16 +33,18 @@ gets 3K + 1 points per axis, and a field on the k3 = 0 plane a single k3
 point.  The transforms are partial DFTs: per-axis matrices that take the
 input box of modes straight to the grid and the grid straight to the
 output box, equal to numpy's real FFTs, zero-filled and cropped, to
-rounding.  The support indicators ride in the same transforms: their
-pointwise products, summed over the pairs, transform to the number of
-pairs p + q = k, and every mode with no such pair is set to exactly zero,
-so transform rounding never fills modes no convolution can reach.  The
-divergence and the Leray projection are one precomputed map on the k3 >= 0
-half of the output box, W[c, (j, c'), k] = P_cc'(k) i k_j, cached per
-output box; the k3 < 0 half is the conjugate.  The sizes and DFT matrices
-are cached per support extents and the extents per pair of supports, and
-a small pair of supports whose sums all miss the cube away from k = 0 is
-dropped with no transform.
+rounding.  Every mode that no pair p + q = k reaches is set to exactly
+zero, so transform rounding never fills modes no convolution can reach.
+Which modes those are depends on the supports alone, so it is found once
+per pair of supports, when the pair is planned: the support indicators go
+through the pair's transforms, and their product comes back as the number
+of pairs p + q = k.  A call transforms only the fields and their products.
+The divergence and the Leray projection are one precomputed map on the
+k3 >= 0 half of the output box, W[c, (j, c'), k] = P_cc'(k) i k_j, cached
+per output box; the k3 < 0 half is the conjugate.  The sizes and DFT
+matrices are cached per support extents, and the extents and unreached
+modes per pair of supports; a small pair of supports whose sums all miss
+the cube away from k = 0 is dropped with no transform.
 """
 
 from __future__ import annotations
@@ -153,6 +155,8 @@ _TENSOR = {
     False: [(j, c) for j in range(3) for c in range(3)],
     True: [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)],
 }
+# the same as two index arrays, the components j and c of each product
+_FACTORS = {symmetric: tuple(map(np.array, zip(*pairs))) for symmetric, pairs in _TENSOR.items()}
 
 
 def _conj_flip(arr: np.ndarray) -> np.ndarray:
@@ -371,6 +375,17 @@ def apply_inverse_stokes(u: SpectralField) -> SpectralField:
     return apply_multiplier(u, "A_alpha", -1.0)
 
 
+@functools.lru_cache(maxsize=16)
+def _log_weights(alpha: float, sigma: float, cutoff: int) -> np.ndarray:
+    """The log of the squared weights of ``gevrey_norm``, 2 log(|k|^(2 alpha)
+    e^(sigma |k|)), cached per index and cutoff (a run asks for the same few
+    at every sample) and read-only."""
+    logm = _log_multiplier("A_alpha", alpha, cutoff) + _log_multiplier("exp_sqrtA", sigma, cutoff)
+    logm *= 2.0
+    logm.setflags(write=False)
+    return logm
+
+
 def gevrey_norm(u: SpectralField, idx: GevreyIndex) -> float:
     """L^2(Omega) norm of A^alpha e^{sigma A^(1/2)} u.
 
@@ -378,18 +393,18 @@ def gevrey_norm(u: SpectralField, idx: GevreyIndex) -> float:
     the peak exponent) so that sigma*|k| up to the overflow guard is usable
     even though the squared weights would overflow a double.
     """
-    logm = _log_multiplier("A_alpha", idx.alpha, u.cutoff) \
-        + _log_multiplier("exp_sqrtA", idx.sigma, u.cutoff)
+    logw = _log_weights(idx.alpha, idx.sigma, u.cutoff)
     amp2 = np.sum(np.abs(u.coeffs) ** 2, axis=-1)
     mask = amp2 > 0
     if not mask.any():
         return 0.0
-    w = 2.0 * logm[mask]
+    w = logw[mask]
     peak = float(w.max())
     return _NORM_FACTOR * math.exp(0.5 * peak) * math.sqrt(float(np.sum(np.exp(w - peak) * amp2[mask])))
 
 
 _SUM_PAIRS = 64   # largest |supp u| |supp v| (k3 >= 0 halves) whose sums are listed
+_SIX = np.ones(6, dtype=bool)   # a mode's six floats: (re, im) of three components
 _BATCH = 4        # most distinct fields inverse-transformed together by ``advection_sum``
 
 
@@ -464,21 +479,48 @@ def _weights(e_out: tuple, symmetric: bool) -> np.ndarray:
     return weights
 
 
+class _Plan(NamedTuple):
+    """What the supports of a pair (u, v) fix about B(u, v)."""
+
+    e_in: tuple                  # max(e_u, e_v), the largest |k_a| of either support
+    e_sum: tuple                 # e_u + e_v, the largest |k_a| of a sum p + q
+    unreached: bytes | None      # the unreached modes of its own output half box, packed;
+                                 # None when every mode is reached
+
+
+def _half_shape(e_out: tuple) -> tuple[int, int, int]:
+    """The shape of the k3 >= 0 half of the box |k_a| <= e_out[a]."""
+    return 2 * e_out[0] + 1, 2 * e_out[1] + 1, e_out[2] + 1
+
+
+def _unpack(bits: bytes, shape: tuple) -> np.ndarray:
+    """The boolean array of ``shape`` packed to ``bits`` by ``np.packbits``."""
+    return np.unpackbits(np.frombuffer(bits, dtype=np.uint8),
+                         count=math.prod(shape)).reshape(shape).view(bool)
+
+
 @functools.lru_cache(maxsize=1024)
-def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> tuple[tuple, tuple] | None:
+def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> _Plan | None:
     """For supp(u) and supp(v), given as k3 >= 0 half masks packed to bits
     (``np.packbits``), the largest |k_a| per axis of either support and of
-    their sums: max(e_u, e_v) and e_u + e_v, with e_u, e_v the extents of
-    the supports.  None when no p + q with p in supp(u), q in supp(v) lands
-    in the cube away from k = 0.  That is tested by listing p +- q over the
-    half masks when they hold at most _SUM_PAIRS pairs; larger supports
-    always get extents, so the listing stays small.  The solver's support
-    rarely changes between calls, so a few plans serve a whole run; a
-    lattice pass meets a few hundred support pairs, which the cache holds,
-    and packed keys keep it under 5 MB even at K = 16."""
+    their sums, max(e_u, e_v) and e_u + e_v with e_u, e_v the extents of
+    the supports, and the modes of the pair's output half box that no
+    p + q with p in supp(u), q in supp(v) reaches.
+
+    None when no such p + q lands in the cube away from k = 0.  That is
+    tested by listing p +- q over the half masks when they hold at most
+    _SUM_PAIRS pairs; larger supports always get a plan, so the listing
+    stays small.  The unreached modes come from the support indicators,
+    real and even like the fields, through the pair's own transforms: the
+    product ind_u ind_v comes back as the number of pairs p + q = k, and a
+    mode whose count is at most 0.5 is unreached.  That is one transform
+    pair per plan, never one per call.  The solver's support rarely changes
+    between calls, so a few plans serve a whole run; a lattice pass meets a
+    few hundred support pairs, which the cache holds.  Packed keys and
+    masks, and no mask at all for a pair that reaches every mode (dense and
+    full-plane states), keep it under 10 MB even at K = 16."""
     shape = (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
-    masks = [np.unpackbits(np.frombuffer(m, dtype=np.uint8), count=math.prod(shape))
-             .reshape(shape) for m in ((mask_u,) if same else (mask_u, mask_v))]
+    masks = [_unpack(m, shape) for m in ((mask_u,) if same else (mask_u, mask_v))]
     centre = (cutoff, cutoff, 0)
     points = [np.nonzero(m) for m in masks]        # index arrays per axis
     if len(points[0][0]) * len(points[-1][0]) <= _SUM_PAIRS:
@@ -488,7 +530,32 @@ def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> tuple[tuple,
             return None
     e_u, e_v = ([int(np.abs(x - c).max()) for x, c in zip(pt, centre)]
                 for pt in (points[0], points[-1]))
-    return tuple(map(max, e_u, e_v)), tuple(map(operator.add, e_u, e_v))
+    e_in, e_sum = tuple(map(max, e_u, e_v)), tuple(map(operator.add, e_u, e_v))
+    layout = _layout(cutoff, e_in, e_sum)
+    phys = _to_grid(layout.to_grid, np.array([m[layout.box_in] for m in masks],
+                                             dtype=np.complex128))
+    unreached = _from_grid(layout.from_grid, phys[:1] * phys[-1:])[0].real <= 0.5
+    return _Plan(e_in, e_sum, np.packbits(unreached).tobytes() if unreached.any() else None)
+
+
+def _unreached(plans: list, e_out: tuple, cutoff: int) -> np.ndarray | None:
+    """The modes of the output half box of e_out that none of ``plans``
+    reaches, or None when every mode is reached.  A plan's own output box
+    is centred in it, and a mode outside that box is unreached by the
+    plan."""
+    if len(plans) == 1:
+        bits = plans[0].unreached
+        return None if bits is None else _unpack(bits, _half_shape(e_out))
+    common = np.ones(_half_shape(e_out), dtype=bool)
+    for plan in {id(p): p for p in plans}.values():
+        own = _half_shape(tuple(min(cutoff, s) for s in plan.e_sum))
+        box = tuple(slice((n - m) // 2, (n + m) // 2) for n, m in zip(common.shape[:2], own[:2]))
+        box += (slice(own[2]),)
+        if plan.unreached is None:
+            common[box] = False
+        else:
+            common[box] &= _unpack(plan.unreached, own)
+    return common if common.any() else None
 
 
 def _batches(pairs: list, limit: int) -> Iterator[tuple[list, list]]:
@@ -558,36 +625,39 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     distinct object is transformed once per batch of at most _BATCH fields,
     which bounds the transient memory whatever the number of pairs.  When
     the pair list is closed under swap (as many (u, v) as (v, u); a lone
-    (u, u) is), T is symmetric and 6 products are formed instead of 9.
+    (u, u) is), T is symmetric and 6 products are formed instead of 9.  A
+    lone pair, every call of the solver, skips the batch bookkeeping: u is
+    v decides the symmetry.
 
-    A pair whose supports are small and reach no p + q in the cube away
-    from k = 0 adds nothing and is dropped before any transform (``_plan``,
-    cached per pair of support masks); when every pair is dropped the
-    result is the zero field.  Each axis a of the grid is sized from the
-    pairs left: with s[a] the largest e_u[a] + e_v[a] over them (e_u, e_v
-    the largest |k_a| in supp(u), supp(v)), the output box is
-    |k_a| <= o[a] = min(K, s[a]) (nothing outside it can be reached) and
-    the axis gets N_a >= s + o + 1 points, rounded up to even above 1, so no
-    alias of any product lands in the output box.  Sizes and the partial
-    DFT matrices of the transforms are cached per extents (``_layout``).
-    The transforms are three small matrix products each (``_to_grid``,
-    ``_from_grid``): the inverse takes the input half box straight to the
-    grid and the forward takes the grid straight to the k3 >= 0 half of the
-    output box, so no zero-filled spectrum is built and no mode outside the
-    boxes is computed.  They equal numpy's ``irfftn`` and ``rfftn`` on the
-    same grid, zero-filled and cropped, to rounding, so the sum is still the
-    exact truncated convolution.
+    What the supports fix is planned once per pair of support masks
+    (``_plan``, cached): a pair whose supports are small and reach no p + q
+    in the cube away from k = 0 adds nothing and is dropped before any
+    transform, and when every pair is dropped the result is the zero field.
+    Each axis a of the grid is sized from the pairs left: with s[a] the
+    largest e_u[a] + e_v[a] over them (e_u, e_v the largest |k_a| in
+    supp(u), supp(v)), the output box is |k_a| <= o[a] = min(K, s[a])
+    (nothing outside it can be reached) and the axis gets N_a >= s + o + 1
+    points, rounded up to even above 1, so no alias of any product lands in
+    the output box.  Sizes and the partial DFT matrices of the transforms
+    are cached per extents (``_layout``).  The transforms are three small
+    matrix products each (``_to_grid``, ``_from_grid``): the inverse takes
+    the input half box straight to the grid and the forward takes the grid
+    straight to the k3 >= 0 half of the output box, so no zero-filled
+    spectrum is built and no mode outside the boxes is computed.  They
+    equal numpy's ``irfftn`` and ``rfftn`` on the same grid, zero-filled
+    and cropped, to rounding, so the sum is still the exact truncated
+    convolution.
 
     On that half box, P(k) i k_j T_jc is one precomputed linear map of the
-    product rows (``_weights``, cached per output box).  The support
-    indicator of each field, real and even like the fields, goes through
-    the same transforms: the products ind_u ind_v, summed over the pairs,
-    come back as the number of pairs p + q = k, and every mode where that
-    count is zero, which no convolution in the sum can reach, is set to
-    exactly zero, so sparse sums stay sparse.  The k3 = 0 plane holds both
-    k and -k, and is symmetrized; the k3 < 0 half is filled with the
-    conjugates, so the result is real and divergence free to rounding, and
-    ``leray_project`` leaves it unchanged.
+    product rows (``_weights``, cached per output box).  A mode that no
+    pair p + q = k of any pair in the sum reaches is set to exactly zero,
+    so transform rounding never fills it and sparse sums stay sparse: each
+    plan holds the modes its pair leaves unreached, found once from the
+    support indicators, and the sum's are those that every kept pair
+    leaves unreached.  The k3 = 0 plane holds both k and -k, and is
+    symmetrized; the k3 < 0 half is filled with the conjugates, so the
+    result is real and divergence free to rounding, and ``leray_project``
+    leaves it unchanged.
     """
     pairs = list(pairs)
     if not pairs:
@@ -602,54 +672,54 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     K = fields[0].cutoff
     if any(f.cutoff != K for f in fields):
         raise CutoffMismatchError(f"cutoffs {sorted({f.cutoff for f in fields})} differ")
-    upper = (slice(None), slice(None), slice(K, None))   # k3 >= 0: a real field's half spectrum
-    halves = [f.coeffs[upper] for f in fields]
-    masks = [h.any(axis=-1) for h in halves]
-    keys = [np.packbits(m).tobytes() for m in masks]
-    kept, extents = [], None      # the largest extent of a field, of a pair's sum
+    halves = [f.coeffs[:, :, K:] for f in fields]   # k3 >= 0: a real field's half spectrum
+    # a mode is in the support when one of its six floats is nonzero
+    keys = [np.packbits((h.view(np.float64) != 0) @ _SIX).tobytes() for h in halves]
+    kept, plans = [], []
     for a, b in slots:
-        ext = _plan(K, a == b, keys[a], keys[b])
-        if ext is not None:
+        plan = _plan(K, a == b, keys[a], keys[b])
+        if plan is not None:
             kept.append((a, b))
-            extents = ext if extents is None else tuple(
-                tuple(map(max, old, new)) for old, new in zip(extents, ext))
+            plans.append(plan)
     if not kept:
         return SpectralField.zero(K)
-    layout = _layout(K, *extents)
-    symmetric = sorted(kept) == sorted((b, a) for a, b in kept)
-    products = _TENSOR[symmetric]
-    used = list(dict.fromkeys(f for pair in kept for f in pair))
-    if len(used) <= _BATCH:
-        local_of = {f: i for i, f in enumerate(used)}
-        batches = [(used, [(local_of[a], local_of[b]) for a, b in kept])]
+    if len(plans) == 1:
+        layout = _layout(K, plans[0].e_in, plans[0].e_sum)
+    else:   # the largest extent of a field and of a pair's sum, per axis
+        layout = _layout(K, *(tuple(map(max, *ext)) for ext in
+                              zip(*((p.e_in, p.e_sum) for p in plans))))
+    if len(pairs) == 1:
+        symmetric = u is v
+        batches = [(range(len(fields)), slots)]
     else:
-        batches = _batches(kept, _BATCH)
-    # one pair writes its products; more add theirs up
+        symmetric = sorted(kept) == sorted((b, a) for a, b in kept)
+        used = list(dict.fromkeys(f for pair in kept for f in pair))
+        if len(used) <= _BATCH:
+            local_of = {f: i for i, f in enumerate(used)}
+            batches = [(used, [(local_of[a], local_of[b]) for a, b in kept])]
+        else:
+            batches = _batches(kept, _BATCH)
+    J, C = _FACTORS[symmetric]
+    # one pair's products are the T_jc rows; more add theirs up
     accumulate = len(kept) > 1
-    # the T_jc rows, then the pair count
-    prod = (np.zeros if accumulate else np.empty)((len(products) + 1,) + layout.sizes)
-    term = np.empty(layout.sizes) if accumulate else None
+    prod = np.zeros((len(J),) + layout.sizes) if accumulate else None
     for batch, local in batches:
-        # component-major half spectra on the input box: 3 rows per field,
-        # then the support indicator of each field
-        rows = [halves[f][layout.box_in].transpose(3, 0, 1, 2) for f in batch]
-        rows.append(np.array([masks[f][layout.box_in] for f in batch], dtype=np.complex128))
-        phys = _to_grid(layout.to_grid, np.concatenate(rows))
-        ind = 3 * len(batch)                                 # first indicator row
+        # component-major half spectra on the input box, 3 rows per field
+        phys = _to_grid(layout.to_grid, np.concatenate(
+            [halves[f][layout.box_in].transpose(3, 0, 1, 2) for f in batch]))
         for a, b in local:
-            factors = [(phys[3 * a + j], phys[3 * b + c]) for j, c in products]
-            factors.append((phys[ind + a], phys[ind + b]))   # ind_u * ind_v
-            for row, (x, y) in zip(prod, factors):
-                if accumulate:
-                    np.multiply(x, y, out=term)
-                    row += term
-                else:
-                    np.multiply(x, y, out=row)
+            term = phys[3 * a:3 * a + 3][J] * phys[3 * b:3 * b + 3][C]
+            if accumulate:
+                prod += term
+            else:
+                prod = term
         del phys
     half = _from_grid(layout.from_grid, prod)
     del prod
-    flux = (_weights(layout.e_out, symmetric) * half[:-1]).sum(axis=1)   # P(k) i k_j T_jc
-    np.copyto(flux, 0.0, where=half[-1].real <= 0.5)      # no pair p + q = k
+    flux = (_weights(layout.e_out, symmetric) * half).sum(axis=1)   # P(k) i k_j T_jc
+    unreached = _unreached(plans, layout.e_out, K)
+    if unreached is not None:
+        np.copyto(flux, 0.0, where=unreached)             # no pair p + q = k
     plane = flux[..., 0]                                  # k3 = 0 holds k and -k
     plane[...] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
     o1, o2, o3 = layout.e_out
@@ -666,12 +736,13 @@ def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     """Advective form B(u, v) = P((u . grad) v), the exact Galerkin nonlinearity.
 
     The one-pair case of ``advection_sum``, which documents the method: one
-    inverse transform of u, v and their support indicators (u and its
-    indicator alone, and 6 products instead of 9, when v is u), one forward
-    transform of the products and their pair count, each three partial DFT
-    matrix products, and one contraction for the divergence and the Leray
-    projection on the output box.  A pair of small supports with no sum in
-    the cube away from k = 0 gives the zero field with no transform.
+    inverse transform of u and v (u alone, and 6 products instead of 9,
+    when v is u), one forward transform of the products, each three partial
+    DFT matrix products, and one contraction for the divergence and the
+    Leray projection on the output box; the modes no p + q reaches are
+    zeroed from the cached plan of the two supports.  A pair of small
+    supports with no sum in the cube away from k = 0 gives the zero field
+    with no transform.
     """
     return advection_sum([(u, v)])
 

@@ -38,11 +38,12 @@ def shipped():
 
 class Transform(NamedTuple):
     """One recorded transform: "to_grid" (inverse) or "from_grid" (forward)
-    with its physical grid (N1, N2, N3), or a numpy FFT by its numpy name
-    with grid None."""
+    with its physical grid (N1, N2, N3) and the number of rows it carries
+    in, or a numpy FFT by its numpy name with grid and rows None."""
 
     name: str
     grid: Optional[tuple]
+    rows: Optional[int] = None
 
 
 @pytest.fixture
@@ -52,8 +53,11 @@ def fft_calls(monkeypatch):
     The transforms are the helper pair ``spectral._to_grid`` and
     ``spectral._from_grid``, each a few matrix products.  A numpy FFT called
     anywhere is recorded as well, under its numpy name with grid None, so a
-    transform outside the pair cannot hide.
+    transform outside the pair cannot hide.  The plan cache starts empty,
+    so the first call on a pair of supports also records the indicator
+    transform pair that plans it.
     """
+    spectral._plan.cache_clear()
     calls = []
 
     def spy_numpy(name):
@@ -69,7 +73,7 @@ def fft_calls(monkeypatch):
 
         def call(matrices, array):
             out = inner(matrices, array)
-            calls.append(Transform(name, grid(array, out)))
+            calls.append(Transform(name, grid(array, out), len(array)))
             return out
         return call
 

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from nsasym import cli, solver
 from nsasym.cli import ConfigError, ExperimentConfig, emit_report, main, run_experiment
 from nsasym.solver import energy_budget
+from nsasym.spectral import random_solenoidal_field
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -154,6 +155,15 @@ HUGE_FORCE = (("power_two_term.json", ("force", "terms", 0, "field", "modes", 0,
               ("set", 10 ** 18))
 
 
+def every_config_reaches_the_solver(test):
+    """One @example per shipped config whose mutation changes nothing (its
+    short run's tol set to the same value), so that each config runs on
+    whatever the draws are and as the list of configs grows."""
+    for name, data in SHORT_RUNS.items():
+        test = example(case=((name, ("solver", "tol")), ("set", data["solver"]["tol"])))(test)
+    return test
+
+
 # JSON trees for the artifact writer: every scalar kind json writes, the
 # float edge cases, a float subclass, strings json must escape, tuples, and
 # lists of plain floats, plain ints or both (the writer's joined lists)
@@ -170,6 +180,49 @@ JSON_TREES = st.recursive(
         st.dictionaries(st.text(), children),
         st.dictionaries(st.integers() | st.floats(allow_nan=False), children)),
     max_leaves=12)
+
+# Record lists for the writer's template path: dicts with one key set whose
+# values are numbers or lists of numbers.  Draws of each kind include the
+# values that must fall back to the item path (nan, inf, ragged lists, a
+# scalar of another type), and the keys include "%" and non-ASCII text.
+RECORD_KEYS = st.text(alphabet=st.sampled_from('ak%"\\\u00e9\u2211'), max_size=3)
+
+
+@st.composite
+def record_lists(draw):
+    names = draw(st.lists(RECORD_KEYS, min_size=1, max_size=3, unique=True))
+    columns = {}
+    for name in names:
+        scalar = draw(st.sampled_from([st.integers(), st.floats(), JSON_SCALARS]))
+        width = draw(st.integers(0, 3))
+        columns[name] = draw(st.sampled_from([
+            scalar, st.lists(scalar, min_size=width, max_size=width),
+            st.lists(scalar, min_size=width, max_size=width + 1)]))
+    return draw(st.lists(st.fixed_dictionaries(columns), max_size=4))
+
+
+# (records, whether the template path writes them): each fallback on its own
+FLAT_RECORDS = [{"k": [i, 0, -i], "re": [i / 7, -0.0, 5e-324], "im": [1e300, 0.0, -i / 3]}
+                for i in range(4)]
+RECORD_CASES = {
+    "modes": (FLAT_RECORDS, True),
+    "one_item": (FLAT_RECORDS[:1], True),
+    "percent_key": ([{"50%": 1.5, "%d": [1, 2], "%%s": 3}] * 2, True),
+    "non_ascii_key": ([{"caf\u00e9": 1.0, "\u2211": [2, 3]}, {"caf\u00e9": -1.0, "\u2211": [4, 5]}],
+                      True),
+    "bool": ([{"a": 1, "b": [1.0]}, {"a": True, "b": [2.0]}], False),
+    "bool_in_list": ([{"a": [1, True]}], False),
+    "nan": ([{"a": 1.0}, {"a": math.nan}], False),
+    "inf": ([{"a": [1.0, math.inf]}, {"a": [2.0, -math.inf]}], False),
+    "nested": ([{"a": {"b": 1}}, {"a": {"b": 2}}], False),
+    "ragged": ([{"a": [1, 2]}, {"a": [1]}], False),
+    "empty_list": ([{"a": []}, {"a": []}], False),
+    "empty_dict": ([{}, {}], False),
+    "int_and_float": ([{"a": 1}, {"a": 1.0}], False),
+    "float_subclass": ([{"a": np.float64(1.5)}], False),
+    "key_order": ([{"b": 1, "a": 2}, {"a": 3, "b": 4}], False),
+    "non_str_key": ([{1: 2.0}, {1: 3.0}], False),
+}
 
 
 class _FullDisk:
@@ -361,6 +414,37 @@ class TestArtifactFormat:
         written = io.StringIO()
         cli._dump(tree, written.write)
         assert written.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("case", RECORD_CASES)
+    def test_records_equal_json_dumps(self, case):
+        # the records template, and each fallback to the item path, alone and
+        # as a value inside a dict, as the mode lists sit in the artifacts
+        records, templated = RECORD_CASES[case]
+        assert (cli._records(records, "\n  ") is not None) == templated
+        for tree in (records, {"modes": records, "cutoff": 3}, []):
+            written = io.StringIO()
+            cli._dump(tree, written.write)
+            assert written.getvalue() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(tree=record_lists())
+    def test_drawn_records_equal_json_dumps(self, tree):
+        written = io.StringIO()
+        cli._dump({"modes": tree}, written.write)
+        assert written.getvalue() == json.dumps({"modes": tree}, indent=2, sort_keys=True) + "\n"
+
+    def test_dense_states_written_one_state_at_a_time(self):
+        # each state's mode list goes out as soon as its text is formed: no
+        # write holds the text of two states
+        rng = np.random.default_rng(73)
+        payload = [{"t": t, "state": random_solenoidal_field(4, rng).to_json()}
+                   for t in (1.0, 2.0, 4.0)]
+        writes = []
+        cli._dump(payload, writes.append)
+        assert "".join(writes) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        one_state = min(len(json.dumps([s], indent=2, sort_keys=True)) for s in payload)
+        assert len(writes) > len(payload)
+        assert max(map(len, writes)) <= one_state
 
     @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", np.int64(1), {(1, 2): 3}],
                              ids=["object", "set", "bytes", "numpy_int64", "tuple_key"])
@@ -647,6 +731,7 @@ class TestCommandLine:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(case=st.one_of(nudges(), MUTATIONS))
     @example(case=HUGE_FORCE)
+    @every_config_reaches_the_solver
     def test_mutated_config_runs_or_fails_closed(self, case):
         # the full pipeline on a short horizon: every mutation that loads runs
         # to an exit code, never to a traceback or a hang

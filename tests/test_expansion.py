@@ -229,7 +229,7 @@ class TestDiscreteRecursion:
 def generator_force(lat, seed):
     """Small dense fields on the generators of a lattice."""
     raw = [(e.exponent, small_field(seed + n)) for n, e in enumerate(lat.entries)
-           if e.is_generator()]
+           if ("generator",) in e.origins]
     return normalize_force(raw, lat)
 
 

@@ -122,9 +122,12 @@ class TestForceEvaluation:
         force = manual_manufactured(xi1, lat)
         seen = self.spied(monkeypatch, force)
         stats = integrate_nse((1.0 / 5.0) * xi1, force, 5.0, 20.0, 1e-8).stats
-        # two terms per evaluation; each distinct time is evaluated about once
-        assert len(seen) == 2 * stats["n_force_evals"]
+        # two terms per evaluation, and per slope at each of its two times;
+        # each distinct time is evaluated about once
+        assert len(seen) == 2 * (stats["n_force_evals"] + 2 * stats["n_force_slopes"])
         assert 0 < stats["n_force_evals"] < stats["n_rhs"]
+        # one slope per ledger node: two per accepted step, and the start
+        assert stats["n_force_slopes"] == 2 * stats["n_steps"] + 1
 
 
 class TestPhiTrio:

@@ -10,6 +10,7 @@ from nsasym.spectral import (
     _dft_matrices,
     _from_grid,
     _grid,
+    _plan,
     _project_box,
     _to_grid,
     _weights,
@@ -198,6 +199,16 @@ class TestSmoothingConstant:
             smoothing_constant(1.0, -1.0)
 
 
+def first_and_repeat(fft_calls, call):
+    """The transforms of call() on supports with no plan yet (``fft_calls``
+    starts with an empty plan cache), and of call() again."""
+    call()
+    first = list(fft_calls)
+    fft_calls.clear()
+    call()
+    return first, list(fft_calls)
+
+
 class TestBilinearForm:
     def test_shear_self_advection_vanishes(self):
         u = shear_field()
@@ -272,10 +283,18 @@ class TestBilinearForm:
 
     @pytest.mark.parametrize("same", [True, False], ids=["u_is_v", "u_ne_v"])
     def test_one_transform_pair_per_call(self, same, fft_calls):
-        # the support mask rides in the product transforms: no second pipeline
+        # new supports are planned once, by one transform pair of their
+        # indicators (one row in when v is u, two otherwise, one back); every
+        # call makes one pair for the products: 3 rows in per field and 6 or
+        # 9 products back, on the grid the plan used
         u = supported_field(3, "planar", np.random.default_rng(5))
-        bilinear_form(u, u if same else shear_field(3))
-        assert [c.name for c in fft_calls] == ["to_grid", "from_grid"]
+        v = u if same else shear_field(3)
+        fields, products = (1, 6) if same else (2, 9)
+        first, repeat = first_and_repeat(fft_calls, lambda: bilinear_form(u, v))
+        assert [(c.name, c.rows) for c in first] == [
+            ("to_grid", fields), ("from_grid", 1), ("to_grid", 3 * fields), ("from_grid", products)]
+        assert len({c.grid for c in first}) == 1
+        assert repeat == first[2:]
 
     @pytest.mark.parametrize("support, cutoff, grid", [
         ("planar", 3, (10, 10, 1)), ("opposed_pairs", 4, (14, 10, 6)), ("dense", 4, (14, 14, 14)),
@@ -290,9 +309,11 @@ class TestBilinearForm:
                                                   (-4, 2, 1): (0.1, 0.2, 0.0)})
         else:
             u = supported_field(cutoff, support, np.random.default_rng(cutoff))
-        bilinear_form(u, u)
-        assert [c.name for c in fft_calls] == ["to_grid", "from_grid"]
-        assert [c.grid for c in fft_calls] == [grid, grid]
+        first, repeat = first_and_repeat(fft_calls, lambda: bilinear_form(u, u))
+        assert [(c.name, c.rows) for c in first] == [
+            ("to_grid", 1), ("from_grid", 1), ("to_grid", 3), ("from_grid", 6)]
+        assert [c.grid for c in first] == [grid] * 4
+        assert repeat == first[2:]
 
     @pytest.mark.parametrize("case", ["criterion2_pair_K4", "diagonals_K3", "zero_left",
                                       "zero_right"])
@@ -318,8 +339,9 @@ class TestBilinearForm:
 
     @pytest.mark.parametrize("case", ["diagonals_K4", "difference_only_K3"])
     def test_reachable_support_sum_is_transformed(self, case, fft_calls):
-        # sums in the cube away from k = 0 go through one transform pair; at
-        # K = 3 the second pair is reached only through p - q = +-(1, -1, 0)
+        # sums in the cube away from k = 0 go through one transform pair, after
+        # the indicator pair of the first call; at K = 3 the second pair is
+        # reached only through p - q = +-(1, -1, 0)
         if case == "diagonals_K4":
             u = SpectralField.from_modes(4, {(2, 2, 0): (1.0, -1.0, 0.0)})
             v = SpectralField.from_modes(4, {(2, -2, 0): (1.0, 1.0, 0.0)})
@@ -328,8 +350,11 @@ class TestBilinearForm:
             u = SpectralField.from_modes(3, {(3, 0, 0): (0.0, 1.0, 0.0)})
             v = SpectralField.from_modes(3, {(2, 1, 0): (0.0, 0.0, 1.0)})
             reached = {(1, -1, 0), (-1, 1, 0)}
+        first, repeat = first_and_repeat(fft_calls, lambda: bilinear_form(u, v))
+        assert [(c.name, c.rows) for c in first] == [
+            ("to_grid", 2), ("from_grid", 1), ("to_grid", 6), ("from_grid", 9)]
+        assert repeat == first[2:]
         got = bilinear_form(u, v)
-        assert [c.name for c in fft_calls] == ["to_grid", "from_grid"]
         assert {k for k, _ in got.modes()} == reached
         want = bilinear_quadrature(u, v, n=3 * u.cutoff + 1)
         assert (got - want).l2() <= 1e-12 * want.l2()
@@ -462,6 +487,56 @@ class TestAdvectionSum:
         v = u if same else supported_field(4, "dense", rng)
         assert advection_sum([(u, v)]).coeffs.tobytes() == bilinear_form(u, v).coeffs.tobytes()
 
+    def test_cold_and_warm_plans_give_the_same_bits(self):
+        # a plan built inside the call and one read from the cache
+        cases = []
+        for cutoff in (3, 4):
+            lists = self.pair_lists(cutoff)
+            cases += [lists["closed"], lists["open"]]
+            u, v = (supported_field(cutoff, kind, np.random.default_rng(cutoff))
+                    for kind in ("planar", "pair"))
+            cases += [[(u, u)], [(u, v)], [(v, u), (u, u)]]
+        cold = []
+        for pairs in cases:
+            _plan.cache_clear()
+            cold.append(advection_sum(pairs).coeffs.tobytes())
+        assert [advection_sum(pairs).coeffs.tobytes() for pairs in cases] == cold
+
+    def test_exact_zeros_are_the_unreached_modes(self):
+        # sums whose pairs have output boxes of their own: a mode is exactly
+        # zero where no pair of the sum reaches it and nowhere else (k = 0
+        # aside, where B is zero either way).  The sparse fields' modes have
+        # no zero component, and the first field is dense on a box of its
+        # own half the time (a pair that reaches its whole box), so no
+        # reached mode cancels exactly.
+        rng = np.random.default_rng(71)
+        boxes_differ = 0
+        for case in range(40):
+            cutoff = int(rng.integers(3, 6))
+            fields = []
+            if case % 2:
+                box = tuple(slice(cutoff - r, cutoff + r + 1) for r in rng.integers(1, cutoff, size=3))
+                cropped = np.zeros((2 * cutoff + 1,) * 3 + (3,), dtype=np.complex128)
+                cropped[box] = random_solenoidal_field(cutoff, rng).coeffs[box]
+                fields.append(leray_project(cropped, cutoff))
+            while len(fields) < 3:
+                reach = rng.integers(1, cutoff + 1, size=3)
+                modes = {tuple(int(x) for x in rng.integers(1, reach + 1) * rng.choice([-1, 1], 3)):
+                         rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                         for _ in range(int(rng.integers(1, 4)))}
+                fields.append(SpectralField.from_modes(cutoff, modes))
+            picks = rng.integers(3, size=(int(rng.integers(2, 5)), 2))
+            pairs = [(fields[a], fields[b]) for a, b in picks]
+            sums = {tuple(np.abs(np.array([k for k, _ in u.modes()])).max(axis=0)
+                          + np.abs(np.array([k for k, _ in v.modes()])).max(axis=0))
+                    for u, v in pairs}
+            boxes_differ += len({tuple(min(cutoff, x) for x in e) for e in sums}) > 1
+            _, unreached = divergence_form_sum(pairs)
+            zero = ~np.any(advection_sum(pairs).coeffs != 0, axis=-1)
+            zero[cutoff, cutoff, cutoff] = unreached[cutoff, cutoff, cutoff]
+            np.testing.assert_array_equal(zero, unreached)
+        assert boxes_differ >= 20
+
     def test_rejects_empty_list_and_mixed_cutoffs(self):
         with pytest.raises(ValueError):
             advection_sum([])
@@ -470,8 +545,10 @@ class TestAdvectionSum:
             advection_sum([(u2, u2), (u3, u3)])
 
     def test_recursion_makes_one_forward_transform_per_entry(self, fft_calls):
-        # each entry's wedge sum is one advection sum: one from_grid when some
-        # wedge pair reaches the cube, none when every pair misses it
+        # each entry's wedge sum is one advection sum: one product from_grid
+        # when some wedge pair reaches the cube, none when every pair misses
+        # it; the first pass also plans each support pair that reaches, with
+        # a one-row indicator from_grid, and a second pass plans none
         lat = provenance_lattices()[-1]
         force = normalize_force(
             [(lat.exponent(1), SpectralField.from_modes(3, {(3, 0, 0): (0.0, 0.2, 0.1)})),
@@ -481,6 +558,13 @@ class TestAdvectionSum:
                 if any(reaches(xi.field(i), xi.field(j)) for i, j in lat.wedge_pairs(n))]
         wedged = [n for n in range(1, len(lat) + 1) if lat.wedge_pairs(n)]
         assert 0 < len(live) < len(wedged)
+        forward = [c.rows for c in fft_calls if c.name == "from_grid"]
+        assert len(forward) - forward.count(1) == len(live)
+        assert forward.count(1) > 0
+        fft_calls.clear()
+        again = compute_coefficients(force)
+        assert all(a.coeffs.tobytes() == b.coeffs.tobytes() for a, b in zip(again.fields, xi.fields))
+        assert [c.rows for c in fft_calls if c.name == "from_grid"].count(1) == 0
         assert [c.name for c in fft_calls].count("from_grid") == len(live)
 
 
