@@ -36,15 +36,19 @@ output box, equal to numpy's real FFTs, zero-filled and cropped, to
 rounding.  Every mode that no pair p + q = k reaches is set to exactly
 zero, so transform rounding never fills modes no convolution can reach.
 Which modes those are depends on the supports alone, so it is found once
-per pair of supports, when the pair is planned: the support indicators go
-through the pair's transforms, and their product comes back as the number
-of pairs p + q = k.  A call transforms only the fields and their products.
-The divergence and the Leray projection are one precomputed map on the
-k3 >= 0 half of the output box, W[c, (j, c'), k] = P_cc'(k) i k_j, cached
-per output box; the k3 < 0 half is the conjugate.  The sizes and DFT
-matrices are cached per support extents, and the extents and unreached
-modes per pair of supports; a small pair of supports whose sums all miss
-the cube away from k = 0 is dropped with no transform.
+per pair of supports (the support indicators go through the pair's
+transforms, and their product comes back as the number of pairs
+p + q = k), and a sum's are intersected once per call plan.  The divergence
+and the Leray projection are one precomputed map on the k3 >= 0 half of
+the output box, W[c, (j, c'), k] = P_cc'(k) i k_j, cached per output box;
+the k3 < 0 half is the conjugate.  The sizes and DFT matrices are cached
+per support extents, the extents and unreached modes per pair of
+supports, and everything the supports and the pairing of a call fix (the
+grid, the pairs kept, the batches, the symmetry and the unreached modes)
+per call plan; a small pair of supports whose sums all miss the cube away
+from k = 0 is dropped with no transform.  Every call, the solver's lone
+B(u, u) as much as a recursion's wedge sum, then runs one path that
+transforms only the fields and their products.
 """
 
 from __future__ import annotations
@@ -479,7 +483,7 @@ def _weights(e_out: tuple, symmetric: bool) -> np.ndarray:
     return weights
 
 
-class _Plan(NamedTuple):
+class _Reach(NamedTuple):
     """What the supports of a pair (u, v) fix about B(u, v)."""
 
     e_in: tuple                  # max(e_u, e_v), the largest |k_a| of either support
@@ -500,7 +504,7 @@ def _unpack(bits: bytes, shape: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> _Plan | None:
+def _reach(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> _Reach | None:
     """For supp(u) and supp(v), given as k3 >= 0 half masks packed to bits
     (``np.packbits``), the largest |k_a| per axis of either support and of
     their sums, max(e_u, e_v) and e_u + e_v with e_u, e_v the extents of
@@ -509,16 +513,15 @@ def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> _Plan | None
 
     None when no such p + q lands in the cube away from k = 0.  That is
     tested by listing p +- q over the half masks when they hold at most
-    _SUM_PAIRS pairs; larger supports always get a plan, so the listing
-    stays small.  The unreached modes come from the support indicators,
-    real and even like the fields, through the pair's own transforms: the
-    product ind_u ind_v comes back as the number of pairs p + q = k, and a
-    mode whose count is at most 0.5 is unreached.  That is one transform
-    pair per plan, never one per call.  The solver's support rarely changes
-    between calls, so a few plans serve a whole run; a lattice pass meets a
-    few hundred support pairs, which the cache holds.  Packed keys and
-    masks, and no mask at all for a pair that reaches every mode (dense and
-    full-plane states), keep it under 10 MB even at K = 16."""
+    _SUM_PAIRS pairs; larger supports skip the test and are kept, so the
+    listing stays small.  The unreached modes come from the support indicators, real and
+    even like the fields, through the pair's own transforms: the product
+    ind_u ind_v comes back as the number of pairs p + q = k, and a mode
+    whose count is at most 0.5 is unreached.  That is one transform pair
+    per pair of supports, never one per call, and calls that share a pair
+    of supports share it.  Packed keys and masks, and no mask at all for a
+    pair that reaches every mode (dense and full-plane states), keep the
+    cache under 10 MB even at K = 16."""
     shape = (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
     masks = [_unpack(m, shape) for m in ((mask_u,) if same else (mask_u, mask_v))]
     centre = (cutoff, cutoff, 0)
@@ -535,27 +538,51 @@ def _plan(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> _Plan | None
     phys = _to_grid(layout.to_grid, np.array([m[layout.box_in] for m in masks],
                                              dtype=np.complex128))
     unreached = _from_grid(layout.from_grid, phys[:1] * phys[-1:])[0].real <= 0.5
-    return _Plan(e_in, e_sum, np.packbits(unreached).tobytes() if unreached.any() else None)
+    return _Reach(e_in, e_sum, np.packbits(unreached).tobytes() if unreached.any() else None)
 
 
-def _unreached(plans: list, e_out: tuple, cutoff: int) -> np.ndarray | None:
-    """The modes of the output half box of e_out that none of ``plans``
-    reaches, or None when every mode is reached.  A plan's own output box
-    is centred in it, and a mode outside that box is unreached by the
-    plan."""
-    if len(plans) == 1:
-        bits = plans[0].unreached
-        return None if bits is None else _unpack(bits, _half_shape(e_out))
-    common = np.ones(_half_shape(e_out), dtype=bool)
-    for plan in {id(p): p for p in plans}.values():
-        own = _half_shape(tuple(min(cutoff, s) for s in plan.e_sum))
-        box = tuple(slice((n - m) // 2, (n + m) // 2) for n, m in zip(common.shape[:2], own[:2]))
+class _Plan(NamedTuple):
+    """What the supports and the pairing of an ``advection_sum`` call fix."""
+
+    layout: _Layout
+    symmetric: bool              # the pairs left are closed under swap: 6 products, not 9
+    batches: tuple               # (field slots, pairs in batch-local slots) per batch
+    unreached: np.ndarray | None  # the output half box's modes no pair reaches, read-only;
+                                  # None when every mode is reached
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(cutoff: int, keys: tuple, slots: tuple) -> _Plan | None:
+    """The plan of a call on fields with the packed support masks ``keys``
+    (see ``_reach``) and the pairs ``slots`` of indices into ``keys``.
+
+    The pairs that reach nothing are dropped, and the plan is None when
+    every pair is.  The layout takes the largest extents of the pairs
+    left, and the unreached modes are those that every pair left leaves
+    unreached: a pair's own output box is centred in the layout's, and a
+    mode outside it is unreached by the pair.  A lattice pass meets a few
+    hundred call plans, about as many as pairs of supports, and a solver
+    run a few, so the cache holds them all."""
+    reach = {(a, b): _reach(cutoff, a == b, keys[a], keys[b]) for a, b in dict.fromkeys(slots)}
+    kept = [ab for ab in slots if reach[ab] is not None]
+    if not kept:
+        return None
+    reached = [r for r in reach.values() if r is not None]
+    # the largest extent of a field and of a pair's sum, per axis
+    e_in, e_sum = (tuple(map(max, zip(*ext))) for ext in zip(*((r.e_in, r.e_sum) for r in reached)))
+    layout = _layout(cutoff, e_in, e_sum)
+    unreached = np.ones(_half_shape(layout.e_out), dtype=bool)
+    for r in reached:
+        own = _half_shape(tuple(min(cutoff, s) for s in r.e_sum))
+        box = tuple(slice((n - m) // 2, (n + m) // 2) for n, m in zip(unreached.shape[:2], own[:2]))
         box += (slice(own[2]),)
-        if plan.unreached is None:
-            common[box] = False
+        if r.unreached is None:
+            unreached[box] = False
         else:
-            common[box] &= _unpack(plan.unreached, own)
-    return common if common.any() else None
+            unreached[box] &= _unpack(r.unreached, own)
+    unreached.setflags(write=False)
+    return _Plan(layout, sorted(kept) == sorted((b, a) for a, b in kept),
+                 tuple(_batches(kept, _BATCH)), unreached if unreached.any() else None)
 
 
 def _batches(pairs: list, limit: int) -> Iterator[tuple[list, list]]:
@@ -624,15 +651,18 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     b(u, u, u) tests check this).  Fields are told apart by identity: each
     distinct object is transformed once per batch of at most _BATCH fields,
     which bounds the transient memory whatever the number of pairs.  When
-    the pair list is closed under swap (as many (u, v) as (v, u); a lone
-    (u, u) is), T is symmetric and 6 products are formed instead of 9.  A
-    lone pair, every call of the solver, skips the batch bookkeeping: u is
-    v decides the symmetry.
+    the pairs left are closed under swap (as many (u, v) as (v, u); a lone
+    (u, u) is), T is symmetric and 6 products are formed instead of 9.
 
-    What the supports fix is planned once per pair of support masks
-    (``_plan``, cached): a pair whose supports are small and reach no p + q
-    in the cube away from k = 0 adds nothing and is dropped before any
-    transform, and when every pair is dropped the result is the zero field.
+    Everything the supports and the pairing fix is one call plan
+    (``_plan``), cached per cutoff, support masks of the distinct fields
+    and pairs of field slots, and built from the reach of each pair of
+    supports (``_reach``, cached per pair of support masks).  So a call
+    computes its support masks, looks its plan up and runs one path,
+    however many pairs, fields or batches it has.  A pair whose supports
+    are small and reach no p + q in the cube away from k = 0 adds nothing
+    and is dropped before any transform, and when every pair is dropped
+    the result is the zero field.
     Each axis a of the grid is sized from the pairs left: with s[a] the
     largest e_u[a] + e_v[a] over them (e_u, e_v the largest |k_a| in
     supp(u), supp(v)), the output box is |k_a| <= o[a] = min(K, s[a])
@@ -652,8 +682,8 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     product rows (``_weights``, cached per output box).  A mode that no
     pair p + q = k of any pair in the sum reaches is set to exactly zero,
     so transform rounding never fills it and sparse sums stay sparse: each
-    plan holds the modes its pair leaves unreached, found once from the
-    support indicators, and the sum's are those that every kept pair
+    pair's reach holds the modes it leaves unreached, found once from the
+    support indicators, and the plan holds those that every kept pair
     leaves unreached.  The k3 = 0 plane holds both k and -k, and is
     symmetrized; the k3 < 0 half is filled with the conjugates, so the
     result is real and divergence free to rounding, and ``leray_project``
@@ -662,64 +692,36 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     pairs = list(pairs)
     if not pairs:
         raise ValueError("advection_sum needs at least one (u, v) pair")
-    if len(pairs) == 1:
-        u, v = pairs[0]
-        fields, slots = ([u], [(0, 0)]) if u is v else ([u, v], [(0, 1)])
-    else:
-        fields = list({id(f): f for pair in pairs for f in pair}.values())
-        slot = {id(f): i for i, f in enumerate(fields)}
-        slots = [(slot[id(u)], slot[id(v)]) for u, v in pairs]
+    fields = list({id(f): f for pair in pairs for f in pair}.values())
+    slot = {id(f): i for i, f in enumerate(fields)}
     K = fields[0].cutoff
     if any(f.cutoff != K for f in fields):
         raise CutoffMismatchError(f"cutoffs {sorted({f.cutoff for f in fields})} differ")
     halves = [f.coeffs[:, :, K:] for f in fields]   # k3 >= 0: a real field's half spectrum
     # a mode is in the support when one of its six floats is nonzero
-    keys = [np.packbits((h.view(np.float64) != 0) @ _SIX).tobytes() for h in halves]
-    kept, plans = [], []
-    for a, b in slots:
-        plan = _plan(K, a == b, keys[a], keys[b])
-        if plan is not None:
-            kept.append((a, b))
-            plans.append(plan)
-    if not kept:
+    keys = tuple(np.packbits((h.view(np.float64) != 0) @ _SIX).tobytes() for h in halves)
+    plan = _plan(K, keys, tuple((slot[id(u)], slot[id(v)]) for u, v in pairs))
+    if plan is None:
         return SpectralField.zero(K)
-    if len(plans) == 1:
-        layout = _layout(K, plans[0].e_in, plans[0].e_sum)
-    else:   # the largest extent of a field and of a pair's sum, per axis
-        layout = _layout(K, *(tuple(map(max, *ext)) for ext in
-                              zip(*((p.e_in, p.e_sum) for p in plans))))
-    if len(pairs) == 1:
-        symmetric = u is v
-        batches = [(range(len(fields)), slots)]
-    else:
-        symmetric = sorted(kept) == sorted((b, a) for a, b in kept)
-        used = list(dict.fromkeys(f for pair in kept for f in pair))
-        if len(used) <= _BATCH:
-            local_of = {f: i for i, f in enumerate(used)}
-            batches = [(used, [(local_of[a], local_of[b]) for a, b in kept])]
-        else:
-            batches = _batches(kept, _BATCH)
-    J, C = _FACTORS[symmetric]
-    # one pair's products are the T_jc rows; more add theirs up
-    accumulate = len(kept) > 1
-    prod = np.zeros((len(J),) + layout.sizes) if accumulate else None
-    for batch, local in batches:
+    layout = plan.layout
+    J, C = _FACTORS[plan.symmetric]
+    prod = None     # the T_jc rows: the first pair writes its products, later pairs add
+    for batch, local in plan.batches:
         # component-major half spectra on the input box, 3 rows per field
         phys = _to_grid(layout.to_grid, np.concatenate(
             [halves[f][layout.box_in].transpose(3, 0, 1, 2) for f in batch]))
         for a, b in local:
             term = phys[3 * a:3 * a + 3][J] * phys[3 * b:3 * b + 3][C]
-            if accumulate:
-                prod += term
-            else:
+            if prod is None:
                 prod = term
+            else:
+                prod += term
         del phys
     half = _from_grid(layout.from_grid, prod)
     del prod
-    flux = (_weights(layout.e_out, symmetric) * half).sum(axis=1)   # P(k) i k_j T_jc
-    unreached = _unreached(plans, layout.e_out, K)
-    if unreached is not None:
-        np.copyto(flux, 0.0, where=unreached)             # no pair p + q = k
+    flux = (_weights(layout.e_out, plan.symmetric) * half).sum(axis=1)   # P(k) i k_j T_jc
+    if plan.unreached is not None:
+        np.copyto(flux, 0.0, where=plan.unreached)        # no pair p + q = k
     plane = flux[..., 0]                                  # k3 = 0 holds k and -k
     plane[...] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
     o1, o2, o3 = layout.e_out
@@ -735,14 +737,14 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
 def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:
     """Advective form B(u, v) = P((u . grad) v), the exact Galerkin nonlinearity.
 
-    The one-pair case of ``advection_sum``, which documents the method: one
-    inverse transform of u and v (u alone, and 6 products instead of 9,
-    when v is u), one forward transform of the products, each three partial
-    DFT matrix products, and one contraction for the divergence and the
-    Leray projection on the output box; the modes no p + q reaches are
-    zeroed from the cached plan of the two supports.  A pair of small
-    supports with no sum in the cube away from k = 0 gives the zero field
-    with no transform.
+    ``advection_sum`` of the one pair, which documents the method and runs
+    the same path for it as for a sum: one inverse transform of u and v (u
+    alone, and 6 products instead of 9, when v is u), one forward transform
+    of the products, each three partial DFT matrix products, and one
+    contraction for the divergence and the Leray projection on the output
+    box; the modes no p + q reaches are zeroed from the cached call plan.
+    A pair of small supports with no sum in the cube away from k = 0 gives
+    the zero field with no transform.
     """
     return advection_sum([(u, v)])
 

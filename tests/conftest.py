@@ -46,6 +46,13 @@ class Transform(NamedTuple):
     rows: Optional[int] = None
 
 
+def clear_spectral_caches():
+    """Empty every cache of ``spectral``: layouts, weight maps, pair reaches
+    and call plans, so the next call plans from scratch."""
+    for cache in (spectral._layout, spectral._weights, spectral._reach, spectral._plan):
+        cache.cache_clear()
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
     """Record every 3-D transform of ``spectral``, in order, as a Transform.
@@ -53,11 +60,11 @@ def fft_calls(monkeypatch):
     The transforms are the helper pair ``spectral._to_grid`` and
     ``spectral._from_grid``, each a few matrix products.  A numpy FFT called
     anywhere is recorded as well, under its numpy name with grid None, so a
-    transform outside the pair cannot hide.  The plan cache starts empty,
-    so the first call on a pair of supports also records the indicator
-    transform pair that plans it.
+    transform outside the pair cannot hide.  Every ``spectral`` cache starts
+    empty, so the first call on a pair of supports also records the
+    indicator transform pair that finds its reach.
     """
-    spectral._plan.cache_clear()
+    clear_spectral_caches()
     calls = []
 
     def spy_numpy(name):

@@ -275,8 +275,9 @@ class TestResidualAudit:
 
 def test_repeated_lattice_pass_rebuilds_no_plan():
     # one pass over the 62-entry product lattice, forced on sparse low modes,
-    # meets over a hundred support pairs; the plan cache must hold them all,
-    # so the same closure, recursion and residual audit again misses none
+    # meets over a hundred support pairs and call plans; the caches must hold
+    # them all, so the same closure, recursion and residual audit again
+    # misses neither
     product = ProductSystem(GAMMA)
     gens = (product.exponent_from_pair(1, 1), product.exponent_from_pair(1, 2))
     rng = np.random.default_rng(61)
@@ -293,9 +294,10 @@ def test_repeated_lattice_pass_rebuilds_no_plan():
         return max(recursion_residual(xi, force, n) for n in range(1, len(lat) + 1))
 
     assert lattice_pass() <= 1e-12
-    misses = spectral._plan.cache_info().misses
+    caches = (spectral._reach, spectral._plan)
+    misses = [cache.cache_info().misses for cache in caches]
     assert lattice_pass() <= 1e-12
-    assert spectral._plan.cache_info().misses == misses
+    assert [cache.cache_info().misses for cache in caches] == misses
 
 
 class TestEvaluate:

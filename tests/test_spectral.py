@@ -29,6 +29,8 @@ from nsasym.spectral import (
     trilinear_form,
 )
 
+from conftest import clear_spectral_caches
+from nsasym import spectral
 from nsasym.expansion import compute_coefficients, normalize_force
 from oracles import bilinear_quadrature, divergence_form_sum
 from test_lattice import provenance_lattices
@@ -498,9 +500,31 @@ class TestAdvectionSum:
             cases += [[(u, u)], [(u, v)], [(v, u), (u, u)]]
         cold = []
         for pairs in cases:
-            _plan.cache_clear()
+            clear_spectral_caches()
             cold.append(advection_sum(pairs).coeffs.tobytes())
         assert [advection_sum(pairs).coeffs.tobytes() for pairs in cases] == cold
+
+    def test_each_pairing_has_its_own_plan(self, monkeypatch):
+        # one pair of supports in three pairings: (u, v), (v, u) and the
+        # swap-closed sum of both are three plans, and only the sum forms
+        # the six symmetric products; a repeated call reads its plan from
+        # the cache and gives the same bits
+        rng = np.random.default_rng(43)
+        u, v = (supported_field(4, kind, rng) for kind in ("planar", "dense"))
+        plans = []
+
+        def spy(*args, _inner=_plan):
+            plans.append(_inner(*args))
+            return plans[-1]
+        monkeypatch.setattr(spectral, "_plan", spy)
+        pairings = [[(u, v)], [(v, u)], [(u, v), (v, u)]]
+        first = [advection_sum(pairs).coeffs.tobytes() for pairs in pairings]
+        assert len(set(map(id, plans))) == 3
+        assert [p.symmetric for p in plans] == [False, False, True]
+        hits = _plan.cache_info().hits
+        assert [advection_sum(pairs).coeffs.tobytes() for pairs in pairings] == first
+        assert _plan.cache_info().hits == hits + 3
+        assert all(again is plan for again, plan in zip(plans[3:], plans[:3]))
 
     def test_exact_zeros_are_the_unreached_modes(self):
         # sums whose pairs have output boxes of their own: a mode is exactly
