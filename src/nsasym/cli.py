@@ -472,11 +472,6 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
     return ExperimentResult(cfg, lat, coeffs, reference, force, trace, remainders, checks)
 
 
-# Pieces held before a write.  Joining the whole text first raised the peak
-# memory of a dense run by ~9%; this many keep it level with json.dump.
-_FLUSH_PIECES = 2048
-
-
 def _scalar(o) -> str:
     if isinstance(o, str):
         return encode_basestring_ascii(o)
@@ -549,14 +544,11 @@ def _dump(payload, write) -> None:
     artifact format (two-space indent, sorted keys, ASCII).
 
     With an indent json runs its pure-Python encoder, one generator step per
-    token.  Here a list of plain floats or plain ints is a single join, and
-    a list of flat records, dicts with one key set whose values are numbers
-    or lists of numbers (the mode lists of states and coefficients, a
-    config's force modes), is a single % format of one record's template
-    (``_records``); anything else (bools, NaN and inf, nested values,
-    ragged lists, non-str keys) takes the item path.  The text goes out
-    every _FLUSH_PIECES pieces, and a records text as soon as it is formed,
-    never whole."""
+    token.  Here a list of flat records, dicts with one key set whose values
+    are numbers or lists of numbers (the mode lists of states and
+    coefficients, a config's force modes), is a single % format of one
+    record's template (``_records``); anything else takes the item path.
+    A records text goes out as soon as it is formed, the rest at the end."""
     pieces = []
 
     def emit(o, pad: str) -> None:
@@ -577,13 +569,7 @@ def _dump(payload, write) -> None:
                 pieces.append("[]")
                 return
             inner = pad + "  "
-            kind = type(o[0])
-            if (kind is float or kind is int) and all(type(x) is kind for x in o):
-                text = ("," + inner).join(map(kind.__repr__, o))
-                if kind is int or "n" not in text:  # "nan" and "inf" take the item path
-                    pieces.append("[" + inner + text + pad + "]")
-                    return
-            elif kind is dict:
+            if type(o[0]) is dict:
                 text = _records(o, inner)
                 if text is not None:
                     pieces.append("[" + inner)
@@ -596,9 +582,6 @@ def _dump(payload, write) -> None:
                 pieces.append(lead)
                 emit(item, inner)
                 lead = "," + inner
-                if len(pieces) >= _FLUSH_PIECES:
-                    write("".join(pieces))
-                    pieces.clear()
             pieces.append(pad + "]")
         else:
             pieces.append(_scalar(o))
@@ -657,12 +640,15 @@ def emit_report(result: ExperimentResult, outdir) -> list[Path]:
             for t, r in series:
                 fh.write(f"{t:.17g},{r:.17g}\n")
         written.append(path)
+    return written + _write_trace(result.trace, out)
+
+
+def _write_trace(trace: SimulationTrace, out: Path) -> list[Path]:
+    """Write trace.csv and states.json into ``out``."""
     trace_path = out / "trace.csv"
     with _writing(trace_path):
-        result.trace.to_csv(trace_path)
-    written.append(trace_path)
-    written.append(_write_json(out / "states.json", result.trace.states_json()))
-    return written
+        trace.to_csv(trace_path)
+    return [trace_path, _write_json(out / "states.json", trace.states_json())]
 
 
 # ---------------------------------------------------------------------------
@@ -758,10 +744,7 @@ def _command(args: argparse.Namespace, cfg: ExperimentConfig, out: Optional[Path
         _, coeffs, reference, force, _ = _expand(cfg, rng)
         if args.command == "coeffs":
             return _print_json(coeffs.to_json(), out, "coefficients.json")
-        trace = _simulate(cfg, reference, force, rng)
-        with _writing(out / "trace.csv"):
-            trace.to_csv(out / "trace.csv")
-        _write_json(out / "states.json", trace.states_json())
+        _write_trace(_simulate(cfg, reference, force, rng), out)
         with _writing(_STDOUT):
             print(f"trace written to {out}")
         return 0

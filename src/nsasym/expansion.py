@@ -158,20 +158,6 @@ def coupling_terms(lat: ExponentLattice, fields: Sequence[SpectralField], n: int
         yield advection_sum(pairs)
 
 
-def _recursion(force: Expansion, N: int) -> Expansion:
-    lat = force.lattice
-    if N > len(force):
-        raise ExpansionError(f"requested {N} coefficients but the force has {len(force)} entries")
-    out: list[SpectralField] = []
-    for n in range(1, N + 1):
-        acc = force.field(n)
-        for piece in coupling_terms(lat, out, n):
-            acc = acc - piece
-        out.append(apply_inverse_stokes(acc))
-    g = force.gevrey
-    return Expansion(lat, tuple(out), GevreyIndex(g.alpha + 1.0, g.sigma))
-
-
 def compute_coefficients(force: Expansion, N: Optional[int] = None) -> Expansion:
     """Solution coefficients xi_1..xi_N of a force expansion (all by default).
 
@@ -185,7 +171,17 @@ def compute_coefficients(force: Expansion, N: Optional[int] = None) -> Expansion
         raise ExpansionError("discrete recursion requires pair metadata on every entry")
     if force.gevrey.alpha < 0.5:
         raise ExpansionError("the recursion requires Gevrey order alpha >= 1/2")
-    return _recursion(force, len(force) if N is None else N)
+    N = len(force) if N is None else N
+    if N > len(force):
+        raise ExpansionError(f"requested {N} coefficients but the force has {len(force)} entries")
+    out: list[SpectralField] = []
+    for n in range(1, N + 1):
+        acc = force.field(n)
+        for piece in coupling_terms(lat, out, n):
+            acc = acc - piece
+        out.append(apply_inverse_stokes(acc))
+    g = force.gevrey
+    return Expansion(lat, tuple(out), GevreyIndex(g.alpha + 1.0, g.sigma))
 
 
 # Old name, kept as a plain alias while perfbench/layers.py and workloads.py look it up.

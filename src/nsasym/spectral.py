@@ -229,9 +229,6 @@ class SpectralField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SpectralField(self.cutoff, -self.coeffs)
-
     # -- inspection --------------------------------------------------------
 
     def modes(self, tol: float = 0.0) -> Iterator[tuple[WaveVector, np.ndarray]]:
@@ -338,7 +335,7 @@ def _project_box(arr: np.ndarray, kvec: np.ndarray, ksq_safe: np.ndarray,
     return 0.5 * (arr + _conj_flip(arr))
 
 
-_MULTIPLIER_KINDS = ("A_alpha", "exp_sqrtA", "heat")
+_MULTIPLIER_KINDS = ("A_alpha", "exp_sqrtA")
 
 
 def _log_multiplier(kind: str, parameter: float, cutoff: int) -> np.ndarray:
@@ -349,10 +346,6 @@ def _log_multiplier(kind: str, parameter: float, cutoff: int) -> np.ndarray:
         logm = parameter * np.log(ksq_safe)
     elif kind == "exp_sqrtA":
         logm = parameter * kabs
-    elif kind == "heat":
-        if parameter < 0:
-            raise ValueError("heat multiplier requires t >= 0")
-        logm = -parameter * ksq
     else:
         raise ValueError(f"unknown multiplier kind {kind!r}; expected one of {_MULTIPLIER_KINDS}")
     peak = float(logm.max(initial=-math.inf))
@@ -368,7 +361,6 @@ def apply_multiplier(u: SpectralField, kind: str, parameter: float) -> SpectralF
 
     kind = "A_alpha":   |k|^(2*parameter)      (fractional Stokes power)
     kind = "exp_sqrtA": e^(parameter * |k|)    (Gevrey smoothing/roughening)
-    kind = "heat":      e^(-parameter * |k|^2) (heat semigroup, parameter >= 0)
     """
     logm = _log_multiplier(kind, parameter, u.cutoff)
     return SpectralField(u.cutoff, u.coeffs * np.exp(logm)[..., None])
@@ -504,12 +496,13 @@ def _unpack(bits: bytes, shape: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _reach(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> _Reach | None:
+def _reach(cutoff: int, mask_u: bytes, mask_v: bytes) -> _Reach | None:
     """For supp(u) and supp(v), given as k3 >= 0 half masks packed to bits
     (``np.packbits``), the largest |k_a| per axis of either support and of
     their sums, max(e_u, e_v) and e_u + e_v with e_u, e_v the extents of
     the supports, and the modes of the pair's output half box that no
-    p + q with p in supp(u), q in supp(v) reaches.
+    p + q with p in supp(u), q in supp(v) reaches.  A support given twice
+    is unpacked and transformed once.
 
     None when no such p + q lands in the cube away from k = 0.  That is
     tested by listing p +- q over the half masks when they hold at most
@@ -523,7 +516,7 @@ def _reach(cutoff: int, same: bool, mask_u: bytes, mask_v: bytes) -> _Reach | No
     pair that reaches every mode (dense and full-plane states), keep the
     cache under 10 MB even at K = 16."""
     shape = (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
-    masks = [_unpack(m, shape) for m in ((mask_u,) if same else (mask_u, mask_v))]
+    masks = [_unpack(m, shape) for m in dict.fromkeys((mask_u, mask_v))]
     centre = (cutoff, cutoff, 0)
     points = [np.nonzero(m) for m in masks]        # index arrays per axis
     if len(points[0][0]) * len(points[-1][0]) <= _SUM_PAIRS:
@@ -563,7 +556,7 @@ def _plan(cutoff: int, keys: tuple, slots: tuple) -> _Plan | None:
     mode outside it is unreached by the pair.  A lattice pass meets a few
     hundred call plans, about as many as pairs of supports, and a solver
     run a few, so the cache holds them all."""
-    reach = {(a, b): _reach(cutoff, a == b, keys[a], keys[b]) for a, b in dict.fromkeys(slots)}
+    reach = {(a, b): _reach(cutoff, keys[a], keys[b]) for a, b in dict.fromkeys(slots)}
     kept = [ab for ab in slots if reach[ab] is not None]
     if not kept:
         return None

@@ -33,7 +33,7 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,7 +50,7 @@ __all__ = [
     "DomainError",
     "SystemSpecError",
     "iterated_log",
-    "min_log_time",
+    "first_time",
     "system_from_json",
     "verify_system_conditions",
     "CheckResult",
@@ -230,14 +230,6 @@ class SqrtShiftSystem(DecaySystem):
 # iterated-logarithm machinery
 # ---------------------------------------------------------------------------
 
-def min_log_time(m: int) -> float:
-    """Smallest t with L_m(t) > 0: the tower e^e^...^1 of height m - 1."""
-    t = 1.0
-    for _ in range(m - 1):
-        t = math.exp(t)
-    return t
-
-
 def iterated_log(m: int, t: float) -> float:
     """L_m(t) = ln ln ... ln t (m times); domain error if any level is <= 0."""
     if m < 1:
@@ -259,41 +251,36 @@ def _iterated_log_vector(m: int, x1: float) -> list[float]:
     return vals
 
 
-def _find_t_min(floor: float, admissible) -> float:
-    """Smallest admissible time, by geometric scan then bisection.
+def first_time(ok: Callable[[float], bool], start: float) -> Optional[float]:
+    """The smallest t >= start from which ``ok(t)`` holds, or None.
 
-    ``admissible(t)`` must be monotone-eventually-true; the scan demands a
-    run of successes before trusting a candidate, the bisection then sharpens
-    the left edge.
+    ``ok`` must hold from some time on, and a DomainError, ValueError or
+    OverflowError it raises counts as false.  ``start`` itself is tried
+    first.  Past it, t grows by 1.6 until ``ok`` holds at t and at the five
+    points 1.7 t, 1.7^2 t, ... (a run of successes before a candidate is
+    trusted), or gives up (None) after 400 such steps; 80 bisections
+    between the last failing t and the first trusted one then sharpen the
+    left edge.
     """
-    lo = floor
-    t = floor * 1.0000001
+    def holds(t: float) -> bool:
+        try:
+            return bool(ok(t))
+        except (DomainError, ValueError, OverflowError):
+            return False
+
+    if holds(start):
+        return start
+    lo, t = start, start * 1.6
     for _ in range(400):
-        ok = True
-        probe = t
-        for _ in range(6):
-            try:
-                if not admissible(probe):
-                    ok = False
-                    break
-            except (DomainError, ValueError, OverflowError):
-                ok = False
-                break
-            probe *= 1.7
-        if ok:
+        if all(holds(t * 1.7 ** j) for j in range(6)):
             break
-        lo = t
-        t *= 1.6
+        lo, t = t, t * 1.6
     else:
-        raise SystemSpecError("could not locate an admissible start time")
+        return None
     hi = t
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        try:
-            good = admissible(mid)
-        except (DomainError, ValueError, OverflowError):
-            good = False
-        if good:
+        if holds(mid):
             hi = mid
         else:
             lo = mid
@@ -386,7 +373,6 @@ class IteratedLogSystem(DecaySystem):
         return pref * acc
 
     def _compute_t_min(self) -> float:
-        floor = 1e-9
         h = 1e-4
 
         def admissible(t):
@@ -395,7 +381,10 @@ class IteratedLogSystem(DecaySystem):
             wp = (self.omega(t * (1 + h)) - self.omega(t * (1 - h)))
             return lm >= 0.1 and w > 0.0 and wp > 0.0
 
-        return _find_t_min(floor, admissible)
+        t_min = first_time(admissible, 1e-9)
+        if t_min is None:
+            raise SystemSpecError("could not locate an admissible start time")
+        return t_min
 
     # -- interface -------------------------------------------------------------
 
@@ -434,13 +423,15 @@ class _TrigLogSystem(DecaySystem):
         if m < 1:
             raise SystemSpecError("trigonometric log system requires m >= 1")
         self.m = int(m)
-        # monotone decay needs 1/L_m inside (0, pi/2); L_m >= 0.7 is safely there
-        floor = min_log_time(m) * 1.000001
-
-        def admissible(t):
-            return iterated_log(self.m, t) >= 0.7
-
-        self._t_min = _find_t_min(floor, admissible)
+        # monotone decay needs 1/L_m inside (0, pi/2); L_m >= 0.7 is safely
+        # there, and holds from the tower e^e^...^0.7 of height m on
+        t = 0.7
+        try:
+            for _ in range(self.m):
+                t = math.exp(t)
+        except OverflowError:
+            raise SystemSpecError(f"the start time of m = {self.m} exceeds a double") from None
+        self._t_min = t
 
     @property
     def t_min(self) -> float:

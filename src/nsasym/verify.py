@@ -38,7 +38,7 @@ from .spectral import (
     gevrey_norm,
     random_solenoidal_field,
 )
-from .systems import CheckResult, DecaySystem, Report
+from .systems import CheckResult, DecaySystem, Report, first_time
 
 __all__ = [
     "DecayFit",
@@ -202,23 +202,10 @@ class SeriesReport(Report):
 
 def _find_threshold(phi: Callable[[float], float], t_start: float, target: float) -> float:
     """Smallest grid-resolvable t >= t_start with phi(t) <= target (phi decreasing)."""
-    if phi(t_start) <= target:
-        return t_start
-    t = t_start
-    for _ in range(400):
-        if phi(t) <= target:
-            break
-        t *= 1.5
-    else:
+    t = first_time(lambda t: phi(t) <= target, t_start)
+    if t is None:
         raise FitError("decay threshold unreachable within scan range")
-    lo, hi = max(t / 1.5, t_start), t
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return t
 
 
 def check_series_expansion(xi_norms: Sequence[float], lambdas: Sequence[float],

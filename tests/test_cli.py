@@ -492,6 +492,23 @@ class TestCommandLine:
         assert "PASS" in out and "FAIL" not in out
         assert (tmp_path / "report.json").exists()
 
+    def test_force_cancelling_at_t0_runs_from_rest(self, tmp_path, capsys):
+        # power_two_term's exponent-1 modes on exponent 1, and -2 times them
+        # on exponent 2: f(2) = 0, so the blow-up guard's scale has to
+        # follow the force along the run, not stay at its start
+        data = mutated(("solver", "t0"), 2.0)
+        data["solver"]["u0"] = "zero"
+        lead = data["force"]["terms"][0]
+        data["force"] = {"type": "explicit", "terms": [lead, {"exponent": 2.0, "field": {
+            "modes": [{"k": m["k"], "re": [-2 * x for x in m["re"]],
+                       "im": [-2 * x for x in m["im"]]} for m in lead["field"]["modes"]]}}]}
+        config = tmp_path / "cancel.json"
+        config.write_text(json.dumps(data))
+        rc = main(["verify", "--config", str(config), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "PASS energy: apriori_energy_bound" in out
+
     def test_simulate_states_match_run(self, tmp_path, capsys):
         config = str(CONFIG_DIR / "power_two_term.json")
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "sim")]) == 0

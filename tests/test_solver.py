@@ -227,18 +227,29 @@ class TestNseIntegration:
         t0, t1 = 5.0, 9.0
         errs = []
         for h in (0.5, 0.25):
-            trace = integrate_nse((1 / t0) * xi1, force, t0, t1, None,
-                                  fixed_step=h, sample_ratio=100.0)
+            stepper = _Integrator(2, _ForceEval(force))
+            t, u = t0, ((1 / t0) * xi1).coeffs
+            while t < t1:
+                u = stepper.step(t, h, u, stepper.rhs(t, u))[0]
+                t += h
             exact = (1 / t1) * xi1
-            errs.append((trace.states[-1] - exact).l2() / exact.l2())
+            errs.append((SpectralField(2, u) - exact).l2() / exact.l2())
         assert errs[0] / errs[1] >= 2 ** 3.5
 
-    def test_blowup_guard_trips_on_instability(self):
+    def test_blowup_guard_trips_on_instability(self, monkeypatch):
+        # a step that grows the state 1e4-fold and reports no error passes
+        # the controller: the guard must stop the run
+        step = _Integrator.step
+
+        def unstable(self, t, h, u0, k1):
+            fine, err, mid, n_mid = step(self, t, h, u0, k1)
+            return 1e4 * fine, np.zeros_like(err), mid, n_mid
+
+        monkeypatch.setattr(_Integrator, "step", unstable)
         u0 = random_solenoidal_field(2, np.random.default_rng(8), amplitude=5.0)
         lat = power_lattice()
         with pytest.raises(BlowUpError):
-            integrate_nse(u0, ForceSpec.zero(lat, 2), 2.0, 40.0, None,
-                          fixed_step=5.0, sample_ratio=50.0)
+            integrate_nse(u0, ForceSpec.zero(lat, 2), 2.0, 40.0, 1e-8)
 
     def test_invariants_at_snapshots(self):
         xi1 = random_solenoidal_field(3, np.random.default_rng(9), amplitude=0.05)
@@ -293,6 +304,16 @@ class TestEnergyBudget:
         assert report["apriori_energy_bound"].passed
         assert report["force_envelope_convolution"].passed
         assert report["advective_energy_orthogonality"].measured["max_rel"] <= 1e-12
+
+    @pytest.mark.parametrize("tol, identity, apriori", [
+        (1e-7, 1e-05, 1.1e-05), (1e-10, 1e-08, 1.01e-06)])
+    def test_gates_are_the_decimals_as_written(self, tol, identity, apriori):
+        # in floats 100 * 1e-7 is 9.999999999999999e-06 and 1e-6 + 1e-8 is
+        # 1.0099999999999999e-06: each gate is formed exactly, rounded once
+        trace = integrate_nse(shear(), ForceSpec.zero(power_lattice(), 3), 2.0, 6.0, tol)
+        report = energy_budget(trace)
+        assert report["energy_identity"].measured["threshold"] == identity
+        assert report["apriori_energy_bound"].measured["threshold"] == apriori
 
     def test_identity_unmoved_by_one_ulp_of_B(self, monkeypatch):
         # criterion 4's run takes steps with h |k|^2 far above 1; the ledger

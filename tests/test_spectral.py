@@ -130,16 +130,6 @@ class TestMultipliers:
         g = apply_multiplier(f, "exp_sqrtA", 0.0)
         np.testing.assert_array_equal(f.coeffs, g.coeffs)
 
-    def test_heat_scale(self):
-        f = shear_field(cutoff=2)
-        g = apply_multiplier(f, "heat", 1.0)
-        ratio = g.coeffs[3, 2, 2, 1] / f.coeffs[3, 2, 2, 1]
-        assert ratio == pytest.approx(math.exp(-1.0), rel=1e-14)
-
-    def test_heat_requires_nonnegative_time(self):
-        with pytest.raises(ValueError):
-            apply_multiplier(shear_field(), "heat", -0.1)
-
     def test_overflow_guard(self):
         with pytest.raises(SpectralRangeError):
             apply_multiplier(shear_field(cutoff=4), "exp_sqrtA", 800.0)

@@ -14,8 +14,8 @@ from nsasym.systems import (
     SqrtShiftSystem,
     SystemSpecError,
     TanLogSystem,
+    first_time,
     iterated_log,
-    min_log_time,
     system_from_json,
     verify_system_conditions,
 )
@@ -84,10 +84,6 @@ class TestIteratedLog:
         assert iterated_log(1, math.e) == pytest.approx(1.0, rel=1e-14)
         assert iterated_log(2, math.exp(math.e)) == pytest.approx(1.0, rel=1e-13)
         assert iterated_log(3, math.exp(math.exp(math.e))) == pytest.approx(1.0, rel=1e-12)
-
-    def test_minimal_admissible(self):
-        assert min_log_time(1) == 1.0
-        assert min_log_time(2) == pytest.approx(math.e)
         with pytest.raises(DomainError):
             iterated_log(2, 2.0)
 
@@ -98,6 +94,11 @@ class TestIteratedLog:
             IteratedLogSystem(m=1, q0=[((1,), -1.0)], q1=[0, 1])  # negative lead
         with pytest.raises(SystemSpecError):
             IteratedLogSystem(m=1, q0=[((1,), 1.0)], q1=[5.0])  # Q1 constant
+
+    def test_start_time_beyond_a_double_refused(self):
+        # L_5 >= 0.1 needs ln t >= e^e^e^e^0.1 ~ 8e8: the search gives up
+        with pytest.raises(SystemSpecError, match="admissible start time"):
+            plain_log_system(m=5)
 
     def test_general_omega(self):
         # omega = 3 L1^2 L3 - 2 L2 at Q1(t) = t^2 + 1, beta = 0.5
@@ -113,6 +114,33 @@ class TestIteratedLog:
         h = 1e-3
         fd = (sys.omega(t * (1 + h)) - sys.omega(t * (1 - h))) / (2 * h * t)
         assert sys.omega_prime(t) == pytest.approx(fd, rel=1e-5)
+
+
+class TestFirstTime:
+    def test_smallest_float_from_which_ok_holds(self):
+        assert first_time(lambda t: t >= 3.7, 1.0) == 3.7
+
+    def test_raising_counts_as_false(self):
+        assert first_time(lambda t: math.log(t - 5.0) >= 0.0, 1.0) == 6.0
+
+
+class TestTrigStart:
+    @pytest.mark.parametrize("cls", [SinLogSystem, TanLogSystem])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_start_is_the_tower(self, cls, m):
+        tower = 0.7
+        for _ in range(m):
+            tower = math.exp(tower)
+        sys = cls(m)
+        assert sys.t_min == tower
+        assert iterated_log(m, sys.t_min) == pytest.approx(0.7, rel=1e-14)
+        sys.eval(Exponent(1.0), sys.t_min)  # admissible from there
+        with pytest.raises(DomainError):
+            sys.eval(Exponent(1.0), math.nextafter(sys.t_min, 0.0))
+
+    def test_start_beyond_a_double_refused(self):
+        with pytest.raises(SystemSpecError):
+            SinLogSystem(4)
 
 
 class TestWedge:

@@ -298,12 +298,18 @@ class TestSeriesCriteria:
             xi, lambdas, kappa=0.5, M=2.0, c0=1.0, sys=PowerSystem(),
             t_grid=grid, N_list=[0, 1, 2, 5], series_sum=1.0)
         assert report.ok, [c for c in report.checks if not c.passed]
-        assert report.T0 == pytest.approx(1.0, rel=1e-6)
+        assert report.T0 == 1.0    # phi(t_min) already meets 1/(M kappa)
         assert report.T1 == pytest.approx(2.0, rel=1e-6)
         assert report.c1 == pytest.approx(0.5, rel=1e-9)
         # C_N = c1 (M / phi(T0))^(lambda_{N+1}) * sum = 2^N
         for N, C in report.tail_constants.items():
             assert C == pytest.approx(2.0 ** N, rel=1e-6)
+
+    def test_unreachable_threshold_is_a_fit_error(self):
+        # a flat phi never falls to 1/(M kappa) = 1
+        with pytest.raises(FitError, match="unreachable"):
+            check_series_expansion([0.5], [1.0], kappa=0.5, M=2.0, c0=1.0,
+                                   phi=lambda t: 2.0, t_start=1.0, series_sum=1.0)
 
     def test_reordering_path(self):
         lambdas = [2.0, 1.0, 3.0]
