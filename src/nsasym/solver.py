@@ -29,6 +29,14 @@ large the h^2 factor would turn that error into the ledger's largest term.
 
 Steps are allowed to grow proportionally to elapsed time (decaying
 dynamics relax on the scale of t itself).
+
+B(u, u) only reaches sums p + q of modes already present, so a run stays
+on S, the closure of supp(u0) and the force's support under p + q inside
+the cube, away from k = 0.  S is computed once per run, and the state,
+the stages and the force are kept on it, with B(u, u) on one advection
+plan for the whole run.  The norms that steer the controller and the
+energy-orthogonality monitor are still summed in cube order (S written
+into a zero cube), so they round as they would on the whole cube.
 """
 
 from __future__ import annotations
@@ -45,8 +53,10 @@ from .spectral import (
     VOLUME,
     GevreyIndex,
     SpectralField,
+    _advect,
+    _closed_support,
     _grid,
-    bilinear_form,
+    _plan,
     gevrey_norm,
 )
 from .systems import CheckResult, Exponent, Report, VeeTerm
@@ -116,6 +126,11 @@ class ForceSpec:
     def t_min(self) -> float:
         return self.expansion.lattice.system.t_min
 
+    @property
+    def fields(self) -> tuple[SpectralField, ...]:
+        """The field of every term, expansion terms first."""
+        return tuple(f for _, _, f in self.expansion.terms()) + tuple(x.field for x in self.extras)
+
     @classmethod
     def zero(cls, lattice, cutoff: int) -> "ForceSpec":
         """An identically-zero force (handy for decay runs)."""
@@ -125,7 +140,8 @@ class ForceSpec:
 
 def evaluate_force(force: ForceSpec, t: float) -> SpectralField:
     """f(t); exact linear combination of the stored terms."""
-    return SpectralField(force.cutoff, _ForceEval(force)(t))
+    W = 2 * force.cutoff + 1
+    return SpectralField(force.cutoff, _ForceEval(force)(t).reshape(W, W, W, 3))
 
 
 _FORCE_MEMO = 8    # most times ``_ForceEval`` remembers before it starts over
@@ -143,12 +159,17 @@ class _ForceEval:
     contractions.  ``slope`` takes a difference quotient of f with one
     contraction of the difference of the term weights, not two of the
     terms; ``n_slopes`` counts those apart.
+
+    f is formed on the modes ``support`` (flat indices into the cube; the
+    whole cube by default) as an (n_modes, 3) array.
     """
 
-    def __init__(self, force: ForceSpec):
+    def __init__(self, force: ForceSpec, support: np.ndarray | None = None):
         sys = force.expansion.lattice.system
         self.sys = sys
-        self.cutoff = force.cutoff
+        if support is None:
+            support = np.arange((2 * force.cutoff + 1) ** 3)
+        self.n_modes = len(support)
         self.memo: dict[float, np.ndarray] = {}
         self.n_evals = 0
         self.n_slopes = 0
@@ -162,8 +183,10 @@ class _ForceEval:
             if np.any(extra.field.coeffs):
                 stacks.append(extra.field.coeffs)
                 evals.append(extra.envelope(sys))
-        # one row per term: the contraction is one vector-matrix product
-        self.stack = np.stack(stacks).reshape(len(stacks), -1) if stacks else None
+        # one row per term, on the support: the contraction is one
+        # vector-matrix product
+        self.stack = np.stack([f.reshape(-1, 3)[support].ravel() for f in stacks]) \
+            if stacks else None
         self.evals = evals
 
     def __call__(self, t: float) -> np.ndarray:
@@ -190,11 +213,10 @@ class _ForceEval:
         times that must lie in the system's domain."""
         for t in times:
             self.sys.check_domain(t)
-        W = 2 * self.cutoff + 1
         if self.stack is None:
-            return np.zeros((W, W, W, 3), dtype=np.complex128)
+            return np.zeros((self.n_modes, 3), dtype=np.complex128)
         w = np.array([weight(fn) for fn in self.evals])
-        return (w @ self.stack).reshape(W, W, W, 3)
+        return (w @ self.stack).reshape(-1, 3)
 
 
 @dataclass(frozen=True)
@@ -279,34 +301,78 @@ class _Integrator:
     N-samples that the exponential quadrature no longer distinguishes)
     while the true error stays flat, throttling the step to a vanishing
     fraction of t on smooth strongly-forced decays.  The doubling estimate
-    compares two genuine propagations, so it tracks the real error in
-    every regime.
+    compares two genuine propagations and does not throttle the step
+    there, but where h |k|^2 >> 1 it still reads below the real error
+    (ROADMAP item 4).
 
-    The phi tables and Krogstad's weight combinations depend on k only
-    through |k|^2, so they are formed on the distinct |k|^2 shells and
-    gathered back to the coefficients by ``shell_of``: every element gets
-    the same operations as on the whole cube.
+    The state lives on the run's closed support S (``support``: flat
+    indices into the cube, ascending), where every mode the run can reach
+    lies: u, the stages and f are (|S|, 3) arrays.  The phi tables and
+    Krogstad's weight combinations depend on k only through |k|^2, so they
+    are formed on the distinct |k|^2 shells of the cube and gathered to the
+    modes of S by ``shell_of``: every element gets the same operations as
+    on the whole cube.  B(u, u) is ``advection_sum``'s kernel on the one
+    plan of S, looked up here: u is written into the plan's input half box
+    and the flux read back at S, with no per-call support key.
     """
 
-    def __init__(self, cutoff: int, force_eval: Callable[[float], np.ndarray]):
-        self.K = cutoff
-        ksq = _grid(cutoff)[1]
+    def __init__(self, cutoff: int, support: np.ndarray,
+                 force_eval: Callable[[float], np.ndarray]):
+        K, W = cutoff, 2 * cutoff + 1
+        ksq = _grid(cutoff)[1].ravel()
         shells, shell_of = np.unique(ksq, return_inverse=True)
-        self.shells = shells                  # the distinct |k|^2, ascending
-        # the shell of each coefficient, components included, so gathered
+        self.shells = shells                  # the distinct |k|^2 of the cube, ascending
+        # the shell of each mode of S, components included, so gathered
         # weights need no broadcast
-        self.shell_of = np.repeat(shell_of.reshape(ksq.shape)[..., None], 3, axis=-1)
+        self.shell_of = np.repeat(shell_of[support][:, None], 3, axis=1)
+        self.ksq = ksq[support]
         self.force_eval = force_eval
         self.n_rhs = 0
+        # the plan of B(u, u) for u on S, keyed as advection_sum keys it
+        mask = np.zeros(W ** 3, dtype=bool)
+        mask[support] = True
+        self.plan = _plan(K, (np.packbits(mask.reshape(W, W, W)[:, :, K:]).tobytes(),),
+                          ((0, 0),))
+        if self.plan is None:
+            return
+        k = np.stack(np.unravel_index(support, (W, W, W))) - K
+        components = np.arange(3)[:, None]
+        # the numbers of u at the modes of S with k3 >= 0, and their places
+        # in the component-major input half box
+        upper = np.flatnonzero(k[2] >= 0)
+        box = [range(W)[b] for b in self.plan.layout.box_in]
+        self.box_in = tuple(map(len, box))
+        start = np.array([[box[0].start - K], [box[1].start - K], [0]])
+        place = np.ravel_multi_index(tuple(k[:, upper] - start), self.box_in)
+        self.take_in = (3 * upper + components).ravel()
+        self.put_in = (place + math.prod(self.box_in) * components).ravel()
+        self.spec = np.zeros(3 * math.prod(self.box_in), dtype=np.complex128)
+        # each number of B on S reads the output half box at k, or at -k
+        # conjugated
+        lower = k[2] < 0
+        o1, o2, o3 = self.plan.layout.e_out
+        out_box = (2 * o1 + 1, 2 * o2 + 1, o3 + 1)
+        place = np.ravel_multi_index(tuple(np.where(lower, -k, k) + [[o1], [o2], [0]]), out_box)
+        self.take_out = (place + math.prod(out_box) * components).T.ravel()
+        self.lower = np.repeat(lower, 3)
 
-    def rhs(self, t: float, u_arr: np.ndarray) -> np.ndarray:
+    def advect(self, u: np.ndarray) -> np.ndarray:
+        """B(u, u) on S; exactly zero, with no transform, when the plan is
+        None (no p + q of S lands in the cube away from k = 0)."""
+        if self.plan is None:
+            return np.zeros_like(u)
+        self.spec[self.put_in] = u.ravel()[self.take_in]
+        flux = _advect(self.plan, [self.spec.reshape((3,) + self.box_in)])
+        out = flux.ravel().take(self.take_out)
+        np.conjugate(out, out=out, where=self.lower)
+        return out.reshape(-1, 3)
+
+    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         """f - B(u, u) at (t, u)."""
         self.n_rhs += 1
-        f = self.force_eval(t)
-        u = SpectralField(self.K, u_arr)
-        buu = bilinear_form(u, u).coeffs
+        buu = self.advect(u)
         self.last_b = buu  # clean copy for the energy-orthogonality monitor
-        return f - buu
+        return self.force_eval(t) - buu
 
     def krogstad(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
@@ -354,10 +420,6 @@ def _krogstad_weights(full: tuple, half: tuple) -> np.ndarray:
                      p1 - 3.0 * p2 + 4.0 * p3, 2.0 * p2 - 4.0 * p3, 4.0 * p3 - p2])
 
 
-def _l2(arr: np.ndarray) -> float:
-    return math.sqrt(VOLUME) * float(np.linalg.norm(arr.ravel()))
-
-
 def least_steps(t0: float, t1: float, sample_ratio: float) -> float:
     """The fewest steps an adaptive run from t0 > 0 to t1 can take.
 
@@ -372,11 +434,18 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
                   norm_indices: Sequence[GevreyIndex] = ()) -> SimulationTrace:
     """Advance du/dt = -A u - B(u, u) + f(t) from u0 over [t0, t1].
 
-    Step doubling keeps the local error per unit step below ``tol``
-    relative, and a step is at most STEP_GROWTH * t; snapshots land exactly
-    on the geometric grid t0 * sample_ratio^j.  Raises BlowUpError if an
-    accepted |u| exceeds 1e3 times the data's scale: the largest of |u0|
-    and |f| at t0 and at the end of every accepted step.
+    A step is accepted when its step-doubling estimate of the local error
+    per unit step is below ``tol`` relative.  The estimate tracks the true
+    error while h |k|^2 is moderate; where h |k|^2 >> 1 (phi-saturated
+    shells) it reads several times low (4-14x against a substep reference,
+    ROADMAP item 4), so an accepted step may carry more than ``tol``.  A
+    step is at most STEP_GROWTH * t; snapshots land exactly on the
+    geometric grid t0 * sample_ratio^j.  Raises BlowUpError if an accepted
+    |u| exceeds 1e3 times the data's scale: the largest of |u0| and |f| at
+    t0 and at the end of every accepted step.
+
+    The run works on its closed support S (``_closed_support`` of u0 and
+    the force terms); ``stats["support_modes"]`` is |S|.
     """
     cutoff = force.cutoff
     if u0.cutoff != cutoff:
@@ -386,14 +455,30 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     if not tol > 0:
         raise SolverError("tolerance must be positive")
 
-    feval = _ForceEval(force)
-    ksq = _grid(cutoff)[1]
-    stepper = _Integrator(cutoff, feval)
-    shells = stepper.shells
+    # the run stays on S: every array below is (|S|, 3), in cube order
+    support = _closed_support(cutoff, [f.coeffs for f in (u0,) + force.fields])
+    feval = _ForceEval(force, support)
+    stepper = _Integrator(cutoff, support, feval)
+    shells, ksq = stepper.shells, stepper.ksq
     samples = _geometric_samples(t0, t1, sample_ratio)
     norm_indices = list(norm_indices)
+    W = 2 * cutoff + 1
 
-    guard_scale = 1e3 * max(u0.l2(), _l2(feval(t0)), 1e-30)
+    # the norms and the energy-orthogonality inner product are taken on the
+    # cube, with S written into these zeros, so their sums group as on the
+    # whole cube and the step sequence does not depend on how S is stored
+    buf = np.zeros((2, W ** 3, 3), dtype=np.complex128)
+
+    def l2(arr: np.ndarray) -> float:
+        buf[0, support] = arr
+        return math.sqrt(VOLUME) * float(np.linalg.norm(buf[0].ravel()))
+
+    def inner(a: np.ndarray, b: np.ndarray) -> float:
+        buf[0, support] = a
+        buf[1, support] = b
+        return VOLUME * float(np.real(np.vdot(buf[0], buf[1])))
+
+    guard_scale = 1e3 * max(u0.l2(), l2(feval(t0)), 1e-30)
 
     # snapshot accumulators; the energy ledger accumulates per accepted step
     rec_t, rec_state, rec_l2, rec_fl2, rec_h = [], [], [], [], []
@@ -417,7 +502,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         f = feval(tau)
         delta = max(1e-6 * tau, 1e-9)
         f_dot = feval.slope(tau - delta if tau - delta >= force.t_min else tau, tau + delta)
-        udot = -ksq[..., None] * arr + n_arr
+        udot = -ksq[:, None] * arr + n_arr
         # Re <a, b> = sum of the products of the float views
         u_, f_, ud_, fd_ = (x.view(np.float64).ravel() for x in (arr, f, udot, f_dot))
         np.multiply(u_, u_, out=terms[0])
@@ -437,20 +522,22 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         return 0.5 * h_ab * (a[0] + b[0]) + (h_ab * h_ab / 12.0) * slopes
 
     def record(t: float, arr: np.ndarray, h: float):
-        state = SpectralField(cutoff, arr.copy())
+        coeffs = np.zeros((W ** 3, 3), dtype=np.complex128)
+        coeffs[support] = arr
+        state = SpectralField(cutoff, coeffs.reshape(W, W, W, 3))
         state.validate(tol=1e-10)
         rec_t.append(t)
         rec_state.append(state)
         rec_l2.append(state.l2())
-        rec_fl2.append(_l2(feval(t)))
+        rec_fl2.append(l2(feval(t)))
         rec_h.append(h)
         for idx in norm_indices:
             rec_norms[idx].append(gevrey_norm(state, idx))
         rec_diss.append(diss)
         rec_inj.append(inj)
 
-    u = np.array(u0.coeffs)
-    u_l2 = _l2(u)    # the norm of the last accepted state, carried from step to step
+    u = u0.coeffs.reshape(-1, 3)[support]
+    u_l2 = l2(u)    # the norm of the last accepted state, carried from step to step
     t = t0
     record(t, u, 0.0)
     sample_idx = 1
@@ -468,8 +555,8 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
             # an overflowing trial step shows up as a non-finite error norm
             # and is rejected
             u_new, err_field, mid, n_mid = stepper.step(t, h_try, u, k1)
-            err = _l2(err_field)
-            size = _l2(u_new)
+            err = l2(err_field)
+            size = l2(u_new)
             ref = max(size, u_l2)
         if err == 0.0 or ref == 0.0:
             ratio = 0.0
@@ -484,7 +571,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
             # the scale follows |f| along the run, so a force that vanishes
             # at t0 does not pin it near 1e3 * 1e-30; f(t + h) is held in the
             # memo since the coarse step's last stage, and the next k1 needs it
-            guard_scale = max(guard_scale, 1e3 * _l2(feval(t + h_try)))
+            guard_scale = max(guard_scale, 1e3 * l2(feval(t + h_try)))
             if size > guard_scale or not math.isfinite(size):
                 raise BlowUpError(
                     f"|u| = {size:.3e} exceeded 1e3 x the data's scale at t = {t + h_try:g}; "
@@ -498,7 +585,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
             # orthogonality against the state it advects, relative to the
             # cube of |u_new|_{1/2,0}, whose square is the end node's D (a
             # cube that underflows to 0 leaves nothing to divide by)
-            b_inner = VOLUME * float(np.real(np.vdot(u_new, stepper.last_b)))
+            b_inner = inner(u_new, stepper.last_b)
             cube = end[0][0] ** 1.5
             if cube > 0:
                 max_b_rel = max(max_b_rel, abs(b_inner) / cube)
@@ -531,7 +618,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         "tol": tol, "n_steps": n_steps, "n_rejected": n_rejected,
         "n_rhs": stepper.n_rhs, "n_force_evals": feval.n_evals,
         "n_force_slopes": feval.n_slopes,
-        "max_b_orthogonality": max_b_rel,
+        "max_b_orthogonality": max_b_rel, "support_modes": len(support),
     }
 
     return SimulationTrace(

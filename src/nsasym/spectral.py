@@ -46,9 +46,11 @@ per support extents, the extents and unreached modes per pair of
 supports, and everything the supports and the pairing of a call fix (the
 grid, the pairs kept, the batches, the symmetry and the unreached modes)
 per call plan; a small pair of supports whose sums all miss the cube away
-from k = 0 is dropped with no transform.  Every call, the solver's lone
-B(u, u) as much as a recursion's wedge sum, then runs one path that
-transforms only the fields and their products.
+from k = 0 is dropped with no transform.  Every call, an audit's lone
+pair as much as a recursion's wedge sum, then runs one kernel
+(``_advect``) that transforms only the fields and their products.  The
+solver looks one plan up per run, for the run's closed support
+(``_closed_support``), and calls the same kernel on every rhs.
 """
 
 from __future__ import annotations
@@ -534,6 +536,39 @@ def _reach(cutoff: int, mask_u: bytes, mask_v: bytes) -> _Reach | None:
     return _Reach(e_in, e_sum, np.packbits(unreached).tobytes() if unreached.any() else None)
 
 
+def _closed_support(cutoff: int, fields: Iterable[np.ndarray]) -> np.ndarray:
+    """The closure S of the supports of the coefficient arrays ``fields``
+    under p + q, kept inside the cube and away from k = 0: the modes that a
+    Galerkin run from u0 under a force on these supports can ever reach.
+
+    Grown on the k3 >= 0 half mask by the reach of the support with itself
+    (``_reach``), to a fixed point, so no list of sums is ever formed.
+    Returned as the flat indices of its modes in the (2K+1)^3 cube,
+    ascending (cube order)."""
+    K, W = cutoff, 2 * cutoff + 1
+    mask = np.zeros((W, W, W), dtype=bool)
+    for f in fields:
+        mask |= np.any(f != 0, axis=-1)
+    half = mask[:, :, K:].copy()
+    while True:
+        key = np.packbits(half).tobytes()
+        reach = _reach(K, key, key)
+        if reach is None:
+            break
+        o1, o2, o3 = (min(K, s) for s in reach.e_sum)
+        grown = half.copy()
+        box = (slice(K - o1, K + o1 + 1), slice(K - o2, K + o2 + 1), slice(o3 + 1))
+        grown[box] |= True if reach.unreached is None else \
+            ~_unpack(reach.unreached, _half_shape((o1, o2, o3)))
+        grown[K, K, 0] = False
+        if np.array_equal(grown, half):
+            break
+        half = grown
+    mask[:, :, K:] = half
+    mask[:, :, :K] = half[::-1, ::-1, :0:-1]
+    return np.flatnonzero(mask)
+
+
 class _Plan(NamedTuple):
     """What the supports and the pairing of an ``advection_sum`` call fix."""
 
@@ -555,7 +590,7 @@ def _plan(cutoff: int, keys: tuple, slots: tuple) -> _Plan | None:
     unreached: a pair's own output box is centred in the layout's, and a
     mode outside it is unreached by the pair.  A lattice pass meets a few
     hundred call plans, about as many as pairs of supports, and a solver
-    run a few, so the cache holds them all."""
+    run one, so the cache holds them all."""
     reach = {(a, b): _reach(cutoff, keys[a], keys[b]) for a, b in dict.fromkeys(slots)}
     kept = [ab for ab in slots if reach[ab] is not None]
     if not kept:
@@ -696,13 +731,30 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     plan = _plan(K, keys, tuple((slot[id(u)], slot[id(v)]) for u, v in pairs))
     if plan is None:
         return SpectralField.zero(K)
+    box_in = plan.layout.box_in
+    flux = _advect(plan, [h[box_in].transpose(3, 0, 1, 2) for h in halves])
+    o1, o2, o3 = plan.layout.e_out
+    W = 2 * K + 1
+    out = np.zeros((W, W, W, 3), dtype=np.complex128)
+    box = (slice(K - o1, K + o1 + 1), slice(K - o2, K + o2 + 1))
+    out[box + (slice(K, K + o3 + 1),)] = flux.transpose(1, 2, 3, 0)
+    if o3:
+        out[box + (slice(K - o3, K),)] = np.conj(flux[:, ::-1, ::-1, :0:-1]).transpose(1, 2, 3, 0)
+    return SpectralField(K, out)
+
+
+def _advect(plan: _Plan, spectra) -> np.ndarray:
+    """The kernel of ``advection_sum``: the sum of B over the pairs of
+    ``plan``, given ``spectra[slot]``, the component-major half spectrum
+    (3, box) of each field slot on the plan's input half box.  Returns the
+    Leray-projected divergence on the k3 >= 0 half of the output box, with
+    the unreached modes set to exactly zero and the k3 = 0 plane
+    symmetrized, components first."""
     layout = plan.layout
     J, C = _FACTORS[plan.symmetric]
     prod = None     # the T_jc rows: the first pair writes its products, later pairs add
     for batch, local in plan.batches:
-        # component-major half spectra on the input box, 3 rows per field
-        phys = _to_grid(layout.to_grid, np.concatenate(
-            [halves[f][layout.box_in].transpose(3, 0, 1, 2) for f in batch]))
+        phys = _to_grid(layout.to_grid, np.concatenate([spectra[f] for f in batch]))
         for a, b in local:
             term = phys[3 * a:3 * a + 3][J] * phys[3 * b:3 * b + 3][C]
             if prod is None:
@@ -717,14 +769,7 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
         np.copyto(flux, 0.0, where=plan.unreached)        # no pair p + q = k
     plane = flux[..., 0]                                  # k3 = 0 holds k and -k
     plane[...] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
-    o1, o2, o3 = layout.e_out
-    W = 2 * K + 1
-    out = np.zeros((W, W, W, 3), dtype=np.complex128)
-    box = (slice(K - o1, K + o1 + 1), slice(K - o2, K + o2 + 1))
-    out[box + (slice(K, K + o3 + 1),)] = flux.transpose(1, 2, 3, 0)
-    if o3:
-        out[box + (slice(K - o3, K),)] = np.conj(flux[:, ::-1, ::-1, :0:-1]).transpose(1, 2, 3, 0)
-    return SpectralField(K, out)
+    return flux
 
 
 def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:

@@ -20,6 +20,7 @@ from nsasym.spectral import (
     apply_inverse_stokes,
     apply_multiplier,
     bilinear_form,
+    gevrey_norm,
     random_solenoidal_field,
 )
 from nsasym.systems import Exponent, IteratedLogSystem, PowerSystem, ProductSystem
@@ -298,6 +299,38 @@ def test_repeated_lattice_pass_rebuilds_no_plan():
     misses = [cache.cache_info().misses for cache in caches]
     assert lattice_pass() <= 1e-12
     assert [cache.cache_info().misses for cache in caches] == misses
+
+
+def test_coefficients_converge_as_the_cutoff_grows():
+    # a t^-1 force on three axis modes with non-parallel amplitudes couples:
+    # the support of xi_n reaches |k_a| = n.  An entry whose support fits
+    # the K box is the same bytes at K as at K = 16 (the transforms are
+    # sized by the supports, not by K); the others differ from K = 16 by a
+    # relative G(1, 1/2) amount that shrinks strictly as K grows
+    lat = closure(PowerSystem(), [1.0], 12.5)
+    assert len(lat) == 12
+    amps = {(1, 0, 0): (0.0, 0.3, 0.2), (0, 1, 0): (0.25, 0.0, -0.3), (0, 0, 1): (0.3, 0.2, 0.0)}
+    top = 16
+    ref = compute_coefficients(normalize_force([(1.0, SpectralField.from_modes(top, amps))], lat))
+    gevrey = GevreyIndex(1.0, 0.5)
+    worst = []
+    for K in (4, 6, 8, 12):
+        xi = compute_coefficients(normalize_force([(1.0, SpectralField.from_modes(K, amps))], lat))
+        box = (slice(top - K, top + K + 1),) * 3
+        diffs = []
+        for n in range(1, len(lat) + 1):
+            want = ref.field(n).coeffs
+            inside = np.zeros_like(want)
+            inside[box] = want[box]
+            if np.array_equal(inside, want):
+                assert xi.field(n).coeffs.tobytes() == want[box].tobytes(), (K, n)
+            else:
+                inside[box] = xi.field(n).coeffs
+                diffs.append(gevrey_norm(SpectralField(top, inside - want), gevrey)
+                             / gevrey_norm(ref.field(n), gevrey))
+        worst.append(max(diffs, default=0.0))
+    assert worst[-1] == 0.0
+    assert all(a > b for a, b in zip(worst, worst[1:])), worst
 
 
 class TestEvaluate:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsasym import solver
 from nsasym.cli import ExperimentConfig, run_experiment
@@ -14,12 +15,14 @@ from nsasym.solver import (
     _FORCE_MEMO,
     _ForceEval,
     _Integrator,
+    _advect,
     _phi_trio,
     energy_budget,
     evaluate_force,
     integrate_nse,
 )
 from nsasym.spectral import (
+    _closed_support,
     _grid,
     GevreyIndex,
     SpectralField,
@@ -48,6 +51,12 @@ def manual_manufactured(xi1, lat):
 
 def power_lattice(cutoff=2.5):
     return closure(PowerSystem(), [1.0], cutoff)
+
+
+def planar_force_field(cutoff, amp=0.05):
+    """A field on +-(1,0,0) and +-(0,1,0), whose closure is the k3 = 0 plane."""
+    return SpectralField.from_modes(cutoff, {(1, 0, 0): (0.0, amp, 0.6 * amp),
+                                             (0, 1, 0): (0.8 * amp, 0.0, 0.4 * amp)})
 
 
 class TestForceEvaluation:
@@ -157,13 +166,16 @@ class TestPhiTrio:
     @pytest.mark.parametrize("h", [1e-3, 0.37, 5.0, 1e4])
     def test_shell_tables_equal_cube_tables_byte_for_byte(self, h):
         # the solver forms the tables on the distinct |k|^2 and gathers them
-        # to the coefficients: the same bytes as forming them on the cube
-        stepper = _Integrator(4, None)
+        # to the modes of its support (here the k3 = 0 plane): the same bytes
+        # as forming them on the cube
+        support = _closed_support(4, [planar_force_field(4).coeffs])
+        stepper = _Integrator(4, support, None)
         ksq = _grid(4)[1]
         cube, shells = (_phi_trio(np.stack([z, 0.5 * z, 0.25 * z]))
                         for z in (-h * ksq, -h * stepper.shells))
         for c, s in zip(cube, shells):
-            assert s[:, stepper.shell_of].tobytes() == np.repeat(c[..., None], 3, -1).tobytes()
+            on_support = np.repeat(c[..., None], 3, -1).reshape(3, -1, 3)[:, support]
+            assert s[:, stepper.shell_of].tobytes() == on_support.tobytes()
 
 
 class TestNseIntegration:
@@ -225,15 +237,17 @@ class TestNseIntegration:
         lat = power_lattice()
         force = manual_manufactured(xi1, lat)
         t0, t1 = 5.0, 9.0
+        support = _closed_support(2, [f.coeffs for f in (xi1,) + force.fields])
         errs = []
         for h in (0.5, 0.25):
-            stepper = _Integrator(2, _ForceEval(force))
-            t, u = t0, ((1 / t0) * xi1).coeffs
+            stepper = _Integrator(2, support, _ForceEval(force, support))
+            t, u = t0, ((1 / t0) * xi1).coeffs.reshape(-1, 3)[support]
             while t < t1:
                 u = stepper.step(t, h, u, stepper.rhs(t, u))[0]
                 t += h
             exact = (1 / t1) * xi1
-            errs.append((SpectralField(2, u) - exact).l2() / exact.l2())
+            errs.append(np.linalg.norm(u - exact.coeffs.reshape(-1, 3)[support])
+                        / np.linalg.norm(exact.coeffs))
         assert errs[0] / errs[1] >= 2 ** 3.5
 
     def test_blowup_guard_trips_on_instability(self, monkeypatch):
@@ -272,6 +286,131 @@ class TestNseIntegration:
         norms = trace.norms[idx]
         tail = norms[trace.times >= 20.0]
         assert np.all(np.diff(tail) <= 1e-12 * tail[:-1])
+
+
+def modes_of(cutoff, support):
+    """The wave vectors of flat cube indices."""
+    W = 2 * cutoff + 1
+    return {tuple(int(x) - cutoff for x in np.unravel_index(i, (W, W, W))) for i in support}
+
+
+def listed_closure(cutoff, fields):
+    """The closure of the fields' supports under p + q, in the cube and away
+    from k = 0, by listing every sum until nothing new appears."""
+    S = {k for f in fields for k, _ in f.modes()}
+    while True:
+        sums = {tuple(a + b for a, b in zip(p, q)) for p in S for q in S}
+        grown = S | {k for k in sums if any(k) and max(map(abs, k)) <= cutoff}
+        if grown == S:
+            return S
+        S = grown
+
+
+def random_modes(cutoff, seed, count):
+    """A field on ``count`` random conjugate pairs of the cube."""
+    rng = np.random.default_rng(seed)
+    modes = {}
+    while len(modes) < count:
+        k = tuple(int(x) for x in rng.integers(-cutoff, cutoff + 1, size=3))
+        if any(k) and tuple(-x for x in k) not in modes:
+            modes[k] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return SpectralField.from_modes(cutoff, modes)
+
+
+class TestClosedSupport:
+    @settings(max_examples=20, deadline=None)
+    @given(cutoff=st.integers(2, 3), seed=st.integers(0, 2 ** 32 - 1),
+           counts=st.tuples(st.integers(0, 3), st.integers(0, 2)))
+    def test_smallest_closed_symmetric_set(self, cutoff, seed, counts):
+        # u0 and one force term on a few random pairs: S holds both supports,
+        # is closed under p + q inside the cube, mirrors k -> -k, never holds
+        # k = 0, and is the listed closure
+        fields = [random_modes(cutoff, [seed, i], n) for i, n in enumerate(counts)]
+        support = _closed_support(cutoff, [f.coeffs for f in fields])
+        assert np.all(np.diff(support) > 0)
+        S = modes_of(cutoff, support)
+        for f in fields:
+            assert {k for k, _ in f.modes()} <= S
+        assert (0, 0, 0) not in S
+        assert {tuple(-x for x in k) for k in S} == S
+        for p in S:
+            for q in S:
+                k = tuple(a + b for a, b in zip(p, q))
+                assert k in S or not any(k) or max(map(abs, k)) > cutoff
+        assert S == listed_closure(cutoff, fields)
+
+    @pytest.mark.parametrize("name, size", [("criterion2_first_orders.json", 2),
+                                            ("power_two_term.json", 48),
+                                            ("criterion5_random_start.json", 728)])
+    def test_sizes_of_shipped_runs(self, shipped, name, size):
+        # criterion 2's lone pair +-(4,2,1) at K = 4, a K = 3 run on the
+        # k3 = 0 plane, and criterion 5's dense K = 4 cube
+        assert shipped(name).trace.stats["support_modes"] == size
+
+    def test_recorded_states_vanish_outside_the_closure(self, shipped):
+        # a property of the Galerkin run, not of how the solver stores it
+        result = shipped("power_two_term.json")
+        states = result.trace.states
+        force = [f for _, _, f in result.force.expansion.terms()]
+        force += [x.field for x in result.force.extras]
+        S = listed_closure(3, [states[0]] + force)
+        assert len(S) == 48
+        for state in states:
+            assert {k for k, _ in state.modes()} <= S
+
+
+class TestSupportAdvection:
+    @pytest.mark.parametrize("cutoff, plane", [(3, False), (4, True)])
+    def test_filled_support_is_bilinear_form_byte_for_byte(self, cutoff, plane):
+        u = random_solenoidal_field(cutoff, np.random.default_rng([cutoff, 21]))
+        if plane:
+            arr = np.array(u.coeffs)
+            arr[:, :, np.arange(2 * cutoff + 1) != cutoff] = 0.0
+            u = SpectralField(cutoff, arr)
+        support = _closed_support(cutoff, [u.coeffs])
+        assert modes_of(cutoff, support) == {k for k, _ in u.modes()}
+        stepper = _Integrator(cutoff, support, None)
+        got = stepper.advect(u.coeffs.reshape(-1, 3)[support])
+        want = bilinear_form(u, u).coeffs.reshape(-1, 3)
+        assert got.tobytes() == want[support].tobytes()
+        assert not np.any(np.delete(want, support, axis=0))
+
+    def test_smaller_state_within_rounding_and_zero_off_support(self):
+        # u on four modes of the k3 = 0 plane, its support: B on the plane's
+        # plan agrees with B on u's own plan to rounding, and the kernel's
+        # flux is exactly zero at every mode of its box outside S
+        support = _closed_support(3, [planar_force_field(3).coeffs])
+        assert len(support) == 48
+        u = SpectralField.from_modes(3, {(1, 0, 0): (0.0, 0.3, 0.2), (0, 1, 0): (0.25, 0.0, -0.3),
+                                         (1, 1, 0): (0.1, -0.1, 0.2), (2, -1, 0): (0.1, 0.2, 0.0)})
+        stepper = _Integrator(3, support, None)
+        got = stepper.advect(u.coeffs.reshape(-1, 3)[support])
+        want = bilinear_form(u, u).coeffs.reshape(-1, 3)
+        assert np.max(np.abs(got - want[support])) <= 1e-15 * np.linalg.norm(u.coeffs) ** 2
+        assert not np.any(np.delete(want, support, axis=0))
+        flux = _advect(stepper.plan, [stepper.spec.reshape((3,) + stepper.box_in)])
+        on_support = np.zeros(flux.size, dtype=bool)
+        on_support[stepper.take_out] = True
+        assert not np.any(flux.ravel()[~on_support])
+
+    def test_empty_plan_runs_no_transform(self, fft_calls):
+        # criterion 2's lone pair: no p + q of S lands in the cube away from
+        # k = 0, so B is exactly zero and the run transforms nothing
+        u0 = SpectralField.from_modes(4, {(4, 2, 1): (0.1, -0.2, 0.0)})
+        trace = integrate_nse(u0, ForceSpec.zero(power_lattice(), 4), 2.0, 4.0, 1e-8)
+        assert fft_calls == []
+        assert trace.stats["support_modes"] == 2
+        assert trace.stats["max_b_orthogonality"] == 0.0
+
+    def test_one_plan_per_run(self, monkeypatch):
+        plans = []
+        inner = solver._plan
+        monkeypatch.setattr(solver, "_plan", lambda *args: plans.append(args) or inner(*args))
+        xi1 = random_solenoidal_field(3, np.random.default_rng(5), amplitude=0.05)
+        trace = integrate_nse((1.0 / 5.0) * xi1, manual_manufactured(xi1, power_lattice()),
+                              5.0, 10.0, 1e-8)
+        assert len(plans) == 1
+        assert trace.stats["n_rhs"] > 100
 
 
 class TestEnergyBudget:
@@ -320,9 +459,9 @@ class TestEnergyBudget:
         # drops the Hermite derivative term on those shells, so its identity
         # no longer draws on B's low bits: with B scaled by 1 - 2e-16 it
         # stays within 10% of its gate (without the shell limit: 1.1e-6)
-        inner = solver.bilinear_form
-        monkeypatch.setattr(solver, "bilinear_form", lambda u, v: SpectralField(
-            u.cutoff, (1.0 - 2e-16) * inner(u, v).coeffs))
+        inner = solver._advect
+        monkeypatch.setattr(solver, "_advect",
+                            lambda plan, spectra: (1.0 - 2e-16) * inner(plan, spectra))
         result = run_experiment(ExperimentConfig.load(CONFIG_DIR / "criterion4_logarithmic.json"))
         (identity,) = [c for c in result.checks if c["property"] == "energy_identity"]
         assert identity["measured"] <= 0.1 * identity["expected"]
