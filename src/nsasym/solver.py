@@ -33,10 +33,10 @@ dynamics relax on the scale of t itself).
 B(u, u) only reaches sums p + q of modes already present, so a run stays
 on S, the closure of supp(u0) and the force's support under p + q inside
 the cube, away from k = 0.  S is computed once per run, and the state,
-the stages and the force are kept on it, with B(u, u) on one advection
-plan for the whole run.  The norms that steer the controller and the
-energy-orthogonality monitor are still summed in cube order (S written
-into a zero cube), so they round as they would on the whole cube.
+the stages and the force are kept on the box of S's extents, in the
+cube's layout, with B(u, u) on one advection plan for the whole run.  The
+box's modes off S stay exactly zero, and the norms are plain reductions
+over the box.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .spectral import (
     _closed_support,
     _grid,
     _plan,
+    _unfold,
     gevrey_norm,
 )
 from .systems import CheckResult, Exponent, Report, VeeTerm
@@ -140,8 +141,7 @@ class ForceSpec:
 
 def evaluate_force(force: ForceSpec, t: float) -> SpectralField:
     """f(t); exact linear combination of the stored terms."""
-    W = 2 * force.cutoff + 1
-    return SpectralField(force.cutoff, _ForceEval(force)(t).reshape(W, W, W, 3))
+    return SpectralField(force.cutoff, _ForceEval(force)(t))
 
 
 _FORCE_MEMO = 8    # most times ``_ForceEval`` remembers before it starts over
@@ -160,16 +160,17 @@ class _ForceEval:
     contraction of the difference of the term weights, not two of the
     terms; ``n_slopes`` counts those apart.
 
-    f is formed on the modes ``support`` (flat indices into the cube; the
-    whole cube by default) as an (n_modes, 3) array.
+    f is formed on the box |k_a| <= extents[a] (the whole cube by default),
+    in the cube's layout: components last, k_a ascending from -extents[a].
     """
 
-    def __init__(self, force: ForceSpec, support: np.ndarray | None = None):
+    def __init__(self, force: ForceSpec, extents: tuple | None = None):
         sys = force.expansion.lattice.system
         self.sys = sys
-        if support is None:
-            support = np.arange((2 * force.cutoff + 1) ** 3)
-        self.n_modes = len(support)
+        K = force.cutoff
+        extents = extents or (K, K, K)
+        self.box = tuple(slice(K - e, K + e + 1) for e in extents)
+        self.shape = tuple(2 * e + 1 for e in extents) + (3,)
         self.memo: dict[float, np.ndarray] = {}
         self.n_evals = 0
         self.n_slopes = 0
@@ -183,10 +184,9 @@ class _ForceEval:
             if np.any(extra.field.coeffs):
                 stacks.append(extra.field.coeffs)
                 evals.append(extra.envelope(sys))
-        # one row per term, on the support: the contraction is one
-        # vector-matrix product
-        self.stack = np.stack([f.reshape(-1, 3)[support].ravel() for f in stacks]) \
-            if stacks else None
+        # one row per term, on the box: the contraction is one vector-matrix
+        # product
+        self.stack = np.stack([f[self.box].ravel() for f in stacks]) if stacks else None
         self.evals = evals
 
     def __call__(self, t: float) -> np.ndarray:
@@ -214,9 +214,9 @@ class _ForceEval:
         for t in times:
             self.sys.check_domain(t)
         if self.stack is None:
-            return np.zeros((self.n_modes, 3), dtype=np.complex128)
+            return np.zeros(self.shape, dtype=np.complex128)
         w = np.array([weight(fn) for fn in self.evals])
-        return (w @ self.stack).reshape(-1, 3)
+        return (w @ self.stack).reshape(self.shape)
 
 
 @dataclass(frozen=True)
@@ -305,67 +305,45 @@ class _Integrator:
     there, but where h |k|^2 >> 1 it still reads below the real error
     (ROADMAP item 4).
 
-    The state lives on the run's closed support S (``support``: flat
-    indices into the cube, ascending), where every mode the run can reach
-    lies: u, the stages and f are (|S|, 3) arrays.  The phi tables and
-    Krogstad's weight combinations depend on k only through |k|^2, so they
-    are formed on the distinct |k|^2 shells of the cube and gathered to the
-    modes of S by ``shell_of``: every element gets the same operations as
-    on the whole cube.  B(u, u) is ``advection_sum``'s kernel on the one
-    plan of S, looked up here: u is written into the plan's input half box
-    and the flux read back at S, with no per-call support key.
+    The state lives on the box |k_a| <= e_a of the extents of the run's
+    closed support S (``support``: flat indices into the cube), in the
+    cube's layout: u, the stages and f are arrays of that box, components
+    last and k3 from -e3 to e3.  The box's modes off S (k = 0 at least)
+    stay exactly zero: S is closed under p + q inside the cube, so B's flux
+    there is zeroed as unreached or has zero weights (k = 0), f vanishes
+    there, and e^{-h |k|^2} 0 = 0.  The phi tables and Krogstad's weight
+    combinations depend on k only through |k|^2, so they are formed on the
+    distinct |k|^2 shells of the box and gathered to its modes by
+    ``shell_of``: every element gets the same operations as on the whole
+    cube.  B(u, u) is ``advection_sum``'s kernel on the one plan of S,
+    looked up here: the box's k3 >= 0 half is the plan's input half box,
+    and the flux comes back through the same ``_unfold`` as a sum's.
     """
 
-    def __init__(self, cutoff: int, support: np.ndarray,
-                 force_eval: Callable[[float], np.ndarray]):
+    def __init__(self, cutoff: int, support: np.ndarray, force: ForceSpec):
         K, W = cutoff, 2 * cutoff + 1
-        ksq = _grid(cutoff)[1].ravel()
-        shells, shell_of = np.unique(ksq, return_inverse=True)
-        self.shells = shells                  # the distinct |k|^2 of the cube, ascending
-        # the shell of each mode of S, components included, so gathered
-        # weights need no broadcast
-        self.shell_of = np.repeat(shell_of[support][:, None], 3, axis=1)
-        self.ksq = ksq[support]
-        self.force_eval = force_eval
+        mask = np.zeros((W, W, W), dtype=bool)
+        mask.flat[support] = True
+        self.extents = tuple(int(e) for e in np.abs(np.argwhere(mask) - K).max(axis=0, initial=0))
+        self.force_eval = _ForceEval(force, self.extents)
+        self.box = self.force_eval.box
+        self.ksq = _grid(K)[1][self.box]
+        # the distinct |k|^2 of the box, ascending, and the shell of each
+        # number of a state, components included, so gathered weights need
+        # no broadcast
+        self.shells, shell_of = np.unique(self.ksq, return_inverse=True)
+        self.shell_of = np.repeat(shell_of.reshape(self.ksq.shape)[..., None], 3, axis=-1)
         self.n_rhs = 0
         # the plan of B(u, u) for u on S, keyed as advection_sum keys it
-        mask = np.zeros(W ** 3, dtype=bool)
-        mask[support] = True
-        self.plan = _plan(K, (np.packbits(mask.reshape(W, W, W)[:, :, K:]).tobytes(),),
-                          ((0, 0),))
-        if self.plan is None:
-            return
-        k = np.stack(np.unravel_index(support, (W, W, W))) - K
-        components = np.arange(3)[:, None]
-        # the numbers of u at the modes of S with k3 >= 0, and their places
-        # in the component-major input half box
-        upper = np.flatnonzero(k[2] >= 0)
-        box = [range(W)[b] for b in self.plan.layout.box_in]
-        self.box_in = tuple(map(len, box))
-        start = np.array([[box[0].start - K], [box[1].start - K], [0]])
-        place = np.ravel_multi_index(tuple(k[:, upper] - start), self.box_in)
-        self.take_in = (3 * upper + components).ravel()
-        self.put_in = (place + math.prod(self.box_in) * components).ravel()
-        self.spec = np.zeros(3 * math.prod(self.box_in), dtype=np.complex128)
-        # each number of B on S reads the output half box at k, or at -k
-        # conjugated
-        lower = k[2] < 0
-        o1, o2, o3 = self.plan.layout.e_out
-        out_box = (2 * o1 + 1, 2 * o2 + 1, o3 + 1)
-        place = np.ravel_multi_index(tuple(np.where(lower, -k, k) + [[o1], [o2], [0]]), out_box)
-        self.take_out = (place + math.prod(out_box) * components).T.ravel()
-        self.lower = np.repeat(lower, 3)
+        self.plan = _plan(K, (np.packbits(mask[:, :, K:]).tobytes(),), ((0, 0),))
 
     def advect(self, u: np.ndarray) -> np.ndarray:
-        """B(u, u) on S; exactly zero, with no transform, when the plan is
-        None (no p + q of S lands in the cube away from k = 0)."""
+        """B(u, u) on the box; exactly zero, with no transform, when the plan
+        is None (no p + q of S lands in the cube away from k = 0)."""
         if self.plan is None:
             return np.zeros_like(u)
-        self.spec[self.put_in] = u.ravel()[self.take_in]
-        flux = _advect(self.plan, [self.spec.reshape((3,) + self.box_in)])
-        out = flux.ravel().take(self.take_out)
-        np.conjugate(out, out=out, where=self.lower)
-        return out.reshape(-1, 3)
+        flux = _advect(self.plan, [u[:, :, self.extents[2]:].transpose(3, 0, 1, 2)])
+        return _unfold(flux, self.extents)
 
     def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
         """f - B(u, u) at (t, u)."""
@@ -395,7 +373,7 @@ class _Integrator:
         # never clamp z: the phi formulas divide by it, and exp just underflows
         z = -h * self.shells
         P1, P2, P4 = zip(*_phi_trio(np.stack([z, 0.5 * z, 0.25 * z])))
-        # the weights at h and at h/2, gathered to the cube in one index; as
+        # the weights at h and at h/2, gathered to the box in one index; as
         # complex, since each multiplies a complex state and would otherwise
         # be cast at every product
         weights = np.concatenate([_krogstad_weights(P1, P2), _krogstad_weights(P2, P4)])
@@ -455,28 +433,20 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     if not tol > 0:
         raise SolverError("tolerance must be positive")
 
-    # the run stays on S: every array below is (|S|, 3), in cube order
+    # the run stays on S: every array below is on the box of S's extents
     support = _closed_support(cutoff, [f.coeffs for f in (u0,) + force.fields])
-    feval = _ForceEval(force, support)
-    stepper = _Integrator(cutoff, support, feval)
+    stepper = _Integrator(cutoff, support, force)
+    feval, box = stepper.force_eval, stepper.box
     shells, ksq = stepper.shells, stepper.ksq
     samples = _geometric_samples(t0, t1, sample_ratio)
     norm_indices = list(norm_indices)
     W = 2 * cutoff + 1
 
-    # the norms and the energy-orthogonality inner product are taken on the
-    # cube, with S written into these zeros, so their sums group as on the
-    # whole cube and the step sequence does not depend on how S is stored
-    buf = np.zeros((2, W ** 3, 3), dtype=np.complex128)
-
     def l2(arr: np.ndarray) -> float:
-        buf[0, support] = arr
-        return math.sqrt(VOLUME) * float(np.linalg.norm(buf[0].ravel()))
+        return math.sqrt(VOLUME) * float(np.linalg.norm(arr.ravel()))
 
     def inner(a: np.ndarray, b: np.ndarray) -> float:
-        buf[0, support] = a
-        buf[1, support] = b
-        return VOLUME * float(np.real(np.vdot(buf[0], buf[1])))
+        return VOLUME * float(np.real(np.vdot(a, b)))
 
     guard_scale = 1e3 * max(u0.l2(), l2(feval(t0)), 1e-30)
 
@@ -502,7 +472,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         f = feval(tau)
         delta = max(1e-6 * tau, 1e-9)
         f_dot = feval.slope(tau - delta if tau - delta >= force.t_min else tau, tau + delta)
-        udot = -ksq[:, None] * arr + n_arr
+        udot = -ksq[..., None] * arr + n_arr
         # Re <a, b> = sum of the products of the float views
         u_, f_, ud_, fd_ = (x.view(np.float64).ravel() for x in (arr, f, udot, f_dot))
         np.multiply(u_, u_, out=terms[0])
@@ -522,9 +492,9 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         return 0.5 * h_ab * (a[0] + b[0]) + (h_ab * h_ab / 12.0) * slopes
 
     def record(t: float, arr: np.ndarray, h: float):
-        coeffs = np.zeros((W ** 3, 3), dtype=np.complex128)
-        coeffs[support] = arr
-        state = SpectralField(cutoff, coeffs.reshape(W, W, W, 3))
+        coeffs = np.zeros((W, W, W, 3), dtype=np.complex128)
+        coeffs[box] = arr
+        state = SpectralField(cutoff, coeffs)
         state.validate(tol=1e-10)
         rec_t.append(t)
         rec_state.append(state)
@@ -536,7 +506,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         rec_diss.append(diss)
         rec_inj.append(inj)
 
-    u = u0.coeffs.reshape(-1, 3)[support]
+    u = np.array(u0.coeffs[box])
     u_l2 = l2(u)    # the norm of the last accepted state, carried from step to step
     t = t0
     record(t, u, 0.0)

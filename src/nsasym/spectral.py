@@ -733,14 +733,7 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
         return SpectralField.zero(K)
     box_in = plan.layout.box_in
     flux = _advect(plan, [h[box_in].transpose(3, 0, 1, 2) for h in halves])
-    o1, o2, o3 = plan.layout.e_out
-    W = 2 * K + 1
-    out = np.zeros((W, W, W, 3), dtype=np.complex128)
-    box = (slice(K - o1, K + o1 + 1), slice(K - o2, K + o2 + 1))
-    out[box + (slice(K, K + o3 + 1),)] = flux.transpose(1, 2, 3, 0)
-    if o3:
-        out[box + (slice(K - o3, K),)] = np.conj(flux[:, ::-1, ::-1, :0:-1]).transpose(1, 2, 3, 0)
-    return SpectralField(K, out)
+    return SpectralField(K, _unfold(flux, (K, K, K)))
 
 
 def _advect(plan: _Plan, spectra) -> np.ndarray:
@@ -770,6 +763,24 @@ def _advect(plan: _Plan, spectra) -> np.ndarray:
     plane = flux[..., 0]                                  # k3 = 0 holds k and -k
     plane[...] = 0.5 * (plane + np.conj(plane[:, ::-1, ::-1]))
     return flux
+
+
+def _unfold(flux: np.ndarray, extents: tuple) -> np.ndarray:
+    """The box |k_a| <= extents[a], components last, of the real field whose
+    k3 >= 0 half spectrum is ``flux`` (components first, on the half of a
+    box centred on k = 0, as ``_advect`` returns it): k3 < 0 is filled with
+    the conjugates and the two boxes are centred on each other, so a mode
+    outside the flux's box is zero and one outside ``extents`` is dropped."""
+    half = flux.transpose(1, 2, 3, 0)
+    full = np.concatenate([np.conj(half[::-1, ::-1, :0:-1]), half], axis=2)
+    out = np.zeros(tuple(2 * e + 1 for e in extents) + (3,), dtype=np.complex128)
+    common = np.minimum(full.shape, out.shape)
+
+    def centre(arr: np.ndarray) -> np.ndarray:
+        return arr[tuple(slice((n - c) // 2, (n + c) // 2) for n, c in zip(arr.shape, common))]
+
+    centre(out)[...] = centre(full)
+    return out
 
 
 def bilinear_form(u: SpectralField, v: SpectralField) -> SpectralField:

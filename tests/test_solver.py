@@ -24,6 +24,7 @@ from nsasym.solver import (
 from nsasym.spectral import (
     _closed_support,
     _grid,
+    _unfold,
     GevreyIndex,
     SpectralField,
     apply_multiplier,
@@ -165,17 +166,17 @@ class TestPhiTrio:
 
     @pytest.mark.parametrize("h", [1e-3, 0.37, 5.0, 1e4])
     def test_shell_tables_equal_cube_tables_byte_for_byte(self, h):
-        # the solver forms the tables on the distinct |k|^2 and gathers them
-        # to the modes of its support (here the k3 = 0 plane): the same bytes
-        # as forming them on the cube
+        # the solver forms the tables on the distinct |k|^2 of its box and
+        # gathers them to the box's modes (here the k3 = 0 plane's box): the
+        # same bytes as forming them on the cube
         support = _closed_support(4, [planar_force_field(4).coeffs])
-        stepper = _Integrator(4, support, None)
+        stepper = _Integrator(4, support, ForceSpec.zero(power_lattice(), 4))
         ksq = _grid(4)[1]
         cube, shells = (_phi_trio(np.stack([z, 0.5 * z, 0.25 * z]))
                         for z in (-h * ksq, -h * stepper.shells))
         for c, s in zip(cube, shells):
-            on_support = np.repeat(c[..., None], 3, -1).reshape(3, -1, 3)[:, support]
-            assert s[:, stepper.shell_of].tobytes() == on_support.tobytes()
+            on_box = np.repeat(c[(slice(None),) + stepper.box][..., None], 3, -1)
+            assert s[:, stepper.shell_of].tobytes() == on_box.tobytes()
 
 
 class TestNseIntegration:
@@ -240,13 +241,13 @@ class TestNseIntegration:
         support = _closed_support(2, [f.coeffs for f in (xi1,) + force.fields])
         errs = []
         for h in (0.5, 0.25):
-            stepper = _Integrator(2, support, _ForceEval(force, support))
-            t, u = t0, ((1 / t0) * xi1).coeffs.reshape(-1, 3)[support]
+            stepper = _Integrator(2, support, force)
+            t, u = t0, ((1 / t0) * xi1).coeffs[stepper.box]
             while t < t1:
                 u = stepper.step(t, h, u, stepper.rhs(t, u))[0]
                 t += h
             exact = (1 / t1) * xi1
-            errs.append(np.linalg.norm(u - exact.coeffs.reshape(-1, 3)[support])
+            errs.append(np.linalg.norm(u - exact.coeffs[stepper.box])
                         / np.linalg.norm(exact.coeffs))
         assert errs[0] / errs[1] >= 2 ** 3.5
 
@@ -369,29 +370,63 @@ class TestSupportAdvection:
             u = SpectralField(cutoff, arr)
         support = _closed_support(cutoff, [u.coeffs])
         assert modes_of(cutoff, support) == {k for k, _ in u.modes()}
-        stepper = _Integrator(cutoff, support, None)
-        got = stepper.advect(u.coeffs.reshape(-1, 3)[support])
-        want = bilinear_form(u, u).coeffs.reshape(-1, 3)
-        assert got.tobytes() == want[support].tobytes()
-        assert not np.any(np.delete(want, support, axis=0))
+        stepper = _Integrator(cutoff, support, ForceSpec.zero(power_lattice(), cutoff))
+        got = stepper.advect(u.coeffs[stepper.box])
+        want = bilinear_form(u, u).coeffs
+        assert got.tobytes() == want[stepper.box].tobytes()
+        assert not np.any(np.delete(want.reshape(-1, 3), support, axis=0))
 
     def test_smaller_state_within_rounding_and_zero_off_support(self):
         # u on four modes of the k3 = 0 plane, its support: B on the plane's
         # plan agrees with B on u's own plan to rounding, and the kernel's
-        # flux is exactly zero at every mode of its box outside S
+        # flux is exactly zero at every mode of its output box outside S
         support = _closed_support(3, [planar_force_field(3).coeffs])
         assert len(support) == 48
         u = SpectralField.from_modes(3, {(1, 0, 0): (0.0, 0.3, 0.2), (0, 1, 0): (0.25, 0.0, -0.3),
                                          (1, 1, 0): (0.1, -0.1, 0.2), (2, -1, 0): (0.1, 0.2, 0.0)})
-        stepper = _Integrator(3, support, None)
-        got = stepper.advect(u.coeffs.reshape(-1, 3)[support])
-        want = bilinear_form(u, u).coeffs.reshape(-1, 3)
-        assert np.max(np.abs(got - want[support])) <= 1e-15 * np.linalg.norm(u.coeffs) ** 2
-        assert not np.any(np.delete(want, support, axis=0))
-        flux = _advect(stepper.plan, [stepper.spec.reshape((3,) + stepper.box_in)])
-        on_support = np.zeros(flux.size, dtype=bool)
-        on_support[stepper.take_out] = True
-        assert not np.any(flux.ravel()[~on_support])
+        stepper = _Integrator(3, support, ForceSpec.zero(power_lattice(), 3))
+        got = stepper.advect(u.coeffs[stepper.box])
+        want = bilinear_form(u, u).coeffs
+        assert np.max(np.abs(got - want[stepper.box])) <= 1e-15 * np.linalg.norm(u.coeffs) ** 2
+        assert not np.any(np.delete(want.reshape(-1, 3), support, axis=0))
+        half = u.coeffs[stepper.box][:, :, stepper.extents[2]:].transpose(3, 0, 1, 2)
+        flux = _unfold(_advect(stepper.plan, [half]), (3, 3, 3))
+        assert not np.any(np.delete(flux.reshape(-1, 3), support, axis=0))
+
+    @pytest.mark.parametrize("cutoff, modes, box", [
+        (4, {(4, 2, 1): (0.1, -0.2, 0.0)}, 135),
+        (3, {(1, 0, 0): (0.0, 0.05, 0.03), (0, 1, 0): (0.04, 0.0, 0.02)}, 49),
+    ], ids=["lone_pair", "plane"])
+    def test_box_modes_off_the_closure_stay_exactly_zero(self, monkeypatch, cutoff, modes, box):
+        # criterion 2's +-(4,2,1), 2 modes of a 9 x 5 x 3 box, and a run on
+        # the k3 = 0 plane, 48 modes of a 7 x 7 x 1 box (k = 0 is off S):
+        # every state the stepper advances, every rhs it forms and every
+        # recorded state is exactly zero off S
+        phi = SpectralField.from_modes(cutoff, modes)
+        force = ForceSpec(normalize_force([(1.0, phi)], power_lattice()))
+        support = _closed_support(cutoff, [phi.coeffs])
+        W = 2 * cutoff + 1
+        off = np.ones(W ** 3, dtype=bool)
+        off[support] = False
+        off = off.reshape(W, W, W)
+        leaks, sizes = [], set()
+        rhs = _Integrator.rhs
+
+        def spied(self, t, u):
+            out = rhs(self, t, u)
+            sizes.add(self.ksq.size)
+            for arr in (u, out):
+                cube = np.zeros((W, W, W, 3), dtype=np.complex128)
+                cube[self.box] = arr
+                leaks.append(bool(np.any(cube[off])))
+            return out
+
+        monkeypatch.setattr(_Integrator, "rhs", spied)
+        trace = integrate_nse(0.5 * phi, force, 5.0, 50.0, 1e-8)
+        assert sizes == {box} and trace.stats["support_modes"] == len(support)
+        assert len(leaks) == 2 * trace.stats["n_rhs"] and not any(leaks)
+        for state in trace.states:
+            assert not np.any(state.coeffs[off])
 
     def test_empty_plan_runs_no_transform(self, fft_calls):
         # criterion 2's lone pair: no p + q of S lands in the cube away from

@@ -32,6 +32,7 @@ from nsasym.systems import (
     verify_system_conditions,
 )
 from nsasym.verify import (
+    BILINEAR_GROWTH_FACTOR,
     FitError,
     check_bilinear_estimate,
     check_series_expansion,
@@ -274,6 +275,17 @@ class TestBilinearEnsemble:
         assert (2, 0.5, 0.0) in report.sup_ratio and (4, 0.5, 0.0) in report.sup_ratio
         assert report.sup_ratio[(2, 0.5, 0.0)] > 0
         assert report.ok, report.checks
+
+    def test_sup_ratio_uniform_in_the_cutoff(self):
+        # the estimate holds uniformly in the truncation: from K = 4 to 16,
+        # every cutoff's sup stays within BILINEAR_GROWTH_FACTOR of K = 4's
+        cutoffs = (4, 8, 12, 16)
+        report = check_bilinear_estimate(ensemble=40, cutoffs=cutoffs, seed=31)
+        for alpha, sigma in ((0.5, 0.0), (1.0, 0.1)):
+            base = report.sup_ratio[(4, alpha, sigma)]
+            assert base > 0
+            for K in cutoffs[1:]:
+                assert report.sup_ratio[(K, alpha, sigma)] <= BILINEAR_GROWTH_FACTOR * base
 
     def test_denominator_symmetric_under_swap(self):
         u = random_solenoidal_field(2, RNG)
