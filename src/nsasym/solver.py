@@ -352,19 +352,20 @@ class _Integrator:
         self.last_b = buu  # clean copy for the energy-orthogonality monitor
         return self.force_eval(t) - buu
 
-    def krogstad(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-        """One fourth-order step from (t, u0) with k1 = rhs(t, u0), given the
-        cube weights of ``_krogstad_weights`` for h."""
+    def krogstad(self, h: float, t_half: float, t_end: float, u0: np.ndarray,
+                 k1: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """One fourth-order step of size h from u0 with k1 = rhs at its
+        start, given the box weights of ``_krogstad_weights`` for h and the
+        times of its nodes 1/2 and 1."""
         eh, q1, a3, q2, e1, a4, b4, c1, c23, c4 = weights
         eu = eh * u0
         U2 = eu + (0.5 * h) * q1 * k1
-        k2 = self.rhs(t + 0.5 * h, U2)
+        k2 = self.rhs(t_half, U2)
         U3 = eu + h * (a3 * k1 + q2 * k2)
-        k3 = self.rhs(t + 0.5 * h, U3)
+        k3 = self.rhs(t_half, U3)
         e1u = e1 * u0
         U4 = e1u + h * (a4 * k1 + b4 * k3)
-        k4 = self.rhs(t + h, U4)
+        k4 = self.rhs(t_end, U4)
         return e1u + h * (c1 * k1 + c23 * (k2 + k3) + c4 * k4)
 
     def step(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray):
@@ -379,10 +380,13 @@ class _Integrator:
         weights = np.concatenate([_krogstad_weights(P1, P2), _krogstad_weights(P2, P4)])
         weights = weights.astype(np.complex128)[:, self.shell_of]
         full, half = weights[:10], weights[10:]
-        coarse = self.krogstad(t, h, u0, k1, full)
-        mid = self.krogstad(t, 0.5 * h, u0, k1, half)
-        n_mid = self.rhs(t + 0.5 * h, mid)
-        fine = self.krogstad(t + 0.5 * h, 0.5 * h, mid, n_mid, half)
+        # the fine half steps end on the coarse step's t + h, not an ulp off
+        # it at (t + h/2) + h/2, so the force there is contracted once
+        t_half, t_end = t + 0.5 * h, t + h
+        coarse = self.krogstad(h, t_half, t_end, u0, k1, full)
+        mid = self.krogstad(0.5 * h, t + 0.25 * h, t_half, u0, k1, half)
+        n_mid = self.rhs(t_half, mid)
+        fine = self.krogstad(0.5 * h, t_half + 0.25 * h, t_end, mid, n_mid, half)
         return fine, (fine - coarse) / 15.0, mid, n_mid
 
 

@@ -131,13 +131,19 @@ class TestForceEvaluation:
         xi1 = random_solenoidal_field(3, np.random.default_rng(5), amplitude=0.05)
         force = manual_manufactured(xi1, lat)
         seen = self.spied(monkeypatch, force)
-        stats = integrate_nse((1.0 / 5.0) * xi1, force, 5.0, 20.0, 1e-8).stats
+        trace = integrate_nse((1.0 / 5.0) * xi1, force, 5.0, 20.0, 1e-8)
+        stats = trace.stats
         # two terms per evaluation, and per slope at each of its two times;
         # each distinct time is evaluated about once
         assert len(seen) == 2 * (stats["n_force_evals"] + 2 * stats["n_force_slopes"])
         assert 0 < stats["n_force_evals"] < stats["n_rhs"]
         # one slope per ledger node: two per accepted step, and the start
         assert stats["n_force_slopes"] == 2 * stats["n_steps"] + 1
+        # a doubled step meets four new times, t + h/4, h/2, 3h/4 and h (the
+        # fine half steps end on the coarse step's t + h), and each sample
+        # and the start at most one more
+        attempts = stats["n_steps"] + stats["n_rejected"]
+        assert stats["n_force_evals"] <= 4 * attempts + len(trace.times) + 1
 
 
 class TestPhiTrio:
