@@ -48,9 +48,12 @@ grid, the pairs kept, the batches, the symmetry and the unreached modes)
 per call plan; a small pair of supports whose sums all miss the cube away
 from k = 0 is dropped with no transform.  Every call, an audit's lone
 pair as much as a recursion's wedge sum, then runs one kernel
-(``_advect``) that transforms only the fields and their products.  The
-solver looks one plan up per run, for the run's closed support
-(``_closed_support``), and calls the same kernel on every rhs.
+(``_advect``) that transforms only the fields and their products, and
+one helper (``_unfold``) places its half-box flux into a box: the cube for
+a sum.  The solver looks one plan up per run, for the run's closed support
+(``_closed_support``), and calls the same kernel on every rhs with the
+k3 >= 0 half of its state's box, the box of the support's extents, which
+``_unfold`` fills back.
 """
 
 from __future__ import annotations
@@ -768,18 +771,18 @@ def _advect(plan: _Plan, spectra) -> np.ndarray:
 def _unfold(flux: np.ndarray, extents: tuple) -> np.ndarray:
     """The box |k_a| <= extents[a], components last, of the real field whose
     k3 >= 0 half spectrum is ``flux`` (components first, on the half of a
-    box centred on k = 0, as ``_advect`` returns it): k3 < 0 is filled with
-    the conjugates and the two boxes are centred on each other, so a mode
-    outside the flux's box is zero and one outside ``extents`` is dropped."""
-    half = flux.transpose(1, 2, 3, 0)
-    full = np.concatenate([np.conj(half[::-1, ::-1, :0:-1]), half], axis=2)
-    out = np.zeros(tuple(2 * e + 1 for e in extents) + (3,), dtype=np.complex128)
-    common = np.minimum(full.shape, out.shape)
-
-    def centre(arr: np.ndarray) -> np.ndarray:
-        return arr[tuple(slice((n - c) // 2, (n + c) // 2) for n, c in zip(arr.shape, common))]
-
-    centre(out)[...] = centre(full)
+    box centred on k = 0, as ``_advect`` returns it): the half is written
+    in and k3 < 0 filled with its conjugates.  The boxes are centred on
+    each other, so a mode outside the flux's box is zero and one outside
+    ``extents`` is dropped."""
+    o = ((flux.shape[1] - 1) // 2, (flux.shape[2] - 1) // 2, flux.shape[3] - 1)
+    (e1, e2, e3), (m1, m2, m3) = extents, map(min, o, extents)
+    half = flux[:, o[0] - m1:o[0] + m1 + 1, o[1] - m2:o[1] + m2 + 1, :m3 + 1].transpose(1, 2, 3, 0)
+    out = np.zeros((2 * e1 + 1, 2 * e2 + 1, 2 * e3 + 1, 3), dtype=np.complex128)
+    box = (slice(e1 - m1, e1 + m1 + 1), slice(e2 - m2, e2 + m2 + 1))
+    out[box + (slice(e3, e3 + m3 + 1),)] = half
+    if m3:
+        out[box + (slice(e3 - m3, e3),)] = np.conj(half[::-1, ::-1, :0:-1])
     return out
 
 
