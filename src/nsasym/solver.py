@@ -36,7 +36,9 @@ the cube, away from k = 0.  S is computed once per run, and the state,
 the stages and the force are kept on the box of S's extents, in the
 cube's layout, with B(u, u) on one advection plan for the whole run.  The
 box's modes off S stay exactly zero, and the norms are plain reductions
-over the box.
+over the box.  The force is the finite sum of the terms psi_lambda(t)
+phi_lambda, so each attempted step forms it at its four node times with
+one product of the term weights with the stacked term fields.
 """
 
 from __future__ import annotations
@@ -141,27 +143,20 @@ class ForceSpec:
 
 def evaluate_force(force: ForceSpec, t: float) -> SpectralField:
     """f(t); exact linear combination of the stored terms."""
-    return SpectralField(force.cutoff, _ForceEval(force)(t))
-
-
-_FORCE_MEMO = 8    # most times ``_ForceEval`` remembers before it starts over
+    return SpectralField(force.cutoff, _ForceEval(force)(t)[0])
 
 
 class _ForceEval:
-    """Vectorized force evaluation: one weighted tensor contraction per
-    distinct time.
+    """Vectorized force evaluation: f at several times from one product of
+    the term-weight matrix (one row per time) with the stacked term fields.
 
-    A step asks for f at the same time several times (each stage node
-    twice or more, the ledger nodes again), so the last few results are
-    kept, keyed by the exact float t, and the memo is emptied when it holds
-    _FORCE_MEMO times.  A repeated t returns the same read-only array, equal
-    bit for bit to a fresh evaluation.  ``n_evals`` counts these
-    contractions.  ``slope`` takes a difference quotient of f with one
-    contraction of the difference of the term weights, not two of the
-    terms; ``n_slopes`` counts those apart.
+    ``n_evals`` counts these products.  ``slope`` forms df/dt at several
+    times the same way, from difference quotients of the term weights, and
+    ``n_slopes`` counts those products apart.
 
     f is formed on the box |k_a| <= extents[a] (the whole cube by default),
-    in the cube's layout: components last, k_a ascending from -extents[a].
+    in the cube's layout: components last, k_a ascending from -extents[a];
+    each call returns one such array per time, stacked on a leading axis.
     """
 
     def __init__(self, force: ForceSpec, extents: tuple | None = None):
@@ -171,7 +166,6 @@ class _ForceEval:
         extents = extents or (K, K, K)
         self.box = tuple(slice(K - e, K + e + 1) for e in extents)
         self.shape = tuple(2 * e + 1 for e in extents) + (3,)
-        self.memo: dict[float, np.ndarray] = {}
         self.n_evals = 0
         self.n_slopes = 0
         stacks = []
@@ -184,39 +178,35 @@ class _ForceEval:
             if np.any(extra.field.coeffs):
                 stacks.append(extra.field.coeffs)
                 evals.append(extra.envelope(sys))
-        # one row per term, on the box: the contraction is one vector-matrix
-        # product
-        self.stack = np.stack([f[self.box].ravel() for f in stacks]) if stacks else None
+        # one row per term, on the box (none for a zero force): the
+        # contraction is one matrix product
+        self.stack = np.array([f[self.box].ravel() for f in stacks],
+                              dtype=np.complex128).reshape(len(stacks), math.prod(self.shape))
         self.evals = evals
 
-    def __call__(self, t: float) -> np.ndarray:
-        got = self.memo.get(t)
-        if got is None:
-            got = self._evaluate(t)
-            got.setflags(write=False)
-            if len(self.memo) >= _FORCE_MEMO:
-                self.memo.clear()
-            self.memo[t] = got
-            self.n_evals += 1
-        return got
+    def __call__(self, *times: float) -> np.ndarray:
+        self.n_evals += 1
+        return self._contract(self._weights(times))
 
-    def slope(self, a: float, b: float) -> np.ndarray:
-        """(f(b) - f(a)) / (b - a), from the weights at a and at b."""
+    def slope(self, *taus: float) -> np.ndarray:
+        """df/dt at each tau, as (f(b) - f(a)) / (b - a) over a = tau - d,
+        b = tau + d with d = max(1e-6 tau, 1e-9), and a = tau where tau - d
+        leaves the domain."""
         self.n_slopes += 1
-        return self._contract(lambda fn: (fn(b) - fn(a)) / (b - a), a, b)
+        deltas = [max(1e-6 * tau, 1e-9) for tau in taus]
+        a = [tau - d if tau - d >= self.sys.t_min else tau for tau, d in zip(taus, deltas)]
+        b = [tau + d for tau, d in zip(taus, deltas)]
+        return self._contract((self._weights(b) - self._weights(a)) / np.subtract(b, a)[:, None])
 
-    def _evaluate(self, t: float) -> np.ndarray:
-        return self._contract(lambda fn: fn(t), t)
-
-    def _contract(self, weight, *times: float) -> np.ndarray:
-        """The sum of the terms, each weighted by weight(its envelope), at
-        times that must lie in the system's domain."""
+    def _weights(self, times) -> np.ndarray:
+        """The term weights at times that must lie in the system's domain,
+        one row per time."""
         for t in times:
             self.sys.check_domain(t)
-        if self.stack is None:
-            return np.zeros(self.shape, dtype=np.complex128)
-        w = np.array([weight(fn) for fn in self.evals])
-        return (w @ self.stack).reshape(self.shape)
+        return np.array([[fn(t) for fn in self.evals] for t in times])
+
+    def _contract(self, weights: np.ndarray) -> np.ndarray:
+        return (weights @ self.stack).reshape((len(weights),) + self.shape)
 
 
 @dataclass(frozen=True)
@@ -308,7 +298,8 @@ class _Integrator:
     The state lives on the box |k_a| <= e_a of the extents of the run's
     closed support S (``support``: flat indices into the cube), in the
     cube's layout: u, the stages and f are arrays of that box, components
-    last and k3 from -e3 to e3.  The box's modes off S (k = 0 at least)
+    last and k3 from -e3 to e3.  ``step`` forms f at its four node times
+    in one call of the force evaluator and returns the rows with its states.  The box's modes off S (k = 0 at least)
     stay exactly zero: S is closed under p + q inside the cube, so B's flux
     there is zeroed as unreached or has zero weights (k = 0), f vanishes
     there, and e^{-h |k|^2} 0 = 0.  The phi tables and Krogstad's weight
@@ -338,39 +329,40 @@ class _Integrator:
         self.plan = _plan(K, (np.packbits(mask[:, :, K:]).tobytes(),), ((0, 0),))
 
     def advect(self, u: np.ndarray) -> np.ndarray:
-        """B(u, u) on the box; exactly zero, with no transform, when the plan
-        is None (no p + q of S lands in the cube away from k = 0)."""
+        """B(u, u) on the box, one per rhs (counted in ``n_rhs``); exactly
+        zero, with no transform, when the plan is None (no p + q of S lands
+        in the cube away from k = 0)."""
+        self.n_rhs += 1
         if self.plan is None:
             return np.zeros_like(u)
         flux = _advect(self.plan, [u[:, :, self.extents[2]:].transpose(3, 0, 1, 2)])
         return _unfold(flux, self.extents)
 
-    def rhs(self, t: float, u: np.ndarray) -> np.ndarray:
-        """f - B(u, u) at (t, u)."""
-        self.n_rhs += 1
-        buu = self.advect(u)
-        self.last_b = buu  # clean copy for the energy-orthogonality monitor
-        return self.force_eval(t) - buu
+    def rhs(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """f - B(u, u), with f the force at u's time."""
+        return f - self.advect(u)
 
-    def krogstad(self, h: float, t_half: float, t_end: float, u0: np.ndarray,
-                 k1: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def krogstad(self, h: float, u0: np.ndarray, k1: np.ndarray, weights: np.ndarray,
+                 f_half: np.ndarray, f_end: np.ndarray) -> np.ndarray:
         """One fourth-order step of size h from u0 with k1 = rhs at its
         start, given the box weights of ``_krogstad_weights`` for h and the
-        times of its nodes 1/2 and 1."""
+        force at its nodes 1/2 and 1."""
         eh, q1, a3, q2, e1, a4, b4, c1, c23, c4 = weights
         eu = eh * u0
         U2 = eu + (0.5 * h) * q1 * k1
-        k2 = self.rhs(t_half, U2)
+        k2 = self.rhs(f_half, U2)
         U3 = eu + h * (a3 * k1 + q2 * k2)
-        k3 = self.rhs(t_half, U3)
+        k3 = self.rhs(f_half, U3)
         e1u = e1 * u0
         U4 = e1u + h * (a4 * k1 + b4 * k3)
-        k4 = self.rhs(t_end, U4)
+        k4 = self.rhs(f_end, U4)
         return e1u + h * (c1 * k1 + c23 * (k2 + k3) + c4 * k4)
 
     def step(self, t: float, h: float, u0: np.ndarray, k1: np.ndarray):
-        """Doubled step from (t, u0) with k1 = rhs(t, u0); returns the fine
-        solution, the error field, the midpoint state and its rhs."""
+        """Doubled step from (t, u0) with k1 = rhs at (t, u0); returns the
+        fine solution, the error field, the midpoint state, its rhs and the
+        force at the step's nodes t + h/4, t + h/2, (t + h/2) + h/4 and
+        t + h, one row each."""
         # never clamp z: the phi formulas divide by it, and exp just underflows
         z = -h * self.shells
         P1, P2, P4 = zip(*_phi_trio(np.stack([z, 0.5 * z, 0.25 * z])))
@@ -380,14 +372,15 @@ class _Integrator:
         weights = np.concatenate([_krogstad_weights(P1, P2), _krogstad_weights(P2, P4)])
         weights = weights.astype(np.complex128)[:, self.shell_of]
         full, half = weights[:10], weights[10:]
-        # the fine half steps end on the coarse step's t + h, not an ulp off
-        # it at (t + h/2) + h/2, so the force there is contracted once
-        t_half, t_end = t + 0.5 * h, t + h
-        coarse = self.krogstad(h, t_half, t_end, u0, k1, full)
-        mid = self.krogstad(0.5 * h, t + 0.25 * h, t_half, u0, k1, half)
-        n_mid = self.rhs(t_half, mid)
-        fine = self.krogstad(0.5 * h, t_half + 0.25 * h, t_end, mid, n_mid, half)
-        return fine, (fine - coarse) / 15.0, mid, n_mid
+        # the fine half step's first node is taken from its own start
+        # t + h/2, and its end is the coarse step's t + h
+        t_half = t + 0.5 * h
+        f = self.force_eval(t + 0.25 * h, t_half, t_half + 0.25 * h, t + h)
+        coarse = self.krogstad(h, u0, k1, full, f[1], f[3])
+        mid = self.krogstad(0.5 * h, u0, k1, half, f[0], f[1])
+        n_mid = self.rhs(f[1], mid)
+        fine = self.krogstad(0.5 * h, mid, n_mid, half, f[2], f[3])
+        return fine, (fine - coarse) / 15.0, mid, n_mid, f
 
 
 def _krogstad_weights(full: tuple, half: tuple) -> np.ndarray:
@@ -452,8 +445,6 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     def inner(a: np.ndarray, b: np.ndarray) -> float:
         return VOLUME * float(np.real(np.vdot(a, b)))
 
-    guard_scale = 1e3 * max(u0.l2(), l2(feval(t0)), 1e-30)
-
     # snapshot accumulators; the energy ledger accumulates per accepted step
     rec_t, rec_state, rec_l2, rec_fl2, rec_h = [], [], [], [], []
     rec_norms = {idx: [] for idx in norm_indices}
@@ -468,14 +459,11 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     bins = (np.repeat(stepper.shell_of.ravel(), 2) + n_shells * np.arange(4)[:, None]).ravel()
     terms = np.empty((4, len(bins) // 4))   # the terms of the four sums, refilled by each node
 
-    def node(tau: float, arr: np.ndarray, n_arr: np.ndarray) -> tuple:
+    def node(arr: np.ndarray, n_arr: np.ndarray, f: np.ndarray, f_dot: np.ndarray) -> tuple:
         # ([D, I], [D', I'] per shell) at a converged state (interior stage
-        # values are lower-order and would pollute the ledger):
-        # D = |A^(1/2) u|^2, I = <f, u>, exact du/dt = -A u + N,
-        # finite-difference df/dt (one-sided at the domain's edge)
-        f = feval(tau)
-        delta = max(1e-6 * tau, 1e-9)
-        f_dot = feval.slope(tau - delta if tau - delta >= force.t_min else tau, tau + delta)
+        # values are lower-order and would pollute the ledger) with the
+        # force f and its finite-difference slope f_dot there:
+        # D = |A^(1/2) u|^2, I = <f, u>, exact du/dt = -A u + N
         udot = -ksq[..., None] * arr + n_arr
         # Re <a, b> = sum of the products of the float views
         u_, f_, ud_, fd_ = (x.view(np.float64).ravel() for x in (arr, f, udot, f_dot))
@@ -495,7 +483,9 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         slopes = (a[1] - b[1])[:, kept].sum(axis=1)
         return 0.5 * h_ab * (a[0] + b[0]) + (h_ab * h_ab / 12.0) * slopes
 
-    def record(t: float, arr: np.ndarray, h: float):
+    def record(t: float, arr: np.ndarray, h: float) -> np.ndarray:
+        # returns f(t), evaluated for the snapshot's |f|
+        (f,) = feval(t)
         coeffs = np.zeros((W, W, W, 3), dtype=np.complex128)
         coeffs[box] = arr
         state = SpectralField(cutoff, coeffs)
@@ -503,20 +493,22 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         rec_t.append(t)
         rec_state.append(state)
         rec_l2.append(state.l2())
-        rec_fl2.append(l2(feval(t)))
+        rec_fl2.append(l2(f))
         rec_h.append(h)
         for idx in norm_indices:
             rec_norms[idx].append(gevrey_norm(state, idx))
         rec_diss.append(diss)
         rec_inj.append(inj)
+        return f
 
     u = np.array(u0.coeffs[box])
     u_l2 = l2(u)    # the norm of the last accepted state, carried from step to step
     t = t0
-    record(t, u, 0.0)
+    f = record(t, u, 0.0)
     sample_idx = 1
-    k1 = stepper.rhs(t, u)
-    start = node(t, u, k1)
+    guard_scale = 1e3 * max(u0.l2(), rec_fl2[0], 1e-30)
+    k1 = stepper.rhs(f, u)
+    start = node(u, k1, f, *feval.slope(t))
 
     h = min(1e-3 * max(t0, 1.0), (t1 - t0) / 2)
     while t < t1 * (1 - 1e-14):
@@ -528,7 +520,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing trial step shows up as a non-finite error norm
             # and is rejected
-            u_new, err_field, mid, n_mid = stepper.step(t, h_try, u, k1)
+            u_new, err_field, mid, n_mid, f = stepper.step(t, h_try, u, k1)
             err = l2(err_field)
             size = l2(u_new)
             ref = max(size, u_l2)
@@ -543,23 +535,24 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
             ratio = err / (tol * ref * min(2.0 * h_try, 1.0))
         if ratio <= 1.0:
             # the scale follows |f| along the run, so a force that vanishes
-            # at t0 does not pin it near 1e3 * 1e-30; f(t + h) is held in the
-            # memo since the coarse step's last stage, and the next k1 needs it
-            guard_scale = max(guard_scale, 1e3 * l2(feval(t + h_try)))
+            # at t0 does not pin it near 1e3 * 1e-30
+            guard_scale = max(guard_scale, 1e3 * l2(f[3]))
             if size > guard_scale or not math.isfinite(size):
                 raise BlowUpError(
                     f"|u| = {size:.3e} exceeded 1e3 x the data's scale at t = {t + h_try:g}; "
                     "the run left the small-data regular regime")
-            # one fresh rhs at the accepted endpoint closes the ledger slopes
+            # one fresh B at the accepted endpoint closes the ledger slopes
             # and seeds the next step's first stage
-            k1 = stepper.rhs(t + h_try, u_new)
-            middle = node(t + 0.5 * h_try, mid, n_mid)
-            end = node(t + h_try, u_new, k1)
-            # the rhs just stashed B(u_new, u_new): check its energy
-            # orthogonality against the state it advects, relative to the
-            # cube of |u_new|_{1/2,0}, whose square is the end node's D (a
-            # cube that underflows to 0 leaves nothing to divide by)
-            b_inner = inner(u_new, stepper.last_b)
+            b_new = stepper.advect(u_new)
+            k1 = f[3] - b_new
+            f_dot = feval.slope(t + 0.5 * h_try, t + h_try)
+            middle = node(mid, n_mid, f[1], f_dot[0])
+            end = node(u_new, k1, f[3], f_dot[1])
+            # B(u_new, u_new)'s energy orthogonality against the state it
+            # advects, relative to the cube of |u_new|_{1/2,0}, whose square
+            # is the end node's D (a cube that underflows to 0 leaves
+            # nothing to divide by)
+            b_inner = inner(u_new, b_new)
             cube = end[0][0] ** 1.5
             if cube > 0:
                 max_b_rel = max(max_b_rel, abs(b_inner) / cube)

@@ -21,8 +21,8 @@ UNCALLED_EXPORTS = {
     "check_series_expansion": "criterion 8: convergence of the expansion series",
     "smoothing_constant": "the Gevrey smoothing estimate of the heat semigroup",
     "verify_system_conditions": "the conditions a decay system must meet",
-    # the direct evaluation the memoized force evaluator is compared against
-    "evaluate_force": "reference for the force-memo tests",
+    # f at one time, which a doubled step's force rows are compared against
+    "evaluate_force": "reference for the force-row tests",
 }
 
 

@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from nsasym.lattice import closure
 from nsasym.solver import (
     BlowUpError,
     ForceSpec,
-    _FORCE_MEMO,
     _ForceEval,
     _Integrator,
     _advect,
@@ -99,32 +97,29 @@ class TestForceEvaluation:
         monkeypatch.setattr(system, "eval", lambda lam, t: seen.append(t) or inner(lam, t))
         return seen
 
-    def test_repeated_time_is_evaluated_once(self, monkeypatch):
+    @pytest.mark.parametrize("two_terms", [False, True], ids=["one_term", "two_terms"])
+    def test_step_rows_are_the_force_at_its_nodes(self, two_terms):
+        # one product gives f at the doubled step's four nodes t + h/4,
+        # t + h/2, (t + h/2) + h/4 and t + h: the same bytes as evaluating
+        # each alone with one term, and within rounding with two
         lat = power_lattice()
-        force = ForceSpec(normalize_force(
-            [(1.0, shear()), (2.0, random_solenoidal_field(3, RNG, amplitude=0.05))], lat))
-        times = [3.0, 3.0, 4.5, 3.0, 4.5, 3.0 + 2 ** -51, 4.5, np.float64(3.0)]
-        want = {t: evaluate_force(force, t).coeffs.tobytes() for t in times}
-        seen = self.spied(monkeypatch, force)
-        feval = _ForceEval(force)
-        for t in times:
-            got = feval(t)
-            assert got.tobytes() == want[t]
-            assert not got.flags.writeable
-        assert Counter(seen) == {3.0: 2, 4.5: 2, 3.0 + 2 ** -51: 2}
-        assert feval.n_evals == 3
-
-    def test_memo_starts_over_when_full(self, monkeypatch):
-        lat = power_lattice()
-        force = ForceSpec(normalize_force([(1.0, shear())], lat))
-        times = [1.0 + 0.5 * n for n in range(_FORCE_MEMO + 3)]
-        want = {t: evaluate_force(force, t).coeffs.tobytes() for t in times}
-        seen = self.spied(monkeypatch, force)
-        feval = _ForceEval(force)
-        for t in times + times[-3:] + times[:1]:
-            assert feval(t).tobytes() == want[t]
-        # the last three are still held; the first was dropped with the full memo
-        assert len(seen) == feval.n_evals == len(times) + 1
+        raw = [(1.0, shear())]
+        if two_terms:
+            raw.append((2.0, random_solenoidal_field(3, np.random.default_rng(4), amplitude=0.05)))
+        force = ForceSpec(normalize_force(raw, lat))
+        support = _closed_support(3, [f.coeffs for f in force.fields])
+        stepper = _Integrator(3, support, force)
+        t, h = 3.0, 0.7
+        u = np.zeros(stepper.force_eval.shape, dtype=np.complex128)
+        f = stepper.step(t, h, u, stepper.rhs(*stepper.force_eval(t), u))[4]
+        assert stepper.force_eval.n_evals == 2
+        t_half = t + 0.5 * h
+        for row, tau in zip(f, (t + 0.25 * h, t_half, t_half + 0.25 * h, t + h)):
+            want = evaluate_force(force, tau).coeffs[stepper.box]
+            if two_terms:
+                assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
+            else:
+                assert row.tobytes() == want.tobytes()
 
     def test_counter_matches_system_evaluations(self, monkeypatch):
         lat = power_lattice()
@@ -133,17 +128,18 @@ class TestForceEvaluation:
         seen = self.spied(monkeypatch, force)
         trace = integrate_nse((1.0 / 5.0) * xi1, force, 5.0, 20.0, 1e-8)
         stats = trace.stats
-        # two terms per evaluation, and per slope at each of its two times;
-        # each distinct time is evaluated about once
-        assert len(seen) == 2 * (stats["n_force_evals"] + 2 * stats["n_force_slopes"])
-        assert 0 < stats["n_force_evals"] < stats["n_rhs"]
-        # one slope per ledger node: two per accepted step, and the start
-        assert stats["n_force_slopes"] == 2 * stats["n_steps"] + 1
-        # a doubled step meets four new times, t + h/4, h/2, 3h/4 and h (the
-        # fine half steps end on the coarse step's t + h), and each sample
-        # and the start at most one more
         attempts = stats["n_steps"] + stats["n_rejected"]
-        assert stats["n_force_evals"] <= 4 * attempts + len(trace.times) + 1
+        # two terms at each time: four per attempt, one per sample, and the
+        # two ends of each slope's difference quotient, at the start node
+        # and at the middle and end nodes of each accepted step
+        assert len(seen) == 2 * (4 * attempts + len(trace.times) + 2 * (2 * stats["n_steps"] + 1))
+        assert 0 < stats["n_force_evals"] < stats["n_rhs"]
+        # one slope product for the start node, and one per accepted step
+        # for its middle and end nodes
+        assert stats["n_force_slopes"] == stats["n_steps"] + 1
+        # one product per attempt, for its four node times, and one per
+        # sample, the start's included
+        assert stats["n_force_evals"] == attempts + len(trace.times)
 
 
 class TestPhiTrio:
@@ -250,7 +246,7 @@ class TestNseIntegration:
             stepper = _Integrator(2, support, force)
             t, u = t0, ((1 / t0) * xi1).coeffs[stepper.box]
             while t < t1:
-                u = stepper.step(t, h, u, stepper.rhs(t, u))[0]
+                u = stepper.step(t, h, u, stepper.rhs(*stepper.force_eval(t), u))[0]
                 t += h
             exact = (1 / t1) * xi1
             errs.append(np.linalg.norm(u - exact.coeffs[stepper.box])
@@ -263,8 +259,8 @@ class TestNseIntegration:
         step = _Integrator.step
 
         def unstable(self, t, h, u0, k1):
-            fine, err, mid, n_mid = step(self, t, h, u0, k1)
-            return 1e4 * fine, np.zeros_like(err), mid, n_mid
+            fine, err, mid, n_mid, f = step(self, t, h, u0, k1)
+            return 1e4 * fine, np.zeros_like(err), mid, n_mid, f
 
         monkeypatch.setattr(_Integrator, "step", unstable)
         u0 = random_solenoidal_field(2, np.random.default_rng(8), amplitude=5.0)
@@ -406,8 +402,8 @@ class TestSupportAdvection:
     def test_box_modes_off_the_closure_stay_exactly_zero(self, monkeypatch, cutoff, modes, box):
         # criterion 2's +-(4,2,1), 2 modes of a 9 x 5 x 3 box, and a run on
         # the k3 = 0 plane, 48 modes of a 7 x 7 x 1 box (k = 0 is off S):
-        # every state the stepper advances, every rhs it forms and every
-        # recorded state is exactly zero off S
+        # every input and output of B, every force row and every recorded
+        # state is exactly zero off S
         phi = SpectralField.from_modes(cutoff, modes)
         force = ForceSpec(normalize_force([(1.0, phi)], power_lattice()))
         support = _closed_support(cutoff, [phi.coeffs])
@@ -415,22 +411,32 @@ class TestSupportAdvection:
         off = np.ones(W ** 3, dtype=bool)
         off[support] = False
         off = off.reshape(W, W, W)
-        leaks, sizes = [], set()
-        rhs = _Integrator.rhs
+        leaks, rows, sizes = [], [], set()
+        advect, evaluate = _Integrator.advect, _ForceEval.__call__
 
-        def spied(self, t, u):
-            out = rhs(self, t, u)
+        def leaked(box_, arr):
+            cube = np.zeros((W, W, W, 3), dtype=np.complex128)
+            cube[box_] = arr
+            return bool(np.any(cube[off]))
+
+        def spied_advect(self, u):
+            out = advect(self, u)
             sizes.add(self.ksq.size)
-            for arr in (u, out):
-                cube = np.zeros((W, W, W, 3), dtype=np.complex128)
-                cube[self.box] = arr
-                leaks.append(bool(np.any(cube[off])))
+            leaks.extend(leaked(self.box, arr) for arr in (u, out))
             return out
 
-        monkeypatch.setattr(_Integrator, "rhs", spied)
+        def spied_force(self, *times):
+            out = evaluate(self, *times)
+            rows.extend(leaked(self.box, row) for row in out)
+            return out
+
+        monkeypatch.setattr(_Integrator, "advect", spied_advect)
+        monkeypatch.setattr(_ForceEval, "__call__", spied_force)
         trace = integrate_nse(0.5 * phi, force, 5.0, 50.0, 1e-8)
         assert sizes == {box} and trace.stats["support_modes"] == len(support)
         assert len(leaks) == 2 * trace.stats["n_rhs"] and not any(leaks)
+        attempts = trace.stats["n_steps"] + trace.stats["n_rejected"]
+        assert len(rows) == 4 * attempts + len(trace.times) and not any(rows)
         for state in trace.states:
             assert not np.any(state.coeffs[off])
 
@@ -474,10 +480,11 @@ class TestEnergyBudget:
         tol = 1e-8
         trace = integrate_nse(u0, force, 5.0, 200.0, tol,
                               norm_indices=(GevreyIndex(0.5, 0.0),))
-        # a doubled step pays 11 rhs plus the ledger's midpoint and end
-        # nodes (3 each); the start node is the previous step's end
+        # a doubled step's four node times, each sample's time, and the two
+        # ends of the difference quotients at the start node and at each
+        # accepted step's middle and end nodes
         attempts = trace.stats["n_steps"] + trace.stats["n_rejected"]
-        assert len(calls) <= 18 * attempts + len(trace.times) + 8, (len(calls), attempts)
+        assert len(calls) == 4 * attempts + len(trace.times) + 2 * (2 * trace.stats["n_steps"] + 1)
         report = energy_budget(trace)
         assert report["energy_identity"].passed, report["energy_identity"].measured
         assert report["energy_identity"].measured["max_rel_residual"] <= 100 * tol

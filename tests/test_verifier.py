@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsasym import expansion, verify
+from nsasym.cli import ExperimentConfig, run_experiment
 from nsasym.expansion import (
     compute_coefficients,
     evaluate_expansion,
@@ -237,6 +238,39 @@ class TestRemainders:
         r1 = remainder_series(self.trace, self.target, 1, GevreyIndex(0.0, 0.0))
         late = [i for i, (t, _) in enumerate(r0) if t >= 20.0]
         assert all(r1[i][1] <= r0[i][1] for i in late)
+
+
+class TestCutoffUniformity:
+    def test_orders_do_not_depend_on_the_cutoff(self):
+        # one run at K = 3 and at K = 4 of a t^-1 force on the three axis
+        # modes: every fitted remainder order passes, each agrees across the
+        # cutoffs far inside ORDER_TOLERANCE, and the L2 and G(1, 1/2)
+        # orders agree, as the Gevrey estimates are uniform in the truncation
+        modes = [{"k": [1, 0, 0], "re": [0.0, 0.3, 0.2], "im": [0.0, 0.0, 0.0]},
+                 {"k": [0, 1, 0], "re": [0.25, 0.0, -0.3], "im": [0.0, 0.0, 0.0]},
+                 {"k": [0, 0, 1], "re": [0.3, 0.2, 0.0], "im": [0.0, 0.0, 0.0]}]
+        orders = {}
+        for cutoff in (3, 4):
+            cfg = ExperimentConfig.from_json({
+                "schema": 1, "system": {"kind": "power"}, "cutoff": cutoff,
+                "lattice_cutoff": 4.5, "generators": [1.0],
+                "force": {"type": "explicit",
+                          "terms": [{"exponent": 1.0, "field": {"modes": modes}}]},
+                "solver": {"t0": 5.0, "t1": 500.0, "tol": 1e-9, "sample_ratio": 1.1,
+                           "u0": "zero"},
+                "verification": {"orders": [0, 1, 2, 3], "gevrey": [[0.0, 0.0], [1.0, 0.5]],
+                                 "window": [20.0, 200.0]}})
+            fits = [c for c in run_experiment(cfg).checks
+                    if c["property"] == "fitted_order_at_least"]
+            assert len(fits) == 8 and all(c["pass"] for c in fits), fits
+            orders[cutoff] = {c["case"]: c["measured"] for c in fits}
+        assert orders[3].keys() == orders[4].keys()
+        for case, order in orders[3].items():
+            assert abs(order - orders[4][case]) <= 1e-6
+        for fitted in orders.values():
+            for N in range(4):
+                l2, gevrey = (fitted[f"remainder[N={N},{label}]"] for label in ("a0_s0", "a1_s0.5"))
+                assert abs(l2 - gevrey) <= 0.005 * l2
 
 
 class TestDecayFits:
