@@ -57,9 +57,9 @@ __all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult",
 SCHEMA_VERSION = 1
 COEFF_FLOOR = 1e-13  # below this (relative) a coefficient counts as zero
 # Most steps a horizon may demand at the least (solver.least_steps).  The
-# shipped configs and the perfbench workloads need at most 201
-# (criterion4_logarithmic and longhaul_planar); t1 = 1e300 from t0 = 5 needs
-# 8,955 and would only stop at the solver's step budget, after more than a minute.
+# shipped configs and the perfbench workloads need at most 282
+# (iterated_log_m2: 281.2); t1 = 1e300 from t0 = 5 needs 8,955 and would
+# only stop at the solver's step budget, after more than a minute.
 MAX_HORIZON_STEPS = 5_000
 ORDER_TOLERANCE = 0.1      # a remainder passes at a fitted order >= (1 - this) x expected
 FALSIFY_RELATIVE = 0.01    # falsify scales coefficient n by 1 + this

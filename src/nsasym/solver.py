@@ -33,10 +33,9 @@ dynamics relax on the scale of t itself).
 B(u, u) only reaches sums p + q of modes already present, so a run stays
 on S, the closure of supp(u0) and the force's support under p + q inside
 the cube, away from k = 0.  S is computed once per run, and the state,
-the stages and the force are kept on the box of S's extents, in the
-cube's layout, with B(u, u) on one advection plan for the whole run.  The
-box's modes off S stay exactly zero, and the norms are plain reductions
-over the box.  The force is the finite sum of the terms psi_lambda(t)
+the stages and the force are kept on the k3 >= 0 half of the box of S's
+extents (``_Integrator``), with B(u, u) on one advection plan for the
+whole run.  The force is the finite sum of the terms psi_lambda(t)
 phi_lambda, so each attempted step forms it at its four node times with
 one product of the term weights with the stacked term fields.
 """
@@ -57,6 +56,7 @@ from .spectral import (
     SpectralField,
     _advect,
     _closed_support,
+    _fold,
     _grid,
     _plan,
     _unfold,
@@ -143,7 +143,7 @@ class ForceSpec:
 
 def evaluate_force(force: ForceSpec, t: float) -> SpectralField:
     """f(t); exact linear combination of the stored terms."""
-    return SpectralField(force.cutoff, _ForceEval(force)(t)[0])
+    return SpectralField(force.cutoff, _unfold(_ForceEval(force)(t)[0], force.cutoff))
 
 
 class _ForceEval:
@@ -154,18 +154,16 @@ class _ForceEval:
     times the same way, from difference quotients of the term weights, and
     ``n_slopes`` counts those products apart.
 
-    f is formed on the box |k_a| <= extents[a] (the whole cube by default),
-    in the cube's layout: components last, k_a ascending from -extents[a];
-    each call returns one such array per time, stacked on a leading axis.
+    f is formed on the k3 >= 0 half of the box |k_a| <= extents[a] (of the
+    whole cube by default), components first, as ``_fold`` gives it; each
+    call returns one such array per time, stacked on a leading axis.
     """
 
     def __init__(self, force: ForceSpec, extents: tuple | None = None):
         sys = force.expansion.lattice.system
         self.sys = sys
-        K = force.cutoff
-        extents = extents or (K, K, K)
-        self.box = tuple(slice(K - e, K + e + 1) for e in extents)
-        self.shape = tuple(2 * e + 1 for e in extents) + (3,)
+        extents = extents or (force.cutoff,) * 3
+        self.shape = (3, 2 * extents[0] + 1, 2 * extents[1] + 1, extents[2] + 1)
         self.n_evals = 0
         self.n_slopes = 0
         stacks = []
@@ -180,7 +178,7 @@ class _ForceEval:
                 evals.append(extra.envelope(sys))
         # one row per term, on the box (none for a zero force): the
         # contraction is one matrix product
-        self.stack = np.array([f[self.box].ravel() for f in stacks],
+        self.stack = np.array([_fold(f, extents).ravel() for f in stacks],
                               dtype=np.complex128).reshape(len(stacks), math.prod(self.shape))
         self.evals = evals
 
@@ -293,50 +291,61 @@ class _Integrator:
     fraction of t on smooth strongly-forced decays.  The doubling estimate
     compares two genuine propagations and does not throttle the step
     there, but where h |k|^2 >> 1 it still reads below the real error
-    (ROADMAP item 4).
+    (see the ROADMAP item on error control).
 
-    The state lives on the box |k_a| <= e_a of the extents of the run's
-    closed support S (``support``: flat indices into the cube), in the
-    cube's layout: u, the stages and f are arrays of that box, components
-    last and k3 from -e3 to e3.  ``step`` forms f at its four node times
-    in one call of the force evaluator and returns the rows with its states.  The box's modes off S (k = 0 at least)
-    stay exactly zero: S is closed under p + q inside the cube, so B's flux
-    there is zeroed as unreached or has zero weights (k = 0), f vanishes
-    there, and e^{-h |k|^2} 0 = 0.  The phi tables and Krogstad's weight
-    combinations depend on k only through |k|^2, so they are formed on the
-    distinct |k|^2 shells of the box and gathered to its modes by
-    ``shell_of``: every element gets the same operations as on the whole
-    cube.  B(u, u) is ``advection_sum``'s kernel on the one plan of S,
-    looked up here: the box's k3 >= 0 half is the plan's input half box,
-    and the flux comes back through the same ``_unfold`` as a sum's.
+    u, the stages and f live on the k3 >= 0 half of the box |k_a| <= e_a of
+    the extents of the run's closed support S (``support``, the half mask
+    of ``_closed_support``), components first, as ``_fold`` gives them: the
+    input half box of the one advection plan of S, so B(u, u) is the
+    kernel's flux cropped to the box.  ``l2``, ``inner`` and the ledger
+    count each k3 > 0 mode twice, for k and -k, and the k3 = 0 plane once;
+    the plane stays exactly Hermitian, as the stage weights are real and
+    even in k and the kernel symmetrizes it.  The box's modes off S (k = 0
+    at least) stay exactly zero: S is closed under p + q inside the cube,
+    so B's flux there is zeroed as unreached or has zero weights (k = 0),
+    f vanishes there, and e^{-h |k|^2} 0 = 0.  The phi tables and Krogstad's
+    weight combinations depend on k only through |k|^2, so they are formed
+    on the distinct |k|^2 shells of the box and gathered to its modes by
+    ``shell_of``: every element gets the same operations as on the cube.
     """
 
     def __init__(self, cutoff: int, support: np.ndarray, force: ForceSpec):
-        K, W = cutoff, 2 * cutoff + 1
-        mask = np.zeros((W, W, W), dtype=bool)
-        mask.flat[support] = True
-        self.extents = tuple(int(e) for e in np.abs(np.argwhere(mask) - K).max(axis=0, initial=0))
+        K = cutoff
+        self.extents = tuple(int(e) for e in
+                             np.abs(np.argwhere(support) - (K, K, 0)).max(axis=0, initial=0))
         self.force_eval = _ForceEval(force, self.extents)
-        self.box = self.force_eval.box
-        self.ksq = _grid(K)[1][self.box]
-        # the distinct |k|^2 of the box, ascending, and the shell of each
-        # number of a state, components included, so gathered weights need
-        # no broadcast
+        self.ksq = _fold(_grid(K)[1][..., None], self.extents)[0]     # |k|^2 on the half box
+        # the distinct |k|^2 of the half box, ascending, and the shell of
+        # each number of a state, components included, so gathered weights
+        # need no broadcast
         self.shells, shell_of = np.unique(self.ksq, return_inverse=True)
-        self.shell_of = np.repeat(shell_of.reshape(self.ksq.shape)[..., None], 3, axis=-1)
+        self.shell_of = np.repeat(shell_of.reshape((1,) + self.ksq.shape), 3, axis=0)
         self.n_rhs = 0
-        # the plan of B(u, u) for u on S, keyed as advection_sum keys it
-        self.plan = _plan(K, (np.packbits(mask[:, :, K:]).tobytes(),), ((0, 0),))
+        # the plan of B(u, u) for u on S, keyed as advection_sum keys it;
+        # its output half box is centred on the state's
+        self.plan = _plan(K, (np.packbits(support).tobytes(),), ((0, 0),))
+        if self.plan is not None:
+            (o1, o2, _), (e1, e2, e3) = self.plan.layout.e_out, self.extents
+            self.crop = (slice(None), slice(o1 - e1, o1 + e1 + 1), slice(o2 - e2, o2 + e2 + 1),
+                         slice(e3 + 1))
 
     def advect(self, u: np.ndarray) -> np.ndarray:
-        """B(u, u) on the box, one per rhs (counted in ``n_rhs``); exactly
-        zero, with no transform, when the plan is None (no p + q of S lands
-        in the cube away from k = 0)."""
+        """B(u, u) on the half box, one per rhs (counted in ``n_rhs``);
+        exactly zero, with no transform, when the plan is None (no p + q of
+        S lands in the cube away from k = 0)."""
         self.n_rhs += 1
         if self.plan is None:
             return np.zeros_like(u)
-        flux = _advect(self.plan, [u[:, :, self.extents[2]:].transpose(3, 0, 1, 2)])
-        return _unfold(flux, self.extents)
+        return _advect(self.plan, [u])[self.crop]
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Re <a, b> over Omega of the real fields whose k3 >= 0 halves are a, b."""
+        both = 2.0 * np.vdot(a, b) - np.vdot(a[..., 0], b[..., 0])
+        return VOLUME * float(np.real(both))
+
+    def l2(self, arr: np.ndarray) -> float:
+        """The L^2(Omega) norm of the real field whose k3 >= 0 half is arr."""
+        return math.sqrt(self.inner(arr, arr))
 
     def rhs(self, f: np.ndarray, u: np.ndarray) -> np.ndarray:
         """f - B(u, u), with f the force at u's time."""
@@ -412,12 +421,12 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     A step is accepted when its step-doubling estimate of the local error
     per unit step is below ``tol`` relative.  The estimate tracks the true
     error while h |k|^2 is moderate; where h |k|^2 >> 1 (phi-saturated
-    shells) it reads several times low (4-14x against a substep reference,
-    ROADMAP item 4), so an accepted step may carry more than ``tol``.  A
-    step is at most STEP_GROWTH * t; snapshots land exactly on the
-    geometric grid t0 * sample_ratio^j.  Raises BlowUpError if an accepted
-    |u| exceeds 1e3 times the data's scale: the largest of |u0| and |f| at
-    t0 and at the end of every accepted step.
+    shells) it reads several times low (4-14x against a substep reference;
+    see the ROADMAP item on error control), so an accepted step may carry
+    more than ``tol``.  A step is at most STEP_GROWTH * t; snapshots land
+    exactly on the geometric grid t0 * sample_ratio^j.  Raises BlowUpError
+    if an accepted |u| exceeds 1e3 times the data's scale: the largest of
+    |u0| and |f| at t0 and at the end of every accepted step.
 
     The run works on its closed support S (``_closed_support`` of u0 and
     the force terms); ``stats["support_modes"]`` is |S|.
@@ -430,20 +439,13 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     if not tol > 0:
         raise SolverError("tolerance must be positive")
 
-    # the run stays on S: every array below is on the box of S's extents
+    # the run stays on S: every array below is on a half box of S's extents
     support = _closed_support(cutoff, [f.coeffs for f in (u0,) + force.fields])
     stepper = _Integrator(cutoff, support, force)
-    feval, box = stepper.force_eval, stepper.box
+    feval, l2 = stepper.force_eval, stepper.l2
     shells, ksq = stepper.shells, stepper.ksq
     samples = _geometric_samples(t0, t1, sample_ratio)
     norm_indices = list(norm_indices)
-    W = 2 * cutoff + 1
-
-    def l2(arr: np.ndarray) -> float:
-        return math.sqrt(VOLUME) * float(np.linalg.norm(arr.ravel()))
-
-    def inner(a: np.ndarray, b: np.ndarray) -> float:
-        return VOLUME * float(np.real(np.vdot(a, b)))
 
     # snapshot accumulators; the energy ledger accumulates per accepted step
     rec_t, rec_state, rec_l2, rec_fl2, rec_h = [], [], [], [], []
@@ -453,10 +455,11 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     max_b_rel = 0.0
     n_steps = n_rejected = 0
 
-    # the |k|^2 shell of each number of a state's float view, for each of
-    # the four sums of ``node``: one bincount forms them all
+    # the bin of each number of a state's float view: its |k|^2 shell, the
+    # plane's apart, for each of the four sums of ``node`` (one bincount)
     n_shells = len(shells)
-    bins = (np.repeat(stepper.shell_of.ravel(), 2) + n_shells * np.arange(4)[:, None]).ravel()
+    bin_of = stepper.shell_of + n_shells * (np.arange(ksq.shape[2]) == 0)
+    bins = (np.repeat(bin_of.ravel(), 2) + 2 * n_shells * np.arange(4)[:, None]).ravel()
     terms = np.empty((4, len(bins) // 4))   # the terms of the four sums, refilled by each node
 
     def node(arr: np.ndarray, n_arr: np.ndarray, f: np.ndarray, f_dot: np.ndarray) -> tuple:
@@ -464,7 +467,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         # values are lower-order and would pollute the ledger) with the
         # force f and its finite-difference slope f_dot there:
         # D = |A^(1/2) u|^2, I = <f, u>, exact du/dt = -A u + N
-        udot = -ksq[..., None] * arr + n_arr
+        udot = -ksq * arr + n_arr
         # Re <a, b> = sum of the products of the float views
         u_, f_, ud_, fd_ = (x.view(np.float64).ravel() for x in (arr, f, udot, f_dot))
         np.multiply(u_, u_, out=terms[0])
@@ -472,7 +475,9 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         np.multiply(u_, f_, out=terms[2])
         np.multiply(ud_, f_, out=terms[3])
         terms[3] += u_ * fd_
-        sums = np.bincount(bins, terms.ravel(), 4 * n_shells).reshape(4, n_shells)
+        sums = np.bincount(bins, terms.ravel(), 8 * n_shells).reshape(4, 2, n_shells)
+        # a k3 > 0 mode stands for k and -k, the plane's for itself
+        sums = 2.0 * sums[:, 0] + sums[:, 1]
         values = VOLUME * np.array([shells @ sums[0], sums[2].sum()])
         slopes = VOLUME * np.stack([2.0 * shells * sums[1], sums[3]])
         return values, slopes
@@ -486,9 +491,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
     def record(t: float, arr: np.ndarray, h: float) -> np.ndarray:
         # returns f(t), evaluated for the snapshot's |f|
         (f,) = feval(t)
-        coeffs = np.zeros((W, W, W, 3), dtype=np.complex128)
-        coeffs[box] = arr
-        state = SpectralField(cutoff, coeffs)
+        state = SpectralField(cutoff, _unfold(arr, cutoff))
         state.validate(tol=1e-10)
         rec_t.append(t)
         rec_state.append(state)
@@ -501,7 +504,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         rec_inj.append(inj)
         return f
 
-    u = np.array(u0.coeffs[box])
+    u = np.ascontiguousarray(_fold(u0.coeffs, stepper.extents))    # ``node`` views it as floats
     u_l2 = l2(u)    # the norm of the last accepted state, carried from step to step
     t = t0
     f = record(t, u, 0.0)
@@ -552,7 +555,7 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
             # advects, relative to the cube of |u_new|_{1/2,0}, whose square
             # is the end node's D (a cube that underflows to 0 leaves
             # nothing to divide by)
-            b_inner = inner(u_new, b_new)
+            b_inner = stepper.inner(u_new, b_new)
             cube = end[0][0] ** 1.5
             if cube > 0:
                 max_b_rel = max(max_b_rel, abs(b_inner) / cube)
@@ -585,7 +588,8 @@ def integrate_nse(u0: SpectralField, force: ForceSpec, t0: float, t1: float, tol
         "tol": tol, "n_steps": n_steps, "n_rejected": n_rejected,
         "n_rhs": stepper.n_rhs, "n_force_evals": feval.n_evals,
         "n_force_slopes": feval.n_slopes,
-        "max_b_orthogonality": max_b_rel, "support_modes": len(support),
+        "max_b_orthogonality": max_b_rel,
+        "support_modes": int(2 * support.sum() - support[:, :, 0].sum()),
     }
 
     return SimulationTrace(

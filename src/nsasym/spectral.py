@@ -48,12 +48,11 @@ grid, the pairs kept, the batches, the symmetry and the unreached modes)
 per call plan; a small pair of supports whose sums all miss the cube away
 from k = 0 is dropped with no transform.  Every call, an audit's lone
 pair as much as a recursion's wedge sum, then runs one kernel
-(``_advect``) that transforms only the fields and their products, and
-one helper (``_unfold``) places its half-box flux into a box: the cube for
-a sum.  The solver looks one plan up per run, for the run's closed support
-(``_closed_support``), and calls the same kernel on every rhs with the
-k3 >= 0 half of its state's box, the box of the support's extents, which
-``_unfold`` fills back.
+(``_advect``) that transforms only the fields and their products, on the
+components-first k3 >= 0 half of a box, which ``_fold`` takes from a cube
+array and ``_unfold`` fills back into one.  The solver keeps its state in
+that layout, on the input half box of the one plan of its closed support
+(``_closed_support``), and calls the kernel on every rhs as it is.
 """
 
 from __future__ import annotations
@@ -414,7 +413,7 @@ class _Layout(NamedTuple):
     support extents."""
 
     sizes: tuple[int, int, int]   # padded grid N_a
-    box_in: tuple                 # half box of the fields' extent, transformed in
+    e_in: tuple                   # the fields' extents, whose half box is transformed in
     to_grid: tuple                # its matrices along axes 1, 2, 3 (``_to_grid``)
     from_grid: tuple              # the output half box's along axes 3, 2, 1 (``_from_grid``)
     e_out: tuple                  # the output box is |k_a| <= e_out[a]
@@ -454,8 +453,7 @@ def _layout(cutoff: int, e_in: tuple, e_sum: tuple) -> _Layout:
     sizes = [s + o + 1 for s, o in zip(e_sum, e_out)]
     sizes = tuple(n + n % 2 if n > 1 else n for n in sizes)
     to_grid, from_grid = _dft_matrices(sizes, e_in, e_out)
-    return _Layout(sizes=sizes, box_in=_half_box(cutoff, e_in), to_grid=to_grid,
-                   from_grid=from_grid, e_out=e_out)
+    return _Layout(sizes=sizes, e_in=e_in, to_grid=to_grid, from_grid=from_grid, e_out=e_out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -533,7 +531,7 @@ def _reach(cutoff: int, mask_u: bytes, mask_v: bytes) -> _Reach | None:
                 for pt in (points[0], points[-1]))
     e_in, e_sum = tuple(map(max, e_u, e_v)), tuple(map(operator.add, e_u, e_v))
     layout = _layout(cutoff, e_in, e_sum)
-    phys = _to_grid(layout.to_grid, np.array([m[layout.box_in] for m in masks],
+    phys = _to_grid(layout.to_grid, np.array([m[_half_box(cutoff, e_in)] for m in masks],
                                              dtype=np.complex128))
     unreached = _from_grid(layout.from_grid, phys[:1] * phys[-1:])[0].real <= 0.5
     return _Reach(e_in, e_sum, np.packbits(unreached).tobytes() if unreached.any() else None)
@@ -546,30 +544,25 @@ def _closed_support(cutoff: int, fields: Iterable[np.ndarray]) -> np.ndarray:
 
     Grown on the k3 >= 0 half mask by the reach of the support with itself
     (``_reach``), to a fixed point, so no list of sums is ever formed.
-    Returned as the flat indices of its modes in the (2K+1)^3 cube,
-    ascending (cube order)."""
-    K, W = cutoff, 2 * cutoff + 1
-    mask = np.zeros((W, W, W), dtype=bool)
+    Returned as that half mask, (2K+1, 2K+1, K+1), whose k3 = 0 plane holds
+    both k and -k; packed by ``np.packbits``, it is S's key for ``_plan``."""
+    K = cutoff
+    half = np.zeros((2 * K + 1, 2 * K + 1, K + 1), dtype=bool)
     for f in fields:
-        mask |= np.any(f != 0, axis=-1)
-    half = mask[:, :, K:].copy()
+        half |= np.any(f[:, :, K:] != 0, axis=-1)
     while True:
         key = np.packbits(half).tobytes()
         reach = _reach(K, key, key)
         if reach is None:
-            break
-        o1, o2, o3 = (min(K, s) for s in reach.e_sum)
+            return half
+        e_out = tuple(min(K, s) for s in reach.e_sum)
         grown = half.copy()
-        box = (slice(K - o1, K + o1 + 1), slice(K - o2, K + o2 + 1), slice(o3 + 1))
-        grown[box] |= True if reach.unreached is None else \
-            ~_unpack(reach.unreached, _half_shape((o1, o2, o3)))
+        grown[_half_box(K, e_out)] |= True if reach.unreached is None else \
+            ~_unpack(reach.unreached, _half_shape(e_out))
         grown[K, K, 0] = False
         if np.array_equal(grown, half):
-            break
+            return half
         half = grown
-    mask[:, :, K:] = half
-    mask[:, :, :K] = half[::-1, ::-1, :0:-1]
-    return np.flatnonzero(mask)
 
 
 class _Plan(NamedTuple):
@@ -734,9 +727,8 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     plan = _plan(K, keys, tuple((slot[id(u)], slot[id(v)]) for u, v in pairs))
     if plan is None:
         return SpectralField.zero(K)
-    box_in = plan.layout.box_in
-    flux = _advect(plan, [h[box_in].transpose(3, 0, 1, 2) for h in halves])
-    return SpectralField(K, _unfold(flux, (K, K, K)))
+    flux = _advect(plan, [_fold(f.coeffs, plan.layout.e_in) for f in fields])
+    return SpectralField(K, _unfold(flux, K))
 
 
 def _advect(plan: _Plan, spectra) -> np.ndarray:
@@ -768,21 +760,25 @@ def _advect(plan: _Plan, spectra) -> np.ndarray:
     return flux
 
 
-def _unfold(flux: np.ndarray, extents: tuple) -> np.ndarray:
-    """The box |k_a| <= extents[a], components last, of the real field whose
-    k3 >= 0 half spectrum is ``flux`` (components first, on the half of a
-    box centred on k = 0, as ``_advect`` returns it): the half is written
-    in and k3 < 0 filled with its conjugates.  The boxes are centred on
-    each other, so a mode outside the flux's box is zero and one outside
-    ``extents`` is dropped."""
-    o = ((flux.shape[1] - 1) // 2, (flux.shape[2] - 1) // 2, flux.shape[3] - 1)
-    (e1, e2, e3), (m1, m2, m3) = extents, map(min, o, extents)
-    half = flux[:, o[0] - m1:o[0] + m1 + 1, o[1] - m2:o[1] + m2 + 1, :m3 + 1].transpose(1, 2, 3, 0)
-    out = np.zeros((2 * e1 + 1, 2 * e2 + 1, 2 * e3 + 1, 3), dtype=np.complex128)
-    box = (slice(e1 - m1, e1 + m1 + 1), slice(e2 - m2, e2 + m2 + 1))
-    out[box + (slice(e3, e3 + m3 + 1),)] = half
-    if m3:
-        out[box + (slice(e3 - m3, e3),)] = np.conj(half[::-1, ::-1, :0:-1])
+def _fold(coeffs: np.ndarray, extents: tuple) -> np.ndarray:
+    """The k3 >= 0 half of the box |k_a| <= extents[a] of the cube array
+    ``coeffs``, components first: the half spectrum that ``_advect`` takes
+    and ``_unfold`` fills back into a cube.  A view, not a copy."""
+    (e1, e2, e3), K = extents, coeffs.shape[0] // 2
+    return coeffs[K - e1:K + e1 + 1, K - e2:K + e2 + 1, K:K + e3 + 1].transpose(3, 0, 1, 2)
+
+
+def _unfold(half: np.ndarray, cutoff: int) -> np.ndarray:
+    """The cube array, components last, of the real field whose k3 >= 0
+    half of a box centred on k = 0 is ``half``, components first (as
+    ``_advect`` returns it and ``_fold`` gives it): k3 < 0 holds the
+    conjugates, and every mode outside the box is zero."""
+    m1, m2, m3 = (half.shape[1] - 1) // 2, (half.shape[2] - 1) // 2, half.shape[3] - 1
+    K, W = cutoff, 2 * cutoff + 1
+    out = np.zeros((W, W, W, 3), dtype=np.complex128)
+    _fold(out, (m1, m2, m3))[...] = half
+    box = (slice(K - m1, K + m1 + 1), slice(K - m2, K + m2 + 1), slice(K - m3, K))
+    out[box] = np.conj(out[::-1, ::-1, ::-1][box])      # k3 < 0: the mirrors' conjugates
     return out
 
 

@@ -20,8 +20,11 @@ from nsasym.solver import (
     integrate_nse,
 )
 from nsasym.spectral import (
+    VOLUME,
     _closed_support,
+    _fold,
     _grid,
+    _half_box,
     _unfold,
     GevreyIndex,
     SpectralField,
@@ -115,7 +118,7 @@ class TestForceEvaluation:
         assert stepper.force_eval.n_evals == 2
         t_half = t + 0.5 * h
         for row, tau in zip(f, (t + 0.25 * h, t_half, t_half + 0.25 * h, t + h)):
-            want = evaluate_force(force, tau).coeffs[stepper.box]
+            want = _fold(evaluate_force(force, tau).coeffs, stepper.extents)
             if two_terms:
                 assert np.max(np.abs(row - want)) <= 1e-15 * np.max(np.abs(want))
             else:
@@ -168,16 +171,17 @@ class TestPhiTrio:
 
     @pytest.mark.parametrize("h", [1e-3, 0.37, 5.0, 1e4])
     def test_shell_tables_equal_cube_tables_byte_for_byte(self, h):
-        # the solver forms the tables on the distinct |k|^2 of its box and
-        # gathers them to the box's modes (here the k3 = 0 plane's box): the
-        # same bytes as forming them on the cube
+        # the solver forms the tables on the distinct |k|^2 of its half box
+        # and gathers them to the half box's modes (here the k3 = 0 plane's
+        # box): the same bytes as forming them on the cube
         support = _closed_support(4, [planar_force_field(4).coeffs])
         stepper = _Integrator(4, support, ForceSpec.zero(power_lattice(), 4))
         ksq = _grid(4)[1]
         cube, shells = (_phi_trio(np.stack([z, 0.5 * z, 0.25 * z]))
                         for z in (-h * ksq, -h * stepper.shells))
+        half_box = (slice(None), slice(None)) + _half_box(4, stepper.extents)
         for c, s in zip(cube, shells):
-            on_box = np.repeat(c[(slice(None),) + stepper.box][..., None], 3, -1)
+            on_box = np.repeat(c[:, None, :, :, 4:][half_box], 3, axis=1)
             assert s[:, stepper.shell_of].tobytes() == on_box.tobytes()
 
 
@@ -244,13 +248,12 @@ class TestNseIntegration:
         errs = []
         for h in (0.5, 0.25):
             stepper = _Integrator(2, support, force)
-            t, u = t0, ((1 / t0) * xi1).coeffs[stepper.box]
+            t, u = t0, np.ascontiguousarray(_fold(((1 / t0) * xi1).coeffs, stepper.extents))
             while t < t1:
                 u = stepper.step(t, h, u, stepper.rhs(*stepper.force_eval(t), u))[0]
                 t += h
             exact = (1 / t1) * xi1
-            errs.append(np.linalg.norm(u - exact.coeffs[stepper.box])
-                        / np.linalg.norm(exact.coeffs))
+            errs.append(stepper.l2(u - _fold(exact.coeffs, stepper.extents)) / exact.l2())
         assert errs[0] / errs[1] >= 2 ** 3.5
 
     def test_blowup_guard_trips_on_instability(self, monkeypatch):
@@ -292,9 +295,22 @@ class TestNseIntegration:
 
 
 def modes_of(cutoff, support):
-    """The wave vectors of flat cube indices."""
+    """The wave vectors of a k3 >= 0 half mask: each k3 > 0 mode stands for
+    itself and its mirror, and the k3 = 0 plane holds both k and -k."""
+    S = set()
+    for i, j, l in np.argwhere(support):
+        k = (int(i) - cutoff, int(j) - cutoff, int(l))
+        S |= {k, tuple(-x for x in k)} if l else {k}
+    return S
+
+
+def cube_mask(cutoff, support):
+    """The (2K+1)^3 cube mask of the modes of a k3 >= 0 half mask."""
     W = 2 * cutoff + 1
-    return {tuple(int(x) - cutoff for x in np.unravel_index(i, (W, W, W))) for i in support}
+    mask = np.zeros((W, W, W), dtype=bool)
+    for k in modes_of(cutoff, support):
+        mask[tuple(x + cutoff for x in k)] = True
+    return mask
 
 
 def listed_closure(cutoff, fields):
@@ -330,7 +346,7 @@ class TestClosedSupport:
         # k = 0, and is the listed closure
         fields = [random_modes(cutoff, [seed, i], n) for i, n in enumerate(counts)]
         support = _closed_support(cutoff, [f.coeffs for f in fields])
-        assert np.all(np.diff(support) > 0)
+        assert support.dtype == bool and support.shape == (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
         S = modes_of(cutoff, support)
         for f in fields:
             assert {k for k, _ in f.modes()} <= S
@@ -373,67 +389,80 @@ class TestSupportAdvection:
         support = _closed_support(cutoff, [u.coeffs])
         assert modes_of(cutoff, support) == {k for k, _ in u.modes()}
         stepper = _Integrator(cutoff, support, ForceSpec.zero(power_lattice(), cutoff))
-        got = stepper.advect(u.coeffs[stepper.box])
+        got = stepper.advect(np.ascontiguousarray(_fold(u.coeffs, stepper.extents)))
         want = bilinear_form(u, u).coeffs
-        assert got.tobytes() == want[stepper.box].tobytes()
-        assert not np.any(np.delete(want.reshape(-1, 3), support, axis=0))
+        assert got.tobytes() == _fold(want, stepper.extents).tobytes()
+        assert not np.any(want[~cube_mask(cutoff, support)])
 
     def test_smaller_state_within_rounding_and_zero_off_support(self):
         # u on four modes of the k3 = 0 plane, its support: B on the plane's
         # plan agrees with B on u's own plan to rounding, and the kernel's
         # flux is exactly zero at every mode of its output box outside S
         support = _closed_support(3, [planar_force_field(3).coeffs])
-        assert len(support) == 48
+        off = ~cube_mask(3, support)
+        assert len(modes_of(3, support)) == 48
         u = SpectralField.from_modes(3, {(1, 0, 0): (0.0, 0.3, 0.2), (0, 1, 0): (0.25, 0.0, -0.3),
                                          (1, 1, 0): (0.1, -0.1, 0.2), (2, -1, 0): (0.1, 0.2, 0.0)})
         stepper = _Integrator(3, support, ForceSpec.zero(power_lattice(), 3))
-        got = stepper.advect(u.coeffs[stepper.box])
+        half = _fold(u.coeffs, stepper.extents)
+        got = stepper.advect(np.ascontiguousarray(half))
         want = bilinear_form(u, u).coeffs
-        assert np.max(np.abs(got - want[stepper.box])) <= 1e-15 * np.linalg.norm(u.coeffs) ** 2
-        assert not np.any(np.delete(want.reshape(-1, 3), support, axis=0))
-        half = u.coeffs[stepper.box][:, :, stepper.extents[2]:].transpose(3, 0, 1, 2)
-        flux = _unfold(_advect(stepper.plan, [half]), (3, 3, 3))
-        assert not np.any(np.delete(flux.reshape(-1, 3), support, axis=0))
+        assert np.max(np.abs(got - _fold(want, stepper.extents))) <= 1e-15 * np.linalg.norm(u.coeffs) ** 2
+        assert not np.any(want[off])
+        flux = _unfold(_advect(stepper.plan, [half]), 3)
+        assert not np.any(flux[off])
+
+    def test_flux_is_cropped_to_a_smaller_box(self):
+        # S = +-(3,0,0), +-(0,3,0), +-(3,3,0) and +-(3,-3,0) at K = 4 is
+        # closed, with extents (3, 3, 0), while B's output box reaches
+        # |k_a| = 4: the solver's B is the flux cropped to S's half box, the
+        # same bytes as bilinear_form there, and exactly zero outside
+        u = SpectralField.from_modes(4, {(3, 0, 0): (0.0, 0.3, 0.1), (0, 3, 0): (0.2, 0.0, -0.1),
+                                         (3, 3, 0): (0.1, -0.1, 0.2), (3, -3, 0): (0.1, 0.1, 0.3)})
+        support = _closed_support(4, [u.coeffs])
+        assert modes_of(4, support) == {k for k, _ in u.modes()}
+        stepper = _Integrator(4, support, ForceSpec.zero(power_lattice(), 4))
+        assert stepper.extents == (3, 3, 0) and stepper.plan.layout.e_out == (4, 4, 0)
+        got = stepper.advect(np.ascontiguousarray(_fold(u.coeffs, stepper.extents)))
+        want = bilinear_form(u, u).coeffs
+        assert np.any(got) and got.tobytes() == _fold(want, stepper.extents).tobytes()
+        assert not np.any(want[~cube_mask(4, support)])
 
     @pytest.mark.parametrize("cutoff, modes, box", [
-        (4, {(4, 2, 1): (0.1, -0.2, 0.0)}, 135),
+        (4, {(4, 2, 1): (0.1, -0.2, 0.0)}, 90),
         (3, {(1, 0, 0): (0.0, 0.05, 0.03), (0, 1, 0): (0.04, 0.0, 0.02)}, 49),
     ], ids=["lone_pair", "plane"])
     def test_box_modes_off_the_closure_stay_exactly_zero(self, monkeypatch, cutoff, modes, box):
-        # criterion 2's +-(4,2,1), 2 modes of a 9 x 5 x 3 box, and a run on
-        # the k3 = 0 plane, 48 modes of a 7 x 7 x 1 box (k = 0 is off S):
-        # every input and output of B, every force row and every recorded
-        # state is exactly zero off S
+        # criterion 2's +-(4,2,1), 2 modes of a 9 x 5 x 3 box whose k3 >= 0
+        # half is 9 x 5 x 2, and a run on the k3 = 0 plane, 48 modes of a
+        # 7 x 7 x 1 box, its own half (k = 0 is off S): every input and
+        # output of B, every force row and every recorded state is exactly
+        # zero off S
         phi = SpectralField.from_modes(cutoff, modes)
         force = ForceSpec(normalize_force([(1.0, phi)], power_lattice()))
         support = _closed_support(cutoff, [phi.coeffs])
-        W = 2 * cutoff + 1
-        off = np.ones(W ** 3, dtype=bool)
-        off[support] = False
-        off = off.reshape(W, W, W)
+        off = ~cube_mask(cutoff, support)
         leaks, rows, sizes = [], [], set()
         advect, evaluate = _Integrator.advect, _ForceEval.__call__
 
-        def leaked(box_, arr):
-            cube = np.zeros((W, W, W, 3), dtype=np.complex128)
-            cube[box_] = arr
-            return bool(np.any(cube[off]))
+        def leaked(arr):
+            return bool(np.any(_unfold(arr, cutoff)[off]))
 
         def spied_advect(self, u):
             out = advect(self, u)
             sizes.add(self.ksq.size)
-            leaks.extend(leaked(self.box, arr) for arr in (u, out))
+            leaks.extend(leaked(arr) for arr in (u, out))
             return out
 
         def spied_force(self, *times):
             out = evaluate(self, *times)
-            rows.extend(leaked(self.box, row) for row in out)
+            rows.extend(leaked(row) for row in out)
             return out
 
         monkeypatch.setattr(_Integrator, "advect", spied_advect)
         monkeypatch.setattr(_ForceEval, "__call__", spied_force)
         trace = integrate_nse(0.5 * phi, force, 5.0, 50.0, 1e-8)
-        assert sizes == {box} and trace.stats["support_modes"] == len(support)
+        assert sizes == {box} and trace.stats["support_modes"] == len(modes_of(cutoff, support))
         assert len(leaks) == 2 * trace.stats["n_rhs"] and not any(leaks)
         attempts = trace.stats["n_steps"] + trace.stats["n_rejected"]
         assert len(rows) == 4 * attempts + len(trace.times) and not any(rows)
@@ -458,6 +487,25 @@ class TestSupportAdvection:
                               5.0, 10.0, 1e-8)
         assert len(plans) == 1
         assert trace.stats["n_rhs"] > 100
+
+
+class TestHalfBoxWeights:
+    @pytest.mark.parametrize("cutoff, plane", [(4, False), (3, True)], ids=["dense", "plane"])
+    def test_norm_and_inner_product_equal_the_cube_ones(self, cutoff, plane):
+        # on the k3 >= 0 half box each k3 > 0 mode stands for k and -k and
+        # the k3 = 0 plane for itself: the cube's L2 norm and Re <u, v>
+        rng = np.random.default_rng([cutoff, 31])
+        u, v = (random_solenoidal_field(cutoff, rng) for _ in range(2))
+        if plane:
+            off = np.arange(2 * cutoff + 1) != cutoff
+            u, v = (SpectralField(cutoff, np.where(off[:, None], 0.0, f.coeffs)) for f in (u, v))
+        support = _closed_support(cutoff, [u.coeffs, v.coeffs])
+        stepper = _Integrator(cutoff, support, ForceSpec.zero(power_lattice(), cutoff))
+        assert stepper.extents == (cutoff, cutoff, 0 if plane else cutoff)
+        a, b = (_fold(f.coeffs, stepper.extents) for f in (u, v))
+        for got, want in ((stepper.l2(a), u.l2()), (stepper.l2(b), v.l2()),
+                          (stepper.inner(a, b), VOLUME * np.real(np.vdot(u.coeffs, v.coeffs)))):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 class TestEnergyBudget:
