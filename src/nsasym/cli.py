@@ -436,8 +436,7 @@ def run_experiment(cfg: ExperimentConfig, seed: Optional[int] = None) -> Experim
             remainders[(N, idx.label())] = series
             case = f"remainder[N={N},{idx.label()}]"
             expected = _next_nonzero_exponent(reference, N)
-            solution_scale = max(trace.norms[idx]) if idx in trace.norms else max(trace.l2)
-            noise = 100.0 * cfg.tol * solution_scale
+            noise = 100.0 * cfg.tol * max(trace.norms[idx])
             if expected is None or max(r for _, r in series) <= noise:
                 # manufactured-exact case: remainder must sit at the noise floor
                 worst = max(r for _, r in series)

@@ -36,17 +36,17 @@ output box, equal to numpy's real FFTs, zero-filled and cropped, to
 rounding.  Every mode that no pair p + q = k reaches is set to exactly
 zero, so transform rounding never fills modes no convolution can reach.
 Which modes those are depends on the supports alone, so it is found once
-per pair of supports (the support indicators go through the pair's
-transforms, and their product comes back as the number of pairs
-p + q = k), and a sum's are intersected once per call plan.  The divergence
-and the Leray projection are one precomputed map on the k3 >= 0 half of
-the output box, W[c, (j, c'), k] = P_cc'(k) i k_j, cached per output box;
-the k3 < 0 half is the conjugate.  The sizes and DFT matrices are cached
-per support extents, the extents and unreached modes per pair of
-supports, and everything the supports and the pairing of a call fix (the
-grid, the pairs kept, the batches, the symmetry and the unreached modes)
-per call plan; a small pair of supports whose sums all miss the cube away
-from k = 0 is dropped with no transform.  Every call, an audit's lone
+per call plan: the support indicators go through the plan's transforms,
+and the sum of their products over the pairs comes back as the number of
+pairs p + q = k.  The divergence and the Leray projection are one
+precomputed map on the k3 >= 0 half of the output box,
+W[c, (j, c'), k] = P_cc'(k) i k_j, cached per output box; the k3 < 0 half
+is the conjugate.  The sizes and DFT matrices are cached per support
+extents, the extents and the empty-sum test per pair of supports, and
+everything the supports and the pairing of a call fix (the grid, the
+pairs kept, the batches, the symmetry and the unreached modes) per call
+plan; a small pair of supports whose sums all miss the cube away from
+k = 0 is dropped with no transform.  Every call, an audit's lone
 pair as much as a recursion's wedge sum, then runs one kernel
 (``_advect``) that transforms only the fields and their products, on the
 components-first k3 >= 0 half of a box, which ``_fold`` takes from a cube
@@ -136,19 +136,13 @@ class GevreyIndex:
         return f"a{self.alpha:g}_s{self.sigma:g}"
 
 
-# Cached per-cutoff wavenumber geometry: integer k-grid, |k|^2, |k|.
-_GRIDS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _grid(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    got = _GRIDS.get(cutoff)
-    if got is None:
-        axis = np.arange(-cutoff, cutoff + 1)
-        kvec = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).astype(float)
-        ksq = np.sum(kvec * kvec, axis=-1)
-        got = (kvec, ksq, np.sqrt(ksq))
-        _GRIDS[cutoff] = got
-    return got
+    """The cube's wavenumber geometry, cached per cutoff: integer k-grid, |k|^2, |k|."""
+    axis = np.arange(-cutoff, cutoff + 1)
+    kvec = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).astype(float)
+    ksq = np.sum(kvec * kvec, axis=-1)
+    return kvec, ksq, np.sqrt(ksq)
 
 
 def _half_box(cutoff: int, extents) -> tuple[slice, slice, slice]:
@@ -478,20 +472,6 @@ def _weights(e_out: tuple, symmetric: bool) -> np.ndarray:
     return weights
 
 
-class _Reach(NamedTuple):
-    """What the supports of a pair (u, v) fix about B(u, v)."""
-
-    e_in: tuple                  # max(e_u, e_v), the largest |k_a| of either support
-    e_sum: tuple                 # e_u + e_v, the largest |k_a| of a sum p + q
-    unreached: bytes | None      # the unreached modes of its own output half box, packed;
-                                 # None when every mode is reached
-
-
-def _half_shape(e_out: tuple) -> tuple[int, int, int]:
-    """The shape of the k3 >= 0 half of the box |k_a| <= e_out[a]."""
-    return 2 * e_out[0] + 1, 2 * e_out[1] + 1, e_out[2] + 1
-
-
 def _unpack(bits: bytes, shape: tuple) -> np.ndarray:
     """The boolean array of ``shape`` packed to ``bits`` by ``np.packbits``."""
     return np.unpackbits(np.frombuffer(bits, dtype=np.uint8),
@@ -499,29 +479,21 @@ def _unpack(bits: bytes, shape: tuple) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _reach(cutoff: int, mask_u: bytes, mask_v: bytes) -> _Reach | None:
+def _reach(cutoff: int, mask_u: bytes, mask_v: bytes) -> tuple | None:
     """For supp(u) and supp(v), given as k3 >= 0 half masks packed to bits
     (``np.packbits``), the largest |k_a| per axis of either support and of
-    their sums, max(e_u, e_v) and e_u + e_v with e_u, e_v the extents of
-    the supports, and the modes of the pair's output half box that no
-    p + q with p in supp(u), q in supp(v) reaches.  A support given twice
-    is unpacked and transformed once.
+    their sums: (max(e_u, e_v), e_u + e_v) with e_u, e_v the extents of the
+    supports.  A support given twice is unpacked once.
 
-    None when no such p + q lands in the cube away from k = 0.  That is
-    tested by listing p +- q over the half masks when they hold at most
-    _SUM_PAIRS pairs; larger supports skip the test and are kept, so the
-    listing stays small.  The unreached modes come from the support indicators, real and
-    even like the fields, through the pair's own transforms: the product
-    ind_u ind_v comes back as the number of pairs p + q = k, and a mode
-    whose count is at most 0.5 is unreached.  That is one transform pair
-    per pair of supports, never one per call, and calls that share a pair
-    of supports share it.  Packed keys and masks, and no mask at all for a
-    pair that reaches every mode (dense and full-plane states), keep the
-    cache under 10 MB even at K = 16."""
+    None when no p + q with p in supp(u), q in supp(v) lands in the cube
+    away from k = 0.  That is tested by listing p +- q over the half masks
+    when they hold at most _SUM_PAIRS pairs; larger supports skip the test
+    and are kept, so the listing stays small.  Call plans share pairs of
+    supports (a lattice pass looks up about three for every one it scans),
+    so the scans are cached per pair."""
     shape = (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1)
-    masks = [_unpack(m, shape) for m in dict.fromkeys((mask_u, mask_v))]
     centre = (cutoff, cutoff, 0)
-    points = [np.nonzero(m) for m in masks]        # index arrays per axis
+    points = [np.nonzero(_unpack(m, shape)) for m in dict.fromkeys((mask_u, mask_v))]
     if len(points[0][0]) * len(points[-1][0]) <= _SUM_PAIRS:
         p, q = (np.stack(points[i], axis=-1) - centre for i in (0, -1))
         sums = np.concatenate([p[:, None] + q, p[:, None] - q]).reshape(-1, 3)
@@ -529,12 +501,7 @@ def _reach(cutoff: int, mask_u: bytes, mask_v: bytes) -> _Reach | None:
             return None
     e_u, e_v = ([int(np.abs(x - c).max()) for x, c in zip(pt, centre)]
                 for pt in (points[0], points[-1]))
-    e_in, e_sum = tuple(map(max, e_u, e_v)), tuple(map(operator.add, e_u, e_v))
-    layout = _layout(cutoff, e_in, e_sum)
-    phys = _to_grid(layout.to_grid, np.array([m[_half_box(cutoff, e_in)] for m in masks],
-                                             dtype=np.complex128))
-    unreached = _from_grid(layout.from_grid, phys[:1] * phys[-1:])[0].real <= 0.5
-    return _Reach(e_in, e_sum, np.packbits(unreached).tobytes() if unreached.any() else None)
+    return tuple(map(max, e_u, e_v)), tuple(map(operator.add, e_u, e_v))
 
 
 def _closed_support(cutoff: int, fields: Iterable[np.ndarray]) -> np.ndarray:
@@ -542,8 +509,9 @@ def _closed_support(cutoff: int, fields: Iterable[np.ndarray]) -> np.ndarray:
     under p + q, kept inside the cube and away from k = 0: the modes that a
     Galerkin run from u0 under a force on these supports can ever reach.
 
-    Grown on the k3 >= 0 half mask by the reach of the support with itself
-    (``_reach``), to a fixed point, so no list of sums is ever formed.
+    Grown on the k3 >= 0 half mask by the modes that the plan of B(u, u)
+    for u on it reaches (``_plan``), to a fixed point, so no list of sums is
+    ever formed, and the last plan looked up is the one the solver runs on.
     Returned as that half mask, (2K+1, 2K+1, K+1), whose k3 = 0 plane holds
     both k and -k; packed by ``np.packbits``, it is S's key for ``_plan``."""
     K = cutoff
@@ -551,14 +519,12 @@ def _closed_support(cutoff: int, fields: Iterable[np.ndarray]) -> np.ndarray:
     for f in fields:
         half |= np.any(f[:, :, K:] != 0, axis=-1)
     while True:
-        key = np.packbits(half).tobytes()
-        reach = _reach(K, key, key)
-        if reach is None:
+        plan = _plan(K, (np.packbits(half).tobytes(),), ((0, 0),))
+        if plan is None:
             return half
-        e_out = tuple(min(K, s) for s in reach.e_sum)
         grown = half.copy()
-        grown[_half_box(K, e_out)] |= True if reach.unreached is None else \
-            ~_unpack(reach.unreached, _half_shape(e_out))
+        reached = True if plan.unreached is None else ~plan.unreached
+        grown[_half_box(K, plan.layout.e_out)] |= reached
         grown[K, K, 0] = False
         if np.array_equal(grown, half):
             return half
@@ -581,32 +547,36 @@ def _plan(cutoff: int, keys: tuple, slots: tuple) -> _Plan | None:
     (see ``_reach``) and the pairs ``slots`` of indices into ``keys``.
 
     The pairs that reach nothing are dropped, and the plan is None when
-    every pair is.  The layout takes the largest extents of the pairs
-    left, and the unreached modes are those that every pair left leaves
-    unreached: a pair's own output box is centred in the layout's, and a
-    mode outside it is unreached by the pair.  A lattice pass meets a few
-    hundred call plans, about as many as pairs of supports, and a solver
-    run one, so the cache holds them all."""
+    every pair is.  The layout takes the largest extents of the pairs left.
+    The unreached modes come from the support indicators, real and even
+    like the fields, through the layout's transforms in the plan's batches:
+    the sum of ind_u ind_v over the pairs left comes back as the number of
+    their pairs p + q = k, and a mode whose count is at most 0.5 is
+    unreached.  The grid puts no alias of any pair's product in the output
+    box, so the count is exact to rounding.  That is one indicator
+    transform pair per call plan, never one per call.  A lattice pass meets
+    a few hundred call plans and a solver run one, so the cache holds them
+    all."""
     reach = {(a, b): _reach(cutoff, keys[a], keys[b]) for a, b in dict.fromkeys(slots)}
     kept = [ab for ab in slots if reach[ab] is not None]
     if not kept:
         return None
     reached = [r for r in reach.values() if r is not None]
     # the largest extent of a field and of a pair's sum, per axis
-    e_in, e_sum = (tuple(map(max, zip(*ext))) for ext in zip(*((r.e_in, r.e_sum) for r in reached)))
+    e_in, e_sum = (tuple(map(max, zip(*ext))) for ext in zip(*reached))
     layout = _layout(cutoff, e_in, e_sum)
-    unreached = np.ones(_half_shape(layout.e_out), dtype=bool)
-    for r in reached:
-        own = _half_shape(tuple(min(cutoff, s) for s in r.e_sum))
-        box = tuple(slice((n - m) // 2, (n + m) // 2) for n, m in zip(unreached.shape[:2], own[:2]))
-        box += (slice(own[2]),)
-        if r.unreached is None:
-            unreached[box] = False
-        else:
-            unreached[box] &= _unpack(r.unreached, own)
+    batches = tuple(_batches(kept, _BATCH))
+    shape, box = (2 * cutoff + 1, 2 * cutoff + 1, cutoff + 1), _half_box(cutoff, e_in)
+    count = np.zeros((1,) + layout.sizes)
+    for batch, local in batches:
+        ind = _to_grid(layout.to_grid, np.array([_unpack(keys[s], shape)[box] for s in batch],
+                                                dtype=np.complex128))
+        for a, b in local:
+            count += ind[a:a + 1] * ind[b:b + 1]
+    unreached = _from_grid(layout.from_grid, count)[0].real <= 0.5
     unreached.setflags(write=False)
     return _Plan(layout, sorted(kept) == sorted((b, a) for a, b in kept),
-                 tuple(_batches(kept, _BATCH)), unreached if unreached.any() else None)
+                 batches, unreached if unreached.any() else None)
 
 
 def _batches(pairs: list, limit: int) -> Iterator[tuple[list, list]]:
@@ -680,7 +650,7 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
 
     Everything the supports and the pairing fix is one call plan
     (``_plan``), cached per cutoff, support masks of the distinct fields
-    and pairs of field slots, and built from the reach of each pair of
+    and pairs of field slots, and built from the extents of each pair of
     supports (``_reach``, cached per pair of support masks).  So a call
     computes its support masks, looks its plan up and runs one path,
     however many pairs, fields or batches it has.  A pair whose supports
@@ -705,10 +675,9 @@ def advection_sum(pairs: Iterable[tuple[SpectralField, SpectralField]]) -> Spect
     On that half box, P(k) i k_j T_jc is one precomputed linear map of the
     product rows (``_weights``, cached per output box).  A mode that no
     pair p + q = k of any pair in the sum reaches is set to exactly zero,
-    so transform rounding never fills it and sparse sums stay sparse: each
-    pair's reach holds the modes it leaves unreached, found once from the
-    support indicators, and the plan holds those that every kept pair
-    leaves unreached.  The k3 = 0 plane holds both k and -k, and is
+    so transform rounding never fills it and sparse sums stay sparse: the
+    plan finds those modes once, from the support indicators of its pairs
+    through its own transforms.  The k3 = 0 plane holds both k and -k, and is
     symmetrized; the k3 < 0 half is filled with the conjugates, so the
     result is real and divergence free to rounding, and ``leray_project``
     leaves it unchanged.

@@ -47,8 +47,9 @@ class Transform(NamedTuple):
 
 
 def clear_spectral_caches():
-    """Empty every cache of ``spectral``: layouts, weight maps, pair reaches
-    and call plans, so the next call plans from scratch."""
+    """Empty every cache of ``spectral``: layouts, weight maps, the extents
+    of pairs of supports and call plans, so the next call plans from
+    scratch."""
     for cache in (spectral._layout, spectral._weights, spectral._reach, spectral._plan):
         cache.cache_clear()
 
@@ -61,8 +62,8 @@ def fft_calls(monkeypatch):
     ``spectral._from_grid``, each a few matrix products.  A numpy FFT called
     anywhere is recorded as well, under its numpy name with grid None, so a
     transform outside the pair cannot hide.  Every ``spectral`` cache starts
-    empty, so the first call on a pair of supports also records the
-    indicator transform pair that finds its reach.
+    empty, so the first call of each call plan also records the indicator
+    transform pair that finds the plan's unreached modes.
     """
     clear_spectral_caches()
     calls = []

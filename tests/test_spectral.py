@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsasym.spectral import (
+    _BATCH,
     _TENSOR,
     _dft_matrices,
     _from_grid,
@@ -275,10 +276,10 @@ class TestBilinearForm:
 
     @pytest.mark.parametrize("same", [True, False], ids=["u_is_v", "u_ne_v"])
     def test_one_transform_pair_per_call(self, same, fft_calls):
-        # new supports are planned once, by one transform pair of their
-        # indicators (one row in when v is u, two otherwise, one back); every
-        # call makes one pair for the products: 3 rows in per field and 6 or
-        # 9 products back, on the grid the plan used
+        # a new call plan finds its unreached modes by one transform pair of
+        # its indicators (one row in when v is u, two otherwise, one back);
+        # every call makes one pair for the products: 3 rows in per field
+        # and 6 or 9 products back, on the grid the plan used
         u = supported_field(3, "planar", np.random.default_rng(5))
         v = u if same else shear_field(3)
         fields, products = (1, 6) if same else (2, 9)
@@ -332,8 +333,8 @@ class TestBilinearForm:
     @pytest.mark.parametrize("case", ["diagonals_K4", "difference_only_K3"])
     def test_reachable_support_sum_is_transformed(self, case, fft_calls):
         # sums in the cube away from k = 0 go through one transform pair, after
-        # the indicator pair of the first call; at K = 3 the second pair is
-        # reached only through p - q = +-(1, -1, 0)
+        # the indicator pair that builds the call plan on the first call; at
+        # K = 3 the second pair is reached only through p - q = +-(1, -1, 0)
         if case == "diagonals_K4":
             u = SpectralField.from_modes(4, {(2, 2, 0): (1.0, -1.0, 0.0)})
             v = SpectralField.from_modes(4, {(2, -2, 0): (1.0, 1.0, 0.0)})
@@ -447,9 +448,18 @@ class TestAdvectionSum:
         for u, v in pairs:
             piece = bilinear_form(u, v)
             want, scale = want + piece, scale + piece.l2()
-        before = len(fft_calls)
+        # the sum's plan is new: its indicators go in, at most _BATCH rows
+        # at a time, and their pair count comes back in one row; then the
+        # products make one forward transform, and a repeated call only that
+        fft_calls.clear()
         got = advection_sum(pairs)
-        assert [c.name for c in fft_calls[before:]].count("from_grid") == 1
+        first = list(fft_calls)
+        assert [c.rows for c in first if c.name == "from_grid"] in ([1, 6], [1, 9])
+        planned = [c.name for c in first].index("from_grid")
+        assert all(c.name == "to_grid" and c.rows <= _BATCH for c in first[:planned])
+        fft_calls.clear()
+        assert advection_sum(pairs).coeffs.tobytes() == got.coeffs.tobytes()
+        assert fft_calls == first[planned + 1:]
         assert (got - want).l2() <= 1e-14 * scale
         np.testing.assert_array_equal(leray_project(got.coeffs, cutoff).coeffs, got.coeffs)
         got.validate()
@@ -516,30 +526,42 @@ class TestAdvectionSum:
         assert _plan.cache_info().hits == hits + 3
         assert all(again is plan for again, plan in zip(plans[3:], plans[:3]))
 
-    def test_exact_zeros_are_the_unreached_modes(self):
+    def test_exact_zeros_are_the_unreached_modes(self, monkeypatch):
         # sums whose pairs have output boxes of their own: a mode is exactly
         # zero where no pair of the sum reaches it and nowhere else (k = 0
         # aside, where B is zero either way).  The sparse fields' modes have
         # no zero component, and the first field is dense on a box of its
         # own half the time (a pair that reaches its whole box), so no
-        # reached mode cancels exactly.
+        # reached mode cancels exactly.  Half the cases pair up more fields
+        # than a batch holds, so their plans count the pairs p + q = k over
+        # several batches of indicators.
         rng = np.random.default_rng(71)
-        boxes_differ = 0
+        plans = []
+
+        def spy(*args, _inner=_plan):
+            plans.append(_inner(*args))
+            return plans[-1]
+        monkeypatch.setattr(spectral, "_plan", spy)
+        boxes_differ = batched = 0
         for case in range(40):
             cutoff = int(rng.integers(3, 6))
+            many = 2 * _BATCH if case % 4 >= 2 else 0
             fields = []
             if case % 2:
                 box = tuple(slice(cutoff - r, cutoff + r + 1) for r in rng.integers(1, cutoff, size=3))
                 cropped = np.zeros((2 * cutoff + 1,) * 3 + (3,), dtype=np.complex128)
                 cropped[box] = random_solenoidal_field(cutoff, rng).coeffs[box]
                 fields.append(leray_project(cropped, cutoff))
-            while len(fields) < 3:
+            while len(fields) < max(3, many):
                 reach = rng.integers(1, cutoff + 1, size=3)
                 modes = {tuple(int(x) for x in rng.integers(1, reach + 1) * rng.choice([-1, 1], 3)):
                          rng.standard_normal(3) + 1j * rng.standard_normal(3)
                          for _ in range(int(rng.integers(1, 4)))}
                 fields.append(SpectralField.from_modes(cutoff, modes))
-            picks = rng.integers(3, size=(int(rng.integers(2, 5)), 2))
+            if many:
+                picks = np.stack([rng.permutation(many), rng.integers(many, size=many)], axis=-1)
+            else:
+                picks = rng.integers(3, size=(int(rng.integers(2, 5)), 2))
             pairs = [(fields[a], fields[b]) for a, b in picks]
             sums = {tuple(np.abs(np.array([k for k, _ in u.modes()])).max(axis=0)
                           + np.abs(np.array([k for k, _ in v.modes()])).max(axis=0))
@@ -547,9 +569,11 @@ class TestAdvectionSum:
             boxes_differ += len({tuple(min(cutoff, x) for x in e) for e in sums}) > 1
             _, unreached = divergence_form_sum(pairs)
             zero = ~np.any(advection_sum(pairs).coeffs != 0, axis=-1)
+            batched += len(plans[-1].batches) > 1
             zero[cutoff, cutoff, cutoff] = unreached[cutoff, cutoff, cutoff]
             np.testing.assert_array_equal(zero, unreached)
         assert boxes_differ >= 20
+        assert batched >= 15
 
     def test_rejects_empty_list_and_mixed_cutoffs(self):
         with pytest.raises(ValueError):
@@ -561,8 +585,8 @@ class TestAdvectionSum:
     def test_recursion_makes_one_forward_transform_per_entry(self, fft_calls):
         # each entry's wedge sum is one advection sum: one product from_grid
         # when some wedge pair reaches the cube, none when every pair misses
-        # it; the first pass also plans each support pair that reaches, with
-        # a one-row indicator from_grid, and a second pass plans none
+        # it; the first pass also builds the call plans of those sums, each
+        # with a one-row indicator from_grid, and a second pass builds none
         lat = provenance_lattices()[-1]
         force = normalize_force(
             [(lat.exponent(1), SpectralField.from_modes(3, {(3, 0, 0): (0.0, 0.2, 0.1)})),
